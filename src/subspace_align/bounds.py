@@ -296,16 +296,22 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
         two products must share a numerical rank (RankMismatch otherwise).
     d : (n, k) array_like
         Pinning matrix.
-    kind : str
-        Norm kind for the distances and bound.
+    kind : str, or tuple or list of str
+        Norm kind for the distances and bound.  Several kinds share one pass
+        over the norm-independent work (checks, factorizations, angles).
     tol, rtol : float, optional
         Rank tolerance for both products, recorded in the report.
 
     Returns
     -------
-    BoundReport
+    BoundReport, or a tuple of them in the order of a tuple or list `kind`
     """
-    _check_kind(kind)
+    many = isinstance(kind, (tuple, list))
+    kinds = tuple(kind) if many else (kind,)
+    if not kinds:
+        raise InvalidInput("need at least one norm kind")
+    for each in kinds:
+        _check_kind(each)
     x = check_orthonormal(x, name="x")
     xt = check_orthonormal(x_tilde, name="x_tilde")
     if x.shape != xt.shape:
@@ -331,55 +337,54 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
         raise InvalidInput("x.T @ d vanishes; the bound needs a positive singular value")
     sigma_r = float(fg.sigma[r - 1])
     sigma_rt = float(fgt.sigma[r - 1])
-
     angles = canonical_angles(x, xt)
-    sin_t = sin_theta_norm(angles, kind)
-    sin_trunc = truncated_sin_theta_norm(angles, r, kind)
-    eta_val = eta(kind, r, k, sigma_r, sigma_rt, d_norm)
-    xi_val = eta_val * sin_t
-    sharp = eta_val * sin_trunc if r < k else None
 
+    # measured is the smallest norm over these candidates; at freedom >= 2 the
+    # one candidate is Frobenius-optimal, so the other norms get a bracket
+    dist_f = None
     if r == k:
-        measured = matrix_norm(x - xt, kind)
-        lower = upper = measured
+        diffs = [x - xt]
     else:
         _, aset = align(x, d, tol=tol, rtol=rtol)
         if aset.freedom == 1:
-            measured = min(
-                matrix_norm(xt - aset.member(np.array([[s]])), kind) for s in (1.0, -1.0)
-            )
-            lower = upper = measured
+            diffs = [xt - aset.member(np.array([[s]])) for s in (1.0, -1.0)]
         else:
             y_opt, _ = optimal_representative(aset, xt)
-            dist_f = float(np.linalg.norm(xt - y_opt))
-            if kind == "frobenius":
-                measured = lower = upper = dist_f
-            elif kind == "spectral":
-                lower = dist_f / math.sqrt(k)
-                upper = matrix_norm(xt - y_opt, "spectral")
-                measured = upper
-            else:
-                lower = dist_f
-                upper = matrix_norm(xt - y_opt, "trace")
-                measured = upper
+            diffs = [xt - y_opt]
+            dist_f = float(np.linalg.norm(diffs[0]))
 
-    slack = xi_val / measured if measured > 0.0 else math.inf
-    return BoundReport(
-        kind=kind,
-        regime="full_rank" if r == k else "rank_deficient",
-        r=r,
-        k=k,
-        sigma_r=sigma_r,
-        sigma_r_tilde=sigma_rt,
-        d_norm=d_norm,
-        sin_theta=sin_t,
-        sin_theta_truncated=sin_trunc,
-        eta=eta_val,
-        xi=xi_val,
-        xi_sharpened=sharp,
-        measured=measured,
-        measured_lower=lower,
-        measured_upper=upper,
-        slack=slack,
-        rank_tolerance=fg.rank_tolerance,
-    )
+    reports = []
+    for each in kinds:
+        sin_t = sin_theta_norm(angles, each)
+        sin_trunc = truncated_sin_theta_norm(angles, r, each)
+        eta_val = eta(each, r, k, sigma_r, sigma_rt, d_norm)
+        xi_val = eta_val * sin_t
+        if dist_f is None:
+            measured = lower = upper = min(matrix_norm(diff, each) for diff in diffs)
+        elif each == "frobenius":
+            measured = lower = upper = dist_f
+        else:
+            measured = upper = matrix_norm(diffs[0], each)
+            lower = dist_f / math.sqrt(k) if each == "spectral" else dist_f
+        reports.append(
+            BoundReport(
+                kind=each,
+                regime="full_rank" if r == k else "rank_deficient",
+                r=r,
+                k=k,
+                sigma_r=sigma_r,
+                sigma_r_tilde=sigma_rt,
+                d_norm=d_norm,
+                sin_theta=sin_t,
+                sin_theta_truncated=sin_trunc,
+                eta=eta_val,
+                xi=xi_val,
+                xi_sharpened=eta_val * sin_trunc if r < k else None,
+                measured=measured,
+                measured_lower=lower,
+                measured_upper=upper,
+                slack=xi_val / measured if measured > 0.0 else math.inf,
+                rank_tolerance=fg.rank_tolerance,
+            )
+        )
+    return tuple(reports) if many else reports[0]

@@ -89,7 +89,7 @@ def _cmd_bounds(args):
     x = load_matrix(args.x)
     xt = load_matrix(args.xt)
     d = load_matrix(args.d)
-    reports = [evaluate_instance(x, xt, d, kind) for kind in _norm_kinds(args.norm)]
+    reports = evaluate_instance(x, xt, d, _norm_kinds(args.norm))
     if args.json:
         json.dump([asdict(r) for r in reports], sys.stdout, indent=2)
         sys.stdout.write("\n")

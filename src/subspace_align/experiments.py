@@ -81,7 +81,6 @@ class ExperimentConfig:
     rank_deficiency: int = 0
     seed: int = 0
     norms: tuple = NORM_KINDS
-    w_samples: int = 512
 
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
@@ -94,15 +93,13 @@ class ExperimentConfig:
             raise InvalidInput("deltas must be nonempty")
         if any(not 0.0 < d < 1.0 for d in self.deltas):
             raise InvalidInput("every delta must lie strictly between 0 and 1")
-        if self.rank_deficiency not in (0, 1, 2):
-            raise InvalidInput("rank_deficiency must be 0, 1, or 2")
+        if self.rank_deficiency not in (0, 1, 2) or self.rank_deficiency >= self.k:
+            raise InvalidInput(f"rank_deficiency must be 0, 1, or 2 and below k={self.k}")
         if not 0 <= int(self.seed) < 2**64:
             raise InvalidInput("seed must be an unsigned 64-bit integer")
         bad = [kind for kind in self.norms if kind not in NORM_KINDS]
         if bad or not self.norms:
             raise InvalidInput(f"norms must be a nonempty subset of {NORM_KINDS}")
-        if self.w_samples < 1:
-            raise InvalidInput("w_samples must be positive")
 
 
 def config_from_dict(payload):
@@ -179,21 +176,22 @@ class SweepRow:
     computation on the assembled matrices.  ``measured_lower`` and
     ``measured_upper`` bracket the true minimum distance when it is not
     computed exactly, and coincide with ``measured`` when it is.  A nonempty
-    ``flag`` names the error that prevented evaluation.
+    ``flag`` holds the name and message of the error that prevented
+    evaluation; such a row keeps the defaults, NaN and None.
     """
 
     delta: float
     kind: str
     sin_theta_closed: float
-    sin_theta_computed: float
-    measured: float
-    measured_lower: float
-    measured_upper: float
-    xi: float
-    xi_sharpened: float | None
-    slack: float
-    sigma_r: float
-    sigma_r_tilde: float
+    sin_theta_computed: float = math.nan
+    measured: float = math.nan
+    measured_lower: float = math.nan
+    measured_upper: float = math.nan
+    xi: float = math.nan
+    xi_sharpened: float | None = None
+    slack: float = math.nan
+    sigma_r: float = math.nan
+    sigma_r_tilde: float = math.nan
     flag: str = ""
 
 
@@ -209,8 +207,9 @@ def run_sweep(config, out_dir=None):
 
     Per grid point: build the pair, pin both bases against the configured
     pinning matrix, verify the equal-rank hypothesis, and report measured
-    error, bound, and slack for each requested norm.  A hypothesis failure
-    flags the affected rows and the sweep continues.
+    error, bound, and slack for each requested norm, all norms in one
+    evaluation.  A hypothesis failure flags every row of that point and the
+    sweep continues.
 
     With `out_dir` set, writes ``sweep.csv`` (columns exactly the SweepRow
     fields, shortest round-trip floats), one ``sweep_<kind>.svg`` per norm,
@@ -226,45 +225,32 @@ def run_sweep(config, out_dir=None):
         x_diamond, x_tilde_diamond, _, _ = make_pair(config, delta, index=index)
         x, _ = align(x_diamond, d, rtol=SWEEP_RANK_RTOL)
         xt, _ = align(x_tilde_diamond, d, rtol=SWEEP_RANK_RTOL)
-        for kind in config.norms:
-            closed = _closed_form(kind, config.k, delta)
-            try:
-                rep = evaluate_instance(x, xt, d, kind, rtol=SWEEP_RANK_RTOL)
-            except (RankMismatch, NotAligned, InvalidInput) as exc:
-                rows.append(
-                    SweepRow(
-                        delta=delta,
-                        kind=kind,
-                        sin_theta_closed=closed,
-                        sin_theta_computed=math.nan,
-                        measured=math.nan,
-                        measured_lower=math.nan,
-                        measured_upper=math.nan,
-                        xi=math.nan,
-                        xi_sharpened=None,
-                        slack=math.nan,
-                        sigma_r=math.nan,
-                        sigma_r_tilde=math.nan,
-                        flag=type(exc).__name__,
-                    )
-                )
-                continue
-            rows.append(
-                SweepRow(
-                    delta=delta,
-                    kind=kind,
-                    sin_theta_closed=closed,
-                    sin_theta_computed=rep.sin_theta,
-                    measured=rep.measured,
-                    measured_lower=rep.measured_lower,
-                    measured_upper=rep.measured_upper,
-                    xi=rep.xi,
-                    xi_sharpened=rep.xi_sharpened,
-                    slack=rep.slack,
-                    sigma_r=rep.sigma_r,
-                    sigma_r_tilde=rep.sigma_r_tilde,
-                )
+        try:
+            reports = evaluate_instance(x, xt, d, config.norms, rtol=SWEEP_RANK_RTOL)
+        except (RankMismatch, NotAligned, InvalidInput) as exc:
+            flag = f"{type(exc).__name__}: {exc}"
+            rows += [
+                SweepRow(delta, kind, _closed_form(kind, config.k, delta), flag=flag)
+                for kind in config.norms
+            ]
+            continue
+        rows += [
+            SweepRow(
+                delta=delta,
+                kind=rep.kind,
+                sin_theta_closed=_closed_form(rep.kind, config.k, delta),
+                sin_theta_computed=rep.sin_theta,
+                measured=rep.measured,
+                measured_lower=rep.measured_lower,
+                measured_upper=rep.measured_upper,
+                xi=rep.xi,
+                xi_sharpened=rep.xi_sharpened,
+                slack=rep.slack,
+                sigma_r=rep.sigma_r,
+                sigma_r_tilde=rep.sigma_r_tilde,
             )
+            for rep in reports
+        ]
     if out_dir is not None:
         _emit(config, rows, Path(out_dir))
     return rows

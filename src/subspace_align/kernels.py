@@ -203,9 +203,10 @@ def orthonormal_completion(x):
     if n == k:
         raise EmptyComplement("a square orthonormal basis has no complement")
     # Householder QR of x: the trailing n-k columns of the full Q span the
-    # complement because x already has full column rank.
+    # complement because x already has full column rank.  The slice is
+    # returned without a copy, which would be a second O(n^2) buffer.
     q = np.linalg.qr(x, mode="complete")[0]
-    return q[:, k:].copy()
+    return q[:, k:]
 
 
 _PALEY_SEEDS = {12: 11, 20: 19}

@@ -309,6 +309,20 @@ class TestEvaluateInstance:
         assert rep.measured == pytest.approx(expected["spectral"], rel=1e-12)
         assert rep.measured == rep.measured_lower == rep.measured_upper
 
+    @pytest.mark.parametrize("drop", [0, 1, 2])
+    def test_many_kinds_match_single_calls(self, rng, drop):
+        x, y, d, r, k = draw_aligned_instance(rng, drops=(drop,))
+        assert k - r == drop
+        singles = tuple(
+            evaluate_instance(x, y, d, kind, rtol=RANK_RTOL) for kind in NORM_KINDS
+        )
+        assert evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL) == singles
+        reverse = list(NORM_KINDS[::-1])
+        assert evaluate_instance(x, y, d, reverse, rtol=RANK_RTOL) == singles[::-1]
+        for kinds in [("operator", "spectral"), ["spectral", "trace", "operator"], ()]:
+            with pytest.raises(InvalidInput):
+                evaluate_instance(x, y, d, kinds, rtol=RANK_RTOL)
+
     def test_not_aligned_rejected(self, rng):
         d = rank_matrix(rng, 10, 4, 4)
         x_any = random_orthonormal(10, 4, rng)

@@ -179,7 +179,6 @@ def test_experiment_custom_config(tmp_path):
         "rank_deficiency": 0,
         "seed": 3,
         "norms": ["frobenius"],
-        "w_samples": 16,
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))

@@ -10,6 +10,7 @@ from subspace_align import (
     ExperimentConfig,
     InvalidInput,
     NORM_KINDS,
+    RankMismatch,
     UnsupportedOrder,
     VerificationFailure,
     align,
@@ -54,7 +55,7 @@ class TestConfig:
             dict(seed=-1),
             dict(norms=("spectral", "euclid")),
             dict(norms=()),
-            dict(w_samples=0),
+            dict(n=4, k=2, rank_deficiency=2),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -221,6 +222,35 @@ class TestRunSweep:
         xt, _ = align(xtd, d, rtol=SWEEP_RANK_RTOL)
         y_opt, _ = optimal_representative(aset, xt)
         assert row.measured == pytest.approx(np.linalg.norm(xt - y_opt), rel=1e-12)
+
+    def test_flagged_point_keeps_the_message(self, monkeypatch, tmp_path, capsys):
+        import subspace_align.experiments as exp
+        from subspace_align.cli import main
+
+        message = "rank(x.T d) = 3 but rank(x_tilde.T d) = 2"
+        real = exp.evaluate_instance
+        calls = []
+
+        def evaluate(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RankMismatch(message)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "evaluate_instance", evaluate)
+        rows = run_sweep(ExperimentConfig(**SMALL))
+        flagged = [row for row in rows if row.flag]
+        assert [row.kind for row in flagged] == list(NORM_KINDS)
+        assert {row.delta for row in flagged} == {SMALL["deltas"][2]}
+        for row in flagged:
+            assert row.flag == f"RankMismatch: {message}"
+            assert not row_passes(row)
+
+        calls.clear()
+        argv = ["experiment", "--figure", "1", "--n", "32", "--k", "3"]
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert f"flag=RankMismatch: {message}" in capsys.readouterr().err
+        assert message in (tmp_path / "sweep.csv").read_text()
 
     def test_determinism(self):
         config = ExperimentConfig(**SMALL, seed=9)
