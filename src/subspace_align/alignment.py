@@ -94,7 +94,6 @@ class AlignedBasisSet:
     freedom_right: np.ndarray
     r: int
     sigma_r: float
-    d_spectral_norm: float
     rank_tolerance: float
 
     @property
@@ -165,7 +164,6 @@ def align(x_any, d, tol=None, rtol=None):
         freedom_right=f.v[:, r:].copy(),
         r=r,
         sigma_r=float(f.sigma[r - 1]) if r > 0 else 0.0,
-        d_spectral_norm=float(np.linalg.norm(d, 2)),
         rank_tolerance=f.rank_tolerance,
     )
     return x, aset

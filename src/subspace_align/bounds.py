@@ -51,11 +51,20 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def _positive(value, name):
+def _checked(value, name, zero_ok=False):
+    """`value` as float64, required finite and positive (nonnegative with
+    `zero_ok`) in every entry; NaN fails both comparisons."""
     value = np.asarray(value, dtype=np.float64)
-    if np.any(value <= 0.0) or not np.all(np.isfinite(value)):
-        raise InvalidInput(f"{name} must be positive and finite")
+    above = value >= 0.0 if zero_ok else value > 0.0
+    if not (above & (value < math.inf)).all():
+        need = "nonnegative" if zero_ok else "positive"
+        raise InvalidInput(f"{name} must be {need} and finite")
     return value
+
+
+def _result(out):
+    """A Python float for a scalar result, the array otherwise."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
@@ -83,11 +92,9 @@ def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
     r, k = int(r), int(k)
     if not 1 <= r <= k:
         raise InvalidInput(f"need 1 <= r <= k, got r={r}, k={k}")
-    s = _positive(sigma_r, "sigma_r")
-    st = _positive(sigma_r_tilde, "sigma_r_tilde")
-    d = np.asarray(d_norm, dtype=np.float64)
-    if np.any(d < 0.0) or not np.all(np.isfinite(d)):
-        raise InvalidInput("d_norm must be nonnegative and finite")
+    s = _checked(sigma_r, "sigma_r")
+    st = _checked(sigma_r_tilde, "sigma_r_tilde")
+    d = _checked(d_norm, "d_norm", zero_ok=True)
     both = s + st
     largest = np.maximum(s, st)
     if r == k:
@@ -102,17 +109,14 @@ def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
         )
     else:  # trace, and the generic unitarily invariant coefficient
         out = _SQRT2 * (1.0 + 2.0 * d / both) + (2.0 * _SQRT2 + 4.0) * d / largest
-    return float(out) if np.ndim(out) == 0 else out
+    return _result(out)
 
 
 def xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, sin_theta):
     """Bound value ``eta(...) * sin_theta``; homogeneous of degree 1 in
     `sin_theta` by construction."""
-    sin_theta = np.asarray(sin_theta, dtype=np.float64)
-    if np.any(sin_theta < 0.0) or not np.all(np.isfinite(sin_theta)):
-        raise InvalidInput("sin_theta must be nonnegative and finite")
-    out = eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm) * sin_theta
-    return float(out) if np.ndim(out) == 0 else out
+    sin_theta = _checked(sin_theta, "sin_theta", zero_ok=True)
+    return _result(eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm) * sin_theta)
 
 
 def xi_sharpened(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta):
@@ -125,11 +129,7 @@ def xi_sharpened(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta
     """
     if int(r) >= int(k):
         raise NotApplicable("sharpening applies only to the rank-deficient regime")
-    truncated_sin_theta = np.asarray(truncated_sin_theta, dtype=np.float64)
-    if np.any(truncated_sin_theta < 0.0) or not np.all(np.isfinite(truncated_sin_theta)):
-        raise InvalidInput("truncated_sin_theta must be nonnegative and finite")
-    out = eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm) * truncated_sin_theta
-    return float(out) if np.ndim(out) == 0 else out
+    return xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta)
 
 
 @dataclass(frozen=True)

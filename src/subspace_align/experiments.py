@@ -85,6 +85,10 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "norms", tuple(self.norms))
+        for name in ("n", "k", "rank_deficiency", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInput(f"{name} must be an integer, got {value!r}")
         if self.k < 1 or self.n < 2 * self.k:
             raise InvalidInput(f"need n >= 2k >= 2, got n={self.n}, k={self.k}")
         if not is_hadamard_order(self.n):
@@ -133,7 +137,7 @@ def make_pair(config, delta, index=0):
     if not 0.0 <= delta <= 1.0:
         raise InvalidInput(f"delta must lie in [0, 1], got {delta}")
     n, k = config.n, config.k
-    m = hadamard(n) / math.sqrt(n)
+    m = hadamard(n)[:, : 2 * k] / math.sqrt(n)
     q1 = haar_orthogonal(k, _stream(config.seed, 2 * index))
     q2 = haar_orthogonal(k, _stream(config.seed, 2 * index + 1))
     x_diamond = m[:, :k].copy()

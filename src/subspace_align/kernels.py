@@ -170,18 +170,17 @@ def matrix_norm(b, kind):
     return float(s[0]) if kind == "spectral" else float(np.sum(s))
 
 
-def check_orthonormal(x, tol=None, name="x"):
+def check_orthonormal(x, name="x"):
     """Validate that `x` has orthonormal columns and return it as float64.
 
-    The default tolerance on ``||x.T x - I||_F`` is ``1e-12 * n`` for an
-    n-row input.  Raises InvalidBasis on failure.
+    The tolerance on ``||x.T x - I||_F`` is ``1e-12 * n`` for an n-row
+    input.  Raises InvalidBasis on failure.
     """
     x = _as_matrix(x, name)
     n, k = x.shape
     if k > n:
         raise InvalidBasis(f"{name} has more columns ({k}) than rows ({n})")
-    if tol is None:
-        tol = 1e-12 * n
+    tol = 1e-12 * n
     defect = float(np.linalg.norm(x.T @ x - np.eye(k)))
     if defect > tol:
         raise InvalidBasis(
@@ -276,11 +275,7 @@ def haar_orthogonal(size, rng):
         raise InvalidInput("size must be nonnegative")
     if size == 0:
         return np.zeros((0, 0))
-    g = rng.standard_normal((size, size))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    return random_orthonormal(size, size, rng)
 
 
 def random_orthonormal(n, k, rng):

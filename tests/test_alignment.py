@@ -316,7 +316,7 @@ class TestHausdorff:
                 set_a.k,
                 set_a.sigma_r,
                 set_b.sigma_r,
-                set_a.d_spectral_norm,
+                np.linalg.norm(d, 2),
             ) * sin_theta_norm(angles, kind)
             assert est.value <= bound
             assert not est.exact

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subspace_align import (
     DimensionMismatch,
@@ -71,6 +73,44 @@ class TestEta:
             eta("trace", 4, 3, 1.0, 1.0, 1.0)
         with pytest.raises(InvalidInput):
             eta("operator", 2, 3, 1.0, 1.0, 1.0)
+
+        good = dict(sigma_r=1.0, sigma_r_tilde=1.0, d_norm=1.0, sin_theta=0.5)
+        for name in good:
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                if bad == 0.0 and name in ("d_norm", "sin_theta"):
+                    assert xi("trace", 2, 3, **{**good, name: bad}) >= 0.0
+                    continue
+                for value in (bad, np.array([1.0, bad])):
+                    with pytest.raises(InvalidInput, match=rf"^{name} must"):
+                        xi("trace", 2, 3, **{**good, name: value})
+
+
+_POSITIVE = st.floats(min_value=1e-8, max_value=1e8)
+_ENTRY = st.tuples(_POSITIVE, _POSITIVE, st.floats(0.0, 1e8), st.floats(0.0, 1.0))
+
+
+class TestCoefficientProperties:
+    """The array path and the scalar path of the coefficient family agree."""
+
+    @given(
+        entries=st.lists(_ENTRY, min_size=1, max_size=8),
+        kind=st.sampled_from(NORM_KINDS),
+        r=st.sampled_from((4, 3, 1)),
+    )
+    def test_arrays_equal_scalar_calls(self, entries, kind, r):
+        s, s_tilde, d, sin_t = (np.array(column) for column in zip(*entries))
+        eta_array = eta(kind, r, 4, s, s_tilde, d)
+        xi_array = xi(kind, r, 4, s, s_tilde, d, sin_t)
+        for i, entry in enumerate(entries):
+            eta_scalar = eta(kind, r, 4, *entry[:3])
+            xi_scalar = xi(kind, r, 4, *entry)
+            assert type(eta_scalar) is float and type(xi_scalar) is float
+            assert eta_array[i] == eta_scalar
+            assert xi_array[i] == xi_scalar
+
+    @given(entry=_ENTRY, kind=st.sampled_from(NORM_KINDS), r=st.sampled_from((3, 1)))
+    def test_sharpened_is_xi_of_the_truncated_norm(self, entry, kind, r):
+        assert xi_sharpened(kind, r, 4, *entry) == xi(kind, r, 4, *entry)
 
 
 class TestXi:

@@ -189,6 +189,14 @@ def test_experiment_custom_config(tmp_path):
     assert len(lines) == 1 + 3
 
 
+def test_experiment_custom_config_rejects_float_k(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"n": 32, "k": 5.0}))
+    proc = run_cli("experiment", "--custom", str(config_path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+
+
 def test_missing_file_reports_error(tmp_path):
     proc = run_cli("angles", "--x", str(tmp_path / "nope.txt"), "--y", str(tmp_path / "nope.txt"))
     assert proc.returncode == 2

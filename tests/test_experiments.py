@@ -56,6 +56,10 @@ class TestConfig:
             dict(norms=("spectral", "euclid")),
             dict(norms=()),
             dict(n=4, k=2, rank_deficiency=2),
+            dict(k=5.0),
+            dict(seed=1.5),
+            dict(seed=-0.5),
+            dict(rank_deficiency=True),
         ],
     )
     def test_invalid_configs(self, kwargs):

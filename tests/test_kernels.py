@@ -215,6 +215,12 @@ class TestGenerators:
         draws = {float(haar_orthogonal(1, rng)[0, 0]) for _ in range(64)}
         assert draws == {1.0, -1.0}
 
+    def test_haar_orthogonal_is_the_square_random_orthonormal_draw(self):
+        for size in (1, 2, 5):
+            a = haar_orthogonal(size, np.random.Generator(np.random.Philox(key=size)))
+            b = random_orthonormal(size, size, np.random.Generator(np.random.Philox(key=size)))
+            assert np.array_equal(a, b)
+
     def test_random_orthonormal(self, rng):
         x = random_orthonormal(9, 4, rng)
         assert x.shape == (9, 4)
