@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, InvalidInput, RankMismatch, ShapeError
 from .kernels import (
     _as_matrix,
     _check_kind,
+    _integer,
     check_orthonormal,
     haar_orthogonal,
     matrix_norm,
@@ -111,8 +112,6 @@ class AlignedBasisSet:
         f = self.freedom
         if w.shape != (f, f):
             raise DimensionMismatch(f"w must be {f}x{f}, got {w.shape}")
-        if f == 0:
-            return self.base.copy()
         defect = float(np.linalg.norm(w.T @ w - np.eye(f)))
         if defect > 1e-10:
             raise InvalidInput(f"w is not orthogonal: ||w.T w - I||_F = {defect:.3e}")
@@ -186,9 +185,6 @@ def optimal_representative(aset, x_tilde):
         raise DimensionMismatch(
             f"x_tilde must be {aset.base.shape}, got {x_tilde.shape}"
         )
-    f = aset.freedom
-    if f == 0:
-        return aset.base.copy(), np.zeros((0, 0))
     u, _, vt = np.linalg.svd(aset.freedom_left.T @ x_tilde @ aset.freedom_right)
     w_opt = u @ vt
     return aset.member(w_opt), w_opt
@@ -211,7 +207,13 @@ class HausdorffEstimate:
     samples_used: int
 
 
-def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, inner_samples=64, seed=0):
+#: Inner Haar samples per outer sample for the spectral/trace inner min of
+#: :func:`hausdorff_distance_estimate`; the exact Frobenius minimizer is
+#: always a candidate as well.
+_INNER_SAMPLES = 64
+
+
+def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, seed=0):
     """Estimate ``max over set_b of (min over set_a)`` of the member distance.
 
     Parameters
@@ -222,9 +224,6 @@ def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, inner_samples=6
         Norm kind.
     samples : int
         Outer Haar samples when the freedom exceeds 1.
-    inner_samples : int
-        Inner Haar samples for the spectral/trace inner min (the exact
-        Frobenius minimizer is always included as a candidate).
     seed : int
         Philox stream key; identical seeds give identical estimates.
     """
@@ -236,22 +235,16 @@ def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, inner_samples=6
     if set_a.r != set_b.r:
         raise RankMismatch(f"set ranks differ: {set_a.r} vs {set_b.r}")
     free = set_a.freedom
-    if free == 0:
-        return HausdorffEstimate(
-            value=matrix_norm(set_b.base - set_a.base, kind),
-            exact=True,
-            kind=kind,
-            samples_used=0,
-        )
-    if free == 1:
-        ws = (np.array([[1.0]]), np.array([[-1.0]]))
+    if free <= 1:
+        # every member, twice over at freedom 0 where both ws are 0x0
+        ws = (np.eye(free), -np.eye(free))
         value = max(
             min(matrix_norm(set_b.member(wb) - set_a.member(wa), kind) for wa in ws)
             for wb in ws
         )
         return HausdorffEstimate(value=value, exact=True, kind=kind, samples_used=0)
 
-    samples = int(samples)
+    samples = _integer(samples, "samples")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -261,11 +254,9 @@ def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, inner_samples=6
         yb = set_b.member(haar_orthogonal(free, rng))
         used += 1
         y_opt, _ = optimal_representative(set_a, yb)
-        if kind == "frobenius":
-            best = float(np.linalg.norm(yb - y_opt))
-        else:
-            best = matrix_norm(yb - y_opt, kind)
-            for _ in range(int(inner_samples)):
+        best = matrix_norm(yb - y_opt, kind)
+        if kind != "frobenius":
+            for _ in range(_INNER_SAMPLES):
                 ya = set_a.member(haar_orthogonal(free, rng))
                 used += 1
                 best = min(best, matrix_norm(yb - ya, kind))

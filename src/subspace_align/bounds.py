@@ -28,13 +28,15 @@ from .errors import (
 from .kernels import (
     _as_matrix,
     _check_kind,
+    _gauge,
+    _integer,
     check_orthonormal,
     matrix_norm,
     singular_values,
     svd,
     truncated_norm,
 )
-from .metrics import canonical_angles, sin_theta_norm, truncated_sin_theta_norm
+from .metrics import canonical_angles, sin_theta_norm
 
 __all__ = [
     "eta",
@@ -89,7 +91,7 @@ def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
     float or ndarray
     """
     _check_kind(kind)
-    r, k = int(r), int(k)
+    r, k = _integer(r, "r"), _integer(k, "k")
     if not 1 <= r <= k:
         raise InvalidInput(f"need 1 <= r <= k, got r={r}, k={k}")
     s = _checked(sigma_r, "sigma_r")
@@ -127,7 +129,7 @@ def xi_sharpened(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta
     for the spectral kind (truncation keeps the largest sine).  Only defined
     for ``r < k``.
     """
-    if int(r) >= int(k):
+    if _integer(r, "r") >= _integer(k, "k"):
         raise NotApplicable("sharpening applies only to the rank-deficient regime")
     return xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta)
 
@@ -154,8 +156,7 @@ def wedin_bound(b, b_tilde, r, kind):
     larger of the two r-th singular values.
     """
     _check_kind(kind)
-    r = int(r)
-    if r < 1:
+    if _integer(r, "r") < 1:
         raise InvalidInput("rank r must be at least 1")
     b = _as_matrix(b, "b")
     bt = _as_matrix(b_tilde, "b_tilde")
@@ -273,9 +274,13 @@ class BoundReport:
 
 
 def _require_psd(g, d_norm, label):
-    """Check that g is symmetric PSD to within 1e-10 * ||d||_2."""
+    """Check that g is symmetric PSD to within 1e-10 * ||d||_2.
+
+    The asymmetry is taken of g / ||d||_2, whose entries are at most 1, and
+    scaled back, so its squares do not overflow however large d is."""
     tol = 1e-10 * d_norm
-    asym = float(np.linalg.norm(g - g.T))
+    scale = d_norm if d_norm > 0.0 else 1.0
+    asym = float(np.linalg.norm((g - g.T) / scale)) * scale
     if asym > tol:
         raise NotAligned(f"{label} is not symmetric: asymmetry {asym:.3e} > {tol:.3e}")
     floor = float(np.linalg.eigvalsh((g + g.T) / 2.0)[0])
@@ -355,16 +360,14 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
 
     reports = []
     for each in kinds:
-        sin_t = sin_theta_norm(angles, each)
-        sin_trunc = truncated_sin_theta_norm(angles, r, each)
+        sin_t = _gauge(angles.sines, each)
+        sin_trunc = _gauge(angles.sines[-r:], each)
         eta_val = eta(each, r, k, sigma_r, sigma_rt, d_norm)
         xi_val = eta_val * sin_t
+        measured = upper = min(matrix_norm(diff, each) for diff in diffs)
         if dist_f is None:
-            measured = lower = upper = min(matrix_norm(diff, each) for diff in diffs)
-        elif each == "frobenius":
-            measured = lower = upper = dist_f
-        else:
-            measured = upper = matrix_norm(diffs[0], each)
+            lower = measured
+        else:  # the Frobenius measured is dist_f itself, a bracket of width 0
             lower = dist_f / math.sqrt(k) if each == "spectral" else dist_f
         reports.append(
             BoundReport(

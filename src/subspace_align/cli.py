@@ -194,10 +194,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SubspaceAlignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SubspaceAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,14 @@ from .errors import (
     UnsupportedOrder,
     VerificationFailure,
 )
-from .kernels import NORM_KINDS, _gauge, haar_orthogonal, hadamard, is_hadamard_order
+from .kernels import (
+    NORM_KINDS,
+    _gauge,
+    _integer,
+    haar_orthogonal,
+    hadamard,
+    is_hadamard_order,
+)
 from .metrics import canonical_angles, sin_theta_norm
 from .svgplot import write_loglog_svg
 
@@ -86,9 +93,7 @@ class ExperimentConfig:
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "norms", tuple(self.norms))
         for name in ("n", "k", "rank_deficiency", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidInput(f"{name} must be an integer, got {value!r}")
+            _integer(getattr(self, name), name)
         if self.k < 1 or self.n < 2 * self.k:
             raise InvalidInput(f"need n >= 2k >= 2, got n={self.n}, k={self.k}")
         if not is_hadamard_order(self.n):
@@ -99,7 +104,7 @@ class ExperimentConfig:
             raise InvalidInput("every delta must lie strictly between 0 and 1")
         if self.rank_deficiency not in (0, 1, 2) or self.rank_deficiency >= self.k:
             raise InvalidInput(f"rank_deficiency must be 0, 1, or 2 and below k={self.k}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise InvalidInput("seed must be an unsigned 64-bit integer")
         bad = [kind for kind in self.norms if kind not in NORM_KINDS]
         if bad or not self.norms:
@@ -155,10 +160,10 @@ def pinning_matrix(n, k, zero_last=0):
     holds ``(i + 1) / (8n + j)`` in column j.  Resetting the trailing
     `zero_last` columns to zero forces rank ``k - zero_last``.
     """
-    n, k = int(n), int(k)
+    n, k = _integer(n, "n"), _integer(k, "k")
     if not 1 <= k <= n:
         raise InvalidInput(f"need 1 <= k <= n, got n={n}, k={k}")
-    zero_last = int(zero_last)
+    zero_last = _integer(zero_last, "zero_last")
     if not 0 <= zero_last <= k:
         raise InvalidInput(f"zero_last must lie in [0, {k}], got {zero_last}")
     d = np.zeros((n, k))
@@ -343,8 +348,6 @@ def verify_closed_form(config, delta, index=0):
 
     Raises VerificationFailure naming the norm kind and delta on any breach.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise InvalidInput(f"delta must lie in [0, 1], got {delta}")
     n, k = config.n, config.k
     h = hadamard(n).astype(np.float64)
     x_diamond, x_tilde_diamond, q1, q2 = make_pair(config, delta, index=index)

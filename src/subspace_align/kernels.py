@@ -57,6 +57,14 @@ def _as_matrix(b, name="matrix"):
     return b
 
 
+def _integer(value, name):
+    """`value` as a Python int; InvalidInput unless it is an int or a numpy
+    integer (a bool is not), so a float size is never silently truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_kind(kind):
     if kind not in NORM_KINDS:
         raise InvalidInput(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
@@ -154,8 +162,7 @@ def truncated_norm(b, r, kind):
     result equals the full norm whenever `r` is at least the rank of `b`.
     """
     _check_kind(kind)
-    r = int(r)
-    if r < 1:
+    if _integer(r, "r") < 1:
         raise InvalidInput("truncation rank r must be at least 1")
     return _gauge(singular_values(b)[:r], kind)
 
@@ -163,9 +170,8 @@ def truncated_norm(b, r, kind):
 def matrix_norm(b, kind):
     """Spectral, Frobenius, or trace (nuclear) norm of a dense matrix."""
     _check_kind(kind)
-    b = _as_matrix(b, "b")
     if kind == "frobenius":
-        return float(np.linalg.norm(b))
+        return float(np.linalg.norm(_as_matrix(b, "b")))
     s = singular_values(b)
     return float(s[0]) if kind == "spectral" else float(np.sum(s))
 
@@ -270,8 +276,7 @@ def haar_orthogonal(size, rng):
     the R diagonal fixed, which makes the distribution exactly Haar and the
     draw deterministic for a given generator state.
     """
-    size = int(size)
-    if size < 0:
+    if _integer(size, "size") < 0:
         raise InvalidInput("size must be nonnegative")
     if size == 0:
         return np.zeros((0, 0))
@@ -280,7 +285,7 @@ def haar_orthogonal(size, rng):
 
 def random_orthonormal(n, k, rng):
     """Uniformly random n-by-k matrix with orthonormal columns."""
-    n, k = int(n), int(k)
+    n, k = _integer(n, "n"), _integer(k, "k")
     if not 1 <= k <= n:
         raise InvalidInput(f"need 1 <= k <= n, got n={n}, k={k}")
     g = rng.standard_normal((n, k))

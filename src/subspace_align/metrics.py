@@ -13,6 +13,7 @@ from .kernels import (
     NORM_KINDS,
     _check_kind,
     _gauge,
+    _integer,
     check_orthonormal,
     matrix_norm,
     orthonormal_completion,
@@ -91,8 +92,7 @@ def sin_theta_norm(angles, kind):
 def truncated_sin_theta_norm(angles, r, kind):
     """Norm of the `r` largest canonical-angle sines only."""
     _check_kind(kind)
-    r = int(r)
-    if r < 1:
+    if _integer(r, "r") < 1:
         raise InvalidInput("truncation rank r must be at least 1")
     return _gauge(angles.sines[-r:], kind)
 

@@ -260,6 +260,7 @@ class TestOptimalRepresentative:
         y_opt, w_opt = optimal_representative(aset, random_orthonormal(10, 3, rng))
         assert np.array_equal(y_opt, aset.base)
         assert w_opt.shape == (0, 0)
+        assert np.array_equal(aset.member(np.eye(0)), aset.base)
 
     def test_rank_zero_family_reduces_to_rotation_alignment(self, rng):
         from subspace_align import align_rotation
@@ -303,7 +304,9 @@ class TestHausdorff:
         for kind in NORM_KINDS:
             est = hausdorff_distance_estimate(set_a, set_b, kind)
             assert est.exact
+            assert est.samples_used == 0
             assert est.value == pytest.approx(matrix_norm(xa - xb, kind), abs=1e-12)
+            assert est.value == matrix_norm(set_b.base - set_a.base, kind)
 
     def test_bounded_by_eta_sin_theta(self, rng):
         set_a, set_b, d, xd, xtd = self._pair_of_sets(rng, 2)
@@ -323,14 +326,15 @@ class TestHausdorff:
 
     def test_two_member_families_exact(self, rng):
         set_a, set_b, _, _, _ = self._pair_of_sets(rng, 1)
-        est = hausdorff_distance_estimate(set_a, set_b, "trace")
         members_a = [set_a.member(np.array([[s]])) for s in (1.0, -1.0)]
         members_b = [set_b.member(np.array([[s]])) for s in (1.0, -1.0)]
-        expected = max(
-            min(matrix_norm(mb - ma, "trace") for ma in members_a) for mb in members_b
-        )
-        assert est.exact
-        assert est.value == pytest.approx(expected, abs=1e-12)
+        for kind in NORM_KINDS:
+            est = hausdorff_distance_estimate(set_a, set_b, kind)
+            expected = max(
+                min(matrix_norm(mb - ma, kind) for ma in members_a) for mb in members_b
+            )
+            assert est.exact
+            assert est.value == expected
 
     def test_rank_mismatch_rejected(self, rng):
         set_a, _, _, _, _ = self._pair_of_sets(rng, 1)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -30,6 +31,17 @@ from subspace_align.kernels import random_orthonormal
 from support import RANK_RTOL, draw_aligned_instance, equal_rank_pair, rank_matrix
 
 SQRT2 = math.sqrt(2.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _mixed_instances():
+    """300 pinned pairs of the criterion-02 mix, each with its reports."""
+    rng = np.random.Generator(np.random.Philox(key=3))
+    out = []
+    for _ in range(300):
+        x, y, d, r, k = draw_aligned_instance(rng)
+        out.append((x, y, d, r, evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL)))
+    return out
 
 
 class TestEta:
@@ -362,6 +374,17 @@ class TestEvaluateInstance:
         for kinds in [("operator", "spectral"), ["spectral", "trace", "operator"], ()]:
             with pytest.raises(InvalidInput):
                 evaluate_instance(x, y, d, kinds, rtol=RANK_RTOL)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e200, 1e-200])
+    def test_scaling_d_keeps_rank_eta_and_measured(self, scale):
+        # x.T @ d scales with d, and near 1e200 the squares of its rounding
+        # asymmetry overflow unless the PSD check scales them first
+        for x, y, d, r, reports in _mixed_instances():
+            scaled = evaluate_instance(x, y, scale * d, NORM_KINDS, rtol=RANK_RTOL)
+            for rep, ref in zip(scaled, reports):
+                assert rep.r == ref.r == r
+                assert rep.eta == pytest.approx(ref.eta, rel=1e-9)
+                assert rep.measured == pytest.approx(ref.measured, rel=1e-9, abs=1e-12)
 
     def test_not_aligned_rejected(self, rng):
         d = rank_matrix(rng, 10, 4, 4)

@@ -6,18 +6,28 @@ from subspace_align import (
     InvalidBasis,
     InvalidInput,
     UnsupportedOrder,
+    align,
+    canonical_angles,
     check_orthonormal,
+    eta,
     haar_orthogonal,
     hadamard,
+    hausdorff_distance_estimate,
     is_hadamard_order,
     matrix_norm,
     orthonormal_completion,
+    pinning_matrix,
     random_orthonormal,
     singular_values,
     svd,
     truncated_norm,
+    truncated_sin_theta_norm,
+    wedin_bound,
+    xi_sharpened,
 )
 from subspace_align.kernels import UNIT_ROUNDOFF
+
+from support import haar_stack
 
 
 class TestSvd:
@@ -221,6 +231,13 @@ class TestGenerators:
             b = random_orthonormal(size, size, np.random.Generator(np.random.Philox(key=size)))
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("size, count", [(1, 2000), (2, 10_000), (3, 2000)])
+    def test_stacked_haar_draw_matches_single_draws(self, size, count):
+        one, many = (np.random.Generator(np.random.Philox(key=5)) for _ in range(2))
+        single = np.stack([haar_orthogonal(size, one) for _ in range(count)])
+        assert single.tobytes() == haar_stack(size, count, many).tobytes()
+        assert repr(one.bit_generator.state) == repr(many.bit_generator.state)
+
     def test_random_orthonormal(self, rng):
         x = random_orthonormal(9, 4, rng)
         assert x.shape == (9, 4)
@@ -231,3 +248,48 @@ class TestGenerators:
             check_orthonormal(rng.standard_normal((6, 3)))
         with pytest.raises(InvalidBasis):
             check_orthonormal(np.ones((2, 3)))
+
+
+def _all_bases_of_a_plane():
+    """A zero pinning matrix pins nothing: the family has freedom 2."""
+    return align(np.eye(3)[:, :2], np.zeros((3, 2)))[1]
+
+
+def _angles():
+    return canonical_angles(np.eye(4)[:, :2], np.eye(4)[:, 1:3])
+
+
+#: Each call passes a float or a bool where an integer belongs, as the named
+#: argument; none may be truncated to an int.
+_NON_INTEGER_CALLS = {
+    "random_orthonormal": ("n", lambda: random_orthonormal(10.9, 3, None)),
+    "random_orthonormal-bool": ("k", lambda: random_orthonormal(10, True, None)),
+    "haar_orthogonal": ("size", lambda: haar_orthogonal(2.5, None)),
+    "haar_orthogonal-bool": ("size", lambda: haar_orthogonal(True, None)),
+    "pinning_matrix-n": ("n", lambda: pinning_matrix(8.7, 3)),
+    "pinning_matrix": ("zero_last", lambda: pinning_matrix(8, 3, zero_last=1.6)),
+    "pinning_matrix-bool": ("zero_last", lambda: pinning_matrix(8, 3, zero_last=True)),
+    "eta-r": ("r", lambda: eta("spectral", 2.9, 3, 0.5, 0.5, 1.0)),
+    "eta-k": ("k", lambda: eta("spectral", 2, 3.5, 0.5, 0.5, 1.0)),
+    "eta-bool": ("r", lambda: eta("spectral", True, 3, 0.5, 0.5, 1.0)),
+    "xi_sharpened": ("k", lambda: xi_sharpened("trace", 2, 3.0, 0.5, 0.5, 1.0, 0.1)),
+    "truncated_norm": ("r", lambda: truncated_norm(np.eye(3), 1.9, "spectral")),
+    "truncated_sin_theta_norm": (
+        "r",
+        lambda: truncated_sin_theta_norm(_angles(), 1.9, "trace"),
+    ),
+    "wedin_bound": ("r", lambda: wedin_bound(np.eye(3), np.eye(3), 3.0, "spectral")),
+    "hausdorff_distance_estimate": (
+        "samples",
+        lambda: hausdorff_distance_estimate(
+            _all_bases_of_a_plane(), _all_bases_of_a_plane(), "trace", samples=8.5
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_INTEGER_CALLS))
+def test_non_integer_sizes_ranks_and_counts_rejected(case):
+    name, call = _NON_INTEGER_CALLS[case]
+    with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
+        call()
