@@ -20,6 +20,7 @@ from .kernels import (
     _as_matrix,
     _check_kind,
     _integer,
+    _uint64,
     check_orthonormal,
     haar_orthogonal,
     matrix_norm,
@@ -43,12 +44,14 @@ class CanonicalPolar:
 
     ``q`` is the unique partial isometry with ``range(q.T) == range(h)`` and
     ``h = (b.T b)^{1/2}`` is symmetric PSD.  For full-rank `b` this is the
-    classical polar decomposition with orthonormal `q`.
+    classical polar decomposition with orthonormal `q`.  ``sigma_r`` is the
+    smallest singular value above the rank tolerance, 0.0 when ``r == 0``.
     """
 
     q: np.ndarray
     h: np.ndarray
     r: int
+    sigma_r: float
 
 
 def polar(b, tol=None, rtol=None):
@@ -77,7 +80,8 @@ def polar(b, tol=None, rtol=None):
     q = f.u[:, :r] @ f.v[:, :r].T
     h = (f.v * f.sigma) @ f.v.T
     h = (h + h.T) / 2.0
-    return CanonicalPolar(q=q, h=h, r=r)
+    sigma_r = float(f.sigma[r - 1]) if r > 0 else 0.0
+    return CanonicalPolar(q=q, h=h, r=r, sigma_r=sigma_r)
 
 
 @dataclass(frozen=True)
@@ -225,7 +229,8 @@ def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, seed=0):
     samples : int
         Outer Haar samples when the freedom exceeds 1.
     seed : int
-        Philox stream key; identical seeds give identical estimates.
+        Philox stream key in [0, 2**64), read when the freedom exceeds 1;
+        identical seeds give identical estimates.
     """
     _check_kind(kind)
     if set_a.base.shape != set_b.base.shape:
@@ -247,7 +252,8 @@ def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, seed=0):
     samples = _integer(samples, "samples")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    key = np.uint64(_uint64(seed, "seed"))
+    rng = np.random.Generator(np.random.Philox(key=key))
     worst = 0.0
     used = 0
     for _ in range(samples):

@@ -34,9 +34,8 @@ from .kernels import (
     matrix_norm,
     singular_values,
     svd,
-    truncated_norm,
 )
-from .metrics import canonical_angles, sin_theta_norm
+from .metrics import canonical_angles
 
 __all__ = [
     "eta",
@@ -168,16 +167,12 @@ def wedin_bound(b, b_tilde, r, kind):
             f"expected numerical rank {r}, got {fb.numerical_rank} and {ft.numerical_rank}"
         )
     denom = max(float(fb.sigma[r - 1]), float(ft.sigma[r - 1]))
-    fmat = bt - b
-    bound_truncated = truncated_norm(fmat, r, kind) / denom
-    bound_full = matrix_norm(fmat, kind) / denom
-    measured_left = sin_theta_norm(canonical_angles(fb.u[:, :r], ft.u[:, :r]), kind)
-    measured_right = sin_theta_norm(canonical_angles(fb.v[:, :r], ft.v[:, :r]), kind)
+    s = singular_values(bt - b)
     return WedinBounds(
-        bound_truncated=bound_truncated,
-        bound_full=bound_full,
-        measured_left=measured_left,
-        measured_right=measured_right,
+        bound_truncated=_gauge(s[:r], kind) / denom,
+        bound_full=_gauge(s, kind) / denom,
+        measured_left=_gauge(canonical_angles(fb.u[:, :r], ft.u[:, :r]).sines, kind),
+        measured_right=_gauge(canonical_angles(fb.v[:, :r], ft.v[:, :r]).sines, kind),
     )
 
 
@@ -218,8 +213,7 @@ def polar_factor_bound(b, b_tilde, kind, tol=None, rtol=None):
     if r < 1:
         raise InvalidInput("both matrices are numerically zero")
     n, m = b.shape
-    s_r = float(singular_values(b)[r - 1])
-    st_r = float(singular_values(bt)[r - 1])
+    s_r, st_r = pb.sigma_r, pt.sigma_r
     diff_norm = matrix_norm(bt - b, kind)
     measured = matrix_norm(pt.q - pb.q, kind)
     if r == n == m:
@@ -327,20 +321,19 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
         raise DimensionMismatch(f"d must be {n}x{k}, got {d.shape[0]}x{d.shape[1]}")
 
     d_norm = float(np.linalg.norm(d, 2))
-    g = x.T @ d
     gt = xt.T @ d
-    _require_psd(g, d_norm, "x.T @ d")
+    _require_psd(x.T @ d, d_norm, "x.T @ d")
     _require_psd(gt, d_norm, "x_tilde.T @ d")
-    fg = svd(g, tol=tol, rtol=rtol)
+    # the one factorization of x.T @ d: the family of x carries its rank decision
+    _, aset = align(x, d, tol=tol, rtol=rtol)
     fgt = svd(gt, tol=tol, rtol=rtol)
-    r = fg.numerical_rank
+    r = aset.r
     if r != fgt.numerical_rank:
         raise RankMismatch(
             f"rank(x.T d) = {r} but rank(x_tilde.T d) = {fgt.numerical_rank}"
         )
     if r == 0:
         raise InvalidInput("x.T @ d vanishes; the bound needs a positive singular value")
-    sigma_r = float(fg.sigma[r - 1])
     sigma_rt = float(fgt.sigma[r - 1])
     angles = canonical_angles(x, xt)
 
@@ -349,20 +342,18 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
     dist_f = None
     if r == k:
         diffs = [x - xt]
+    elif aset.freedom == 1:
+        diffs = [xt - aset.member(np.array([[s]])) for s in (1.0, -1.0)]
     else:
-        _, aset = align(x, d, tol=tol, rtol=rtol)
-        if aset.freedom == 1:
-            diffs = [xt - aset.member(np.array([[s]])) for s in (1.0, -1.0)]
-        else:
-            y_opt, _ = optimal_representative(aset, xt)
-            diffs = [xt - y_opt]
-            dist_f = float(np.linalg.norm(diffs[0]))
+        y_opt, _ = optimal_representative(aset, xt)
+        diffs = [xt - y_opt]
+        dist_f = float(np.linalg.norm(diffs[0]))
 
     reports = []
     for each in kinds:
         sin_t = _gauge(angles.sines, each)
         sin_trunc = _gauge(angles.sines[-r:], each)
-        eta_val = eta(each, r, k, sigma_r, sigma_rt, d_norm)
+        eta_val = eta(each, r, k, aset.sigma_r, sigma_rt, d_norm)
         xi_val = eta_val * sin_t
         measured = upper = min(matrix_norm(diff, each) for diff in diffs)
         if dist_f is None:
@@ -375,7 +366,7 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
                 regime="full_rank" if r == k else "rank_deficient",
                 r=r,
                 k=k,
-                sigma_r=sigma_r,
+                sigma_r=aset.sigma_r,
                 sigma_r_tilde=sigma_rt,
                 d_norm=d_norm,
                 sin_theta=sin_t,
@@ -387,7 +378,7 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
                 measured_lower=lower,
                 measured_upper=upper,
                 slack=xi_val / measured if measured > 0.0 else math.inf,
-                rank_tolerance=fg.rank_tolerance,
+                rank_tolerance=aset.rank_tolerance,
             )
         )
     return tuple(reports) if many else reports[0]

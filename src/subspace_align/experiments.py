@@ -36,6 +36,7 @@ from .kernels import (
     NORM_KINDS,
     _gauge,
     _integer,
+    _uint64,
     haar_orthogonal,
     hadamard,
     is_hadamard_order,
@@ -73,7 +74,7 @@ SWEEP_RANK_RTOL = 1e-8
 
 def default_delta_grid(points=40, lo=1e-12, hi=1e-2):
     """Logarithmic grid of `points` deltas from `lo` to `hi` inclusive."""
-    if points < 2:
+    if _integer(points, "points") < 2:
         raise InvalidInput("need at least 2 grid points")
     return tuple(float(v) for v in np.logspace(math.log10(lo), math.log10(hi), points))
 
@@ -92,8 +93,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
         object.__setattr__(self, "norms", tuple(self.norms))
-        for name in ("n", "k", "rank_deficiency", "seed"):
+        for name in ("n", "k", "rank_deficiency"):
             _integer(getattr(self, name), name)
+        _uint64(self.seed, "seed")
         if self.k < 1 or self.n < 2 * self.k:
             raise InvalidInput(f"need n >= 2k >= 2, got n={self.n}, k={self.k}")
         if not is_hadamard_order(self.n):
@@ -104,8 +106,6 @@ class ExperimentConfig:
             raise InvalidInput("every delta must lie strictly between 0 and 1")
         if self.rank_deficiency not in (0, 1, 2) or self.rank_deficiency >= self.k:
             raise InvalidInput(f"rank_deficiency must be 0, 1, or 2 and below k={self.k}")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidInput("seed must be an unsigned 64-bit integer")
         bad = [kind for kind in self.norms if kind not in NORM_KINDS]
         if bad or not self.norms:
             raise InvalidInput(f"norms must be a nonempty subset of {NORM_KINDS}")
@@ -130,9 +130,12 @@ def make_pair(config, delta, index=0):
 
     The first basis is the leading k columns of the scaled Hadamard matrix
     ``m = hadamard(n) / sqrt(n)``; the second mixes those columns with the
-    next k, so every canonical angle between the spans has cosine
-    ``sqrt(1 - delta**2)``.  Both bases are then rotated by Haar-orthogonal
-    matrices q1 and q2 drawn from per-index Philox streams.
+    next k, each block rotated by its own Haar-orthogonal matrix:
+    ``sqrt(1 - delta**2) * m[:, :k] @ q1 + delta * m[:, k:2k] @ q2``, so every
+    canonical angle between the spans has cosine ``sqrt(1 - delta**2)``.  The
+    first basis is not rotated.  q1 and q2 come from the Philox streams
+    ``(config.seed, 2 * index)`` and ``(config.seed, 2 * index + 1)``, so
+    `index` must satisfy ``0 <= 2 * index + 1 < 2**64``.
 
     Returns
     -------
@@ -141,6 +144,8 @@ def make_pair(config, delta, index=0):
     """
     if not 0.0 <= delta <= 1.0:
         raise InvalidInput(f"delta must lie in [0, 1], got {delta}")
+    if not 0 <= 2 * _integer(index, "index") + 1 < 2**64:
+        raise InvalidInput(f"index must lie in [0, 2**63), got {index}")
     n, k = config.n, config.k
     m = hadamard(n)[:, : 2 * k] / math.sqrt(n)
     q1 = haar_orthogonal(k, _stream(config.seed, 2 * index))

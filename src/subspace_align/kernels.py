@@ -65,6 +65,15 @@ def _integer(value, name):
     return int(value)
 
 
+def _uint64(value, name):
+    """`value` as a Python int in [0, 2**64), the range of a Philox key word;
+    InvalidInput otherwise, never a truncation or a bare OverflowError."""
+    value = _integer(value, name)
+    if not 0 <= value < 2**64:
+        raise InvalidInput(f"{name} must be an unsigned 64-bit integer, got {value}")
+    return value
+
+
 def _check_kind(kind):
     if kind not in NORM_KINDS:
         raise InvalidInput(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
@@ -108,6 +117,7 @@ def svd(b, tol=None, rtol=None):
         strictly greater than ``tol``.  Mutually exclusive with `rtol`.
     rtol : float, optional
         Relative rank tolerance; the absolute tolerance is ``rtol * sigma_1``.
+        Either tolerance must be finite and nonnegative.
 
     Returns
     -------
@@ -127,6 +137,10 @@ def svd(b, tol=None, rtol=None):
     b = _as_matrix(b, "b")
     if tol is not None and rtol is not None:
         raise InvalidInput("pass at most one of tol and rtol")
+    # NaN fails both comparisons, so a NaN tolerance cannot select rank 0
+    for name, value in (("tol", tol), ("rtol", rtol)):
+        if value is not None and not 0.0 <= float(value) < np.inf:
+            raise InvalidInput(f"{name} must be nonnegative and finite")
     try:
         u, s, vt = np.linalg.svd(b, full_matrices=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -134,11 +148,7 @@ def svd(b, tol=None, rtol=None):
     sigma1 = float(s[0])
     if tol is not None:
         rank_tol = float(tol)
-        if rank_tol < 0.0:
-            raise InvalidInput("tol must be nonnegative")
     elif rtol is not None:
-        if rtol < 0.0:
-            raise InvalidInput("rtol must be nonnegative")
         rank_tol = float(rtol) * sigma1
     else:
         rank_tol = max(b.shape) * sigma1 * UNIT_ROUNDOFF

@@ -65,12 +65,10 @@ def parse_matrix(text):
     return a
 
 
-def save_matrix(path, a, comment=None):
-    """Write a matrix to `path`, optionally preceded by a ``#`` comment line."""
+def save_matrix(path, a):
+    """Write a matrix to `path`."""
     text = format_matrix(a)
     with open(path, "w", encoding="ascii") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
         fh.write(text)
 
 

@@ -15,8 +15,8 @@ from .kernels import (
     _gauge,
     _integer,
     check_orthonormal,
-    matrix_norm,
     orthonormal_completion,
+    singular_values,
 )
 
 __all__ = [
@@ -122,6 +122,6 @@ def align_rotation(x, y):
         raise DimensionMismatch(f"basis shapes differ: {x.shape} vs {y.shape}")
     u, _, vt = np.linalg.svd(y.T @ x)
     q = u @ vt
-    diff = x - y @ q
-    residuals = {kind: matrix_norm(diff, kind) for kind in NORM_KINDS}
+    s = singular_values(x - y @ q)
+    residuals = {kind: _gauge(s, kind) for kind in NORM_KINDS}
     return q, residuals

@@ -21,7 +21,7 @@ from subspace_align import (
     sin_theta_norm,
     subspace_distance,
 )
-from subspace_align.kernels import haar_orthogonal, random_orthonormal
+from subspace_align.kernels import haar_orthogonal, random_orthonormal, svd
 
 from support import RANK_RTOL, brute_min_distance, rank_matrix
 
@@ -38,6 +38,8 @@ class TestPolar:
         assert np.allclose(p.q, np.diag([1.0, 0.0]), atol=1e-14)
         assert np.allclose(p.h, np.diag([3.0, 0.0]), atol=1e-14)
         assert p.r == 1
+        assert p.sigma_r == 3.0
+        assert polar(np.zeros((3, 2))).sigma_r == 0.0
 
     def test_constructed_factor_recovered(self, rng):
         u0 = haar_orthogonal(2, rng)
@@ -57,6 +59,7 @@ class TestPolar:
         p = polar(b, rtol=RANK_RTOL)
         sigma1 = np.linalg.norm(b, 2)
         assert p.r == r
+        assert p.sigma_r == svd(b, rtol=RANK_RTOL).sigma[r - 1]
         assert np.linalg.norm(p.h - p.h.T) <= 1e-12 * sigma1
         assert np.linalg.eigvalsh(p.h)[0] >= -1e-12 * sigma1
         assert np.linalg.norm(p.q @ p.h - b) <= 1e-10 * sigma1 * max(n, m)

@@ -262,6 +262,8 @@ class TestWedinBound:
                 measured = max(w.measured_left, w.measured_right)
                 assert measured <= w.bound_truncated + 1e-10
                 assert w.bound_truncated <= w.bound_full + 1e-12
+                if r == min(m, n):  # one spectrum, truncated to all of it
+                    assert w.bound_truncated == w.bound_full
 
     def test_rank_mismatch_rejected(self, rng):
         b = rank_matrix(rng, 6, 4, 2)
@@ -369,6 +371,11 @@ class TestEvaluateInstance:
             evaluate_instance(x, y, d, kind, rtol=RANK_RTOL) for kind in NORM_KINDS
         )
         assert evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL) == singles
+        # the rank decision is the one align makes on the same product
+        aset = align(x, d, rtol=RANK_RTOL)[1]
+        for rep in singles:
+            assert (rep.r, rep.sigma_r) == (aset.r, aset.sigma_r)
+            assert rep.rank_tolerance == aset.rank_tolerance
         reverse = list(NORM_KINDS[::-1])
         assert evaluate_instance(x, y, d, reverse, rtol=RANK_RTOL) == singles[::-1]
         for kinds in [("operator", "spectral"), ["spectral", "trace", "operator"], ()]:

@@ -277,6 +277,12 @@ class TestRunSweep:
             assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         echoed = json.loads((tmp_path / "config.json").read_text())
         assert config_from_dict(echoed) == config
+        # at freedom 2 only the Frobenius minimum is exact; the others bracket it
+        deficient = ExperimentConfig(**SMALL, seed=4, rank_deficiency=2)
+        run_sweep(deficient, out_dir=tmp_path / "deficient")
+        for kind in config.norms:
+            svg = (tmp_path / "deficient" / f"sweep_{kind}.svg").read_text()
+            assert ("min lower bracket" in svg) == (kind != "frobenius")
 
     def test_csv_floats_round_trip(self, tmp_path):
         config = ExperimentConfig(**SMALL, seed=4)

@@ -3,17 +3,20 @@ import pytest
 
 from subspace_align import (
     EmptyComplement,
+    ExperimentConfig,
     InvalidBasis,
     InvalidInput,
     UnsupportedOrder,
     align,
     canonical_angles,
     check_orthonormal,
+    default_delta_grid,
     eta,
     haar_orthogonal,
     hadamard,
     hausdorff_distance_estimate,
     is_hadamard_order,
+    make_pair,
     matrix_norm,
     orthonormal_completion,
     pinning_matrix,
@@ -22,6 +25,7 @@ from subspace_align import (
     svd,
     truncated_norm,
     truncated_sin_theta_norm,
+    verify_closed_form,
     wedin_bound,
     xi_sharpened,
 )
@@ -95,6 +99,13 @@ class TestSvd:
             svd(np.eye(2), tol=-1.0)
         with pytest.raises(InvalidInput):
             svd(np.ones(3))
+        for name in ("tol", "rtol"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(InvalidInput, match=f"^{name} must be nonnegative"):
+                    svd(np.eye(2), **{name: bad})
+        # a NaN tolerance must not pass for rank 0 and the freedom-k family
+        with pytest.raises(InvalidInput, match="^rtol must be nonnegative"):
+            align(np.eye(3)[:, :2], np.ones((3, 2)), rtol=float("nan"))
 
 
 class TestTruncatedNorm:
@@ -259,6 +270,14 @@ def _angles():
     return canonical_angles(np.eye(4)[:, :2], np.eye(4)[:, 1:3])
 
 
+_SMALL_CONFIG = ExperimentConfig(n=8, k=2, deltas=(0.1,))
+
+
+def _plane_estimate(seed):
+    plane = _all_bases_of_a_plane()
+    return hausdorff_distance_estimate(plane, plane, "spectral", samples=2, seed=seed)
+
+
 #: Each call passes a float or a bool where an integer belongs, as the named
 #: argument; none may be truncated to an int.
 _NON_INTEGER_CALLS = {
@@ -285,6 +304,12 @@ _NON_INTEGER_CALLS = {
             _all_bases_of_a_plane(), _all_bases_of_a_plane(), "trace", samples=8.5
         ),
     ),
+    "hausdorff_distance_estimate-seed": ("seed", lambda: _plane_estimate(seed=1.5)),
+    "hausdorff_distance_estimate-seed-bool": ("seed", lambda: _plane_estimate(seed=True)),
+    "make_pair": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=1.5)),
+    "make_pair-bool": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=True)),
+    "verify_closed_form": ("index", lambda: verify_closed_form(_SMALL_CONFIG, 0.1, 1.5)),
+    "default_delta_grid": ("points", lambda: default_delta_grid(points=3.0)),
 }
 
 
@@ -293,3 +318,31 @@ def test_non_integer_sizes_ranks_and_counts_rejected(case):
     name, call = _NON_INTEGER_CALLS[case]
     with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
         call()
+
+
+#: Philox key words are unsigned 64-bit: a key or stream id outside that range
+#: must be rejected by name, not wrapped or raised as a bare OverflowError.
+_KEYS_OUT_OF_RANGE = {
+    "hausdorff-seed-negative": ("seed", lambda: _plane_estimate(seed=-1)),
+    "hausdorff-seed-2**64": ("seed", lambda: _plane_estimate(seed=2**64)),
+    "make_pair-index-negative": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=-1)),
+    "make_pair-index-2**63": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=2**63)),
+}
+
+
+@pytest.mark.parametrize("case", list(_KEYS_OUT_OF_RANGE))
+def test_philox_keys_out_of_range_rejected(case):
+    name, call = _KEYS_OUT_OF_RANGE[case]
+    with pytest.raises(InvalidInput, match=f"^{name} must "):
+        call()
+
+
+def test_valid_philox_keys_keep_their_streams():
+    assert _plane_estimate(seed=np.uint64(5)) == _plane_estimate(seed=5)
+    assert _plane_estimate(seed=2**64 - 1) != _plane_estimate(seed=0)
+    for index in (np.int64(3), 2**63 - 1):
+        q1, q2 = make_pair(_SMALL_CONFIG, 0.1, index=index)[2:]
+        key = [np.uint64(0), np.uint64(2 * int(index))]
+        expected = haar_orthogonal(2, np.random.Generator(np.random.Philox(key=key)))
+        assert np.array_equal(q1, expected)
+        assert not np.array_equal(q1, q2)

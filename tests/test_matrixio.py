@@ -22,7 +22,7 @@ def test_round_trip_exact(tmp_path, rng):
 def test_round_trip_small_values(tmp_path):
     a = np.array([[1e-300, -1e300], [0.0, -0.0], [np.pi, 2.0 / 3.0]])
     path = tmp_path / "b.txt"
-    save_matrix(path, a, comment="regression values")
+    save_matrix(path, a)
     assert np.array_equal(load_matrix(path), a)
 
 

@@ -14,7 +14,7 @@ from subspace_align import (
     subspace_distance,
     truncated_sin_theta_norm,
 )
-from subspace_align.kernels import haar_orthogonal, random_orthonormal
+from subspace_align.kernels import haar_orthogonal, matrix_norm, random_orthonormal
 
 SQRT2 = np.sqrt(2.0)
 
@@ -191,10 +191,16 @@ class TestAlignRotation:
             x = random_orthonormal(n, k, rng)
             y = random_orthonormal(n, k, rng)
             angles = canonical_angles(x, y)
-            _, residuals = align_rotation(x, y)
+            q, residuals = align_rotation(x, y)
             for kind in NORM_KINDS:
                 s = sin_theta_norm(angles, kind)
                 assert s - 1e-10 <= residuals[kind] <= SQRT2 * s + 1e-10
+            # all three residuals read one spectrum of the residual matrix
+            diff = x - y @ q
+            for kind in ("spectral", "trace"):
+                assert residuals[kind] == matrix_norm(diff, kind)
+            frobenius = matrix_norm(diff, "frobenius")
+            assert residuals["frobenius"] == pytest.approx(frobenius, rel=1e-14)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
