@@ -320,7 +320,7 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
     if d.shape != (n, k):
         raise DimensionMismatch(f"d must be {n}x{k}, got {d.shape[0]}x{d.shape[1]}")
 
-    d_norm = float(np.linalg.norm(d, 2))
+    d_norm = float(singular_values(d)[0])
     gt = xt.T @ d
     _require_psd(x.T @ d, d_norm, "x.T @ d")
     _require_psd(gt, d_norm, "x_tilde.T @ d")
@@ -338,7 +338,8 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
     angles = canonical_angles(x, xt)
 
     # measured is the smallest norm over these candidates; at freedom >= 2 the
-    # one candidate is Frobenius-optimal, so the other norms get a bracket
+    # one candidate is Frobenius-optimal, so the other norms get a bracket.
+    # The spectral and trace norms share one SVD per candidate.
     dist_f = None
     if r == k:
         diffs = [x - xt]
@@ -348,6 +349,8 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
         y_opt, _ = optimal_representative(aset, xt)
         diffs = [xt - y_opt]
         dist_f = float(np.linalg.norm(diffs[0]))
+    if any(each != "frobenius" for each in kinds):
+        svals = [singular_values(diff) for diff in diffs]
 
     reports = []
     for each in kinds:
@@ -355,7 +358,10 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
         sin_trunc = _gauge(angles.sines[-r:], each)
         eta_val = eta(each, r, k, aset.sigma_r, sigma_rt, d_norm)
         xi_val = eta_val * sin_t
-        measured = upper = min(matrix_norm(diff, each) for diff in diffs)
+        if each == "frobenius":
+            measured = upper = min(matrix_norm(diff, each) for diff in diffs)
+        else:
+            measured = upper = min(_gauge(s, each) for s in svals)
         if dist_f is None:
             lower = measured
         else:  # the Frobenius measured is dist_f itself, a bracket of width 0

@@ -1,6 +1,8 @@
 """Dense-matrix primitives shared by the whole package: SVD with an explicit
 numerical-rank decision, truncated unitarily invariant norms, orthonormal
-completion, Hadamard matrices, and deterministic random-matrix generators.
+completion, Hadamard matrices or their leading columns (built from a closed
+form, in time and memory proportional to the entries returned), and
+deterministic random-matrix generators.
 
 All functions are pure; returned arrays are freshly allocated and never
 aliased to the inputs.
@@ -8,6 +10,7 @@ aliased to the inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +55,7 @@ def _as_matrix(b, name="matrix"):
         raise InvalidInput(f"{name} must be 2-dimensional, got ndim={b.ndim}")
     if b.shape[0] < 1 or b.shape[1] < 1:
         raise InvalidInput(f"{name} must be at least 1x1, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return b
 
@@ -197,7 +200,9 @@ def check_orthonormal(x, name="x"):
     if k > n:
         raise InvalidBasis(f"{name} has more columns ({k}) than rows ({n})")
     tol = 1e-12 * n
-    defect = float(np.linalg.norm(x.T @ x - np.eye(k)))
+    # np.linalg.norm's own Frobenius formula, without its dispatch
+    g = (x.T @ x - np.eye(k)).ravel()
+    defect = math.sqrt(g.dot(g))
     if defect > tol:
         raise InvalidBasis(
             f"{name} is not orthonormal: ||x.T x - I||_F = {defect:.3e} > {tol:.3e}"
@@ -224,9 +229,6 @@ def orthonormal_completion(x):
     return q[:, k:]
 
 
-_PALEY_SEEDS = {12: 11, 20: 19}
-
-
 def _paley(q):
     """Hadamard matrix of order q + 1 for a prime q with q % 4 == 3."""
     residues = {(i * i) % q for i in range(1, q)}
@@ -242,41 +244,65 @@ def _paley(q):
     return np.eye(q + 1, dtype=np.int64) + c
 
 
+#: The seed blocks H_s of every supported order 2**a * s, built once.
+_SEEDS = {1: np.ones((1, 1), dtype=np.int64), 12: _paley(11), 20: _paley(19)}
+
+
 def _seed_order(n):
     """Reduce n by halving to one of the seed orders 1, 12, 20, or None."""
     m = int(n)
-    while m % 2 == 0 and m not in _PALEY_SEEDS:
+    while m % 2 == 0 and m not in _SEEDS:
         m //= 2
-    if m == 1 or m in _PALEY_SEEDS:
-        return m
-    return None
+    return m if m in _SEEDS else None
+
+
+def _parity_signs(count):
+    """``(-1)**popcount(v)`` for v in range(count); numpy's own popcount
+    needs numpy 2, so the bits of v are XORed one at a time."""
+    v = np.arange(count, dtype=np.int64)
+    parity = np.zeros(count, dtype=np.int64)
+    for bit in range((count - 1).bit_length()):
+        parity ^= (v >> bit) & 1
+    return 1 - 2 * parity
 
 
 def is_hadamard_order(n):
     """True when :func:`hadamard` can build a matrix of order `n`."""
-    return isinstance(n, (int, np.integer)) and n >= 1 and _seed_order(n) is not None
+    return (
+        isinstance(n, (int, np.integer))
+        and not isinstance(n, bool)
+        and n >= 1
+        and _seed_order(n) is not None
+    )
 
 
-def hadamard(n):
-    """Hadamard matrix of order `n` with integer entries in {-1, +1}.
+def hadamard(n, columns=None):
+    """The first `columns` columns (all n by default) of the Hadamard matrix
+    of order `n`, with integer entries in {-1, +1}.
 
-    Built by Sylvester doubling from the seed orders 1, 2, 12, and 20 (the
-    latter two via the Paley construction), which covers every order of the
-    form ``2**a``, ``12 * 2**a``, and ``20 * 2**a``.  The result satisfies
-    ``h.T @ h == n * I`` exactly in integer arithmetic.
+    The order-n matrix is the Sylvester-Kronecker product ``H_{2**a} (x)
+    H_s`` of a seed block of order s in {1, 12, 20} (the latter two by the
+    Paley construction), which covers every order of the form ``2**a``,
+    ``12 * 2**a`` and ``20 * 2**a``.  Entry (i, j) is the closed form
+    ``(-1)**popcount(i1 & j1) * H_s[i2, j2]`` with ``(i1, i2) = divmod(i, s)``
+    and ``(j1, j2) = divmod(j, s)``, so c columns cost O(n c), not O(n**2).
+    The full matrix satisfies ``h.T @ h == n * I`` exactly in integer
+    arithmetic; `columns` must lie in [1, n].
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidInput(f"order must be a positive integer, got {n!r}")
+    n = _integer(n, "n")
+    if n < 1:
+        raise InvalidInput(f"order must be a positive integer, got {n}")
     seed = _seed_order(n)
     if seed is None:
         raise UnsupportedOrder(f"no Hadamard construction for order {n}")
-    if seed == 1:
-        h = np.ones((1, 1), dtype=np.int64)
-    else:
-        h = _paley(_PALEY_SEEDS[seed])
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    return h
+    c = n if columns is None else _integer(columns, "columns")
+    if not 1 <= c <= n:
+        raise InvalidInput(f"columns must lie in [1, {n}], got {c}")
+    blocks = -(-c // seed)  # column blocks of width s that the c columns touch
+    signs = _parity_signs(blocks)[np.arange(n // seed)[:, None] & np.arange(blocks)]
+    # the Kronecker product signs (x) H_s, laid out as (i1, i2, j1, j2)
+    h = signs[:, None, :, None] * _SEEDS[seed][None, :, None, :]
+    return h.reshape(n, blocks * seed)[:, :c]
 
 
 def haar_orthogonal(size, rng):

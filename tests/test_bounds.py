@@ -19,6 +19,8 @@ from subspace_align import (
     eta,
     evaluate_instance,
     make_pair,
+    matrix_norm,
+    optimal_representative,
     pinning_matrix,
     polar_factor_bound,
     sin_theta_norm,
@@ -381,6 +383,24 @@ class TestEvaluateInstance:
         for kinds in [("operator", "spectral"), ["spectral", "trace", "operator"], ()]:
             with pytest.raises(InvalidInput):
                 evaluate_instance(x, y, d, kinds, rtol=RANK_RTOL)
+
+    @pytest.mark.parametrize("drop", [0, 1, 2])
+    def test_measured_is_the_smallest_matrix_norm(self, rng, drop):
+        # one SVD per candidate serves both the spectral and the trace norm
+        # and must give what a matrix_norm call per kind gives, bit for bit
+        x, y, d, r, k = draw_aligned_instance(rng, drops=(drop,))
+        _, aset = align(x, d, rtol=RANK_RTOL)
+        if drop == 0:
+            diffs = [x - y]
+        elif drop == 1:
+            diffs = [y - aset.member(np.array([[s]])) for s in (1.0, -1.0)]
+        else:
+            diffs = [y - optimal_representative(aset, y)[0]]
+        reports = evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL)
+        for rep in reports:
+            assert rep.measured == min(matrix_norm(diff, rep.kind) for diff in diffs)
+            assert rep.measured == evaluate_instance(x, y, d, rep.kind, rtol=RANK_RTOL).measured
+        assert reports[0].d_norm == np.linalg.norm(d, 2)
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e200, 1e-200])
     def test_scaling_d_keeps_rank_eta_and_measured(self, scale):

@@ -16,6 +16,7 @@ from subspace_align import (
     align,
     canonical_angles,
     default_delta_grid,
+    evaluate_instance,
     make_pair,
     optimal_representative,
     pinning_matrix,
@@ -60,11 +61,18 @@ class TestConfig:
             dict(seed=1.5),
             dict(seed=-0.5),
             dict(rank_deficiency=True),
+            dict(norms=("spectral", "trace", "spectral")),
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises((InvalidInput, UnsupportedOrder)):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("end", [0.0, -1e-3, math.nan, math.inf])
+    def test_delta_grid_ends_must_be_positive_and_finite(self, end):
+        for kwargs in (dict(lo=end), dict(hi=end)):
+            with pytest.raises(InvalidInput, match="^lo and hi must be positive and finite"):
+                default_delta_grid(**kwargs)
 
     def test_round_trip_through_dict(self):
         config = ExperimentConfig(**SMALL, seed=11)
@@ -255,6 +263,37 @@ class TestRunSweep:
         assert main([*argv, "--out", str(tmp_path)]) == 1
         assert f"flag=RankMismatch: {message}" in capsys.readouterr().err
         assert message in (tmp_path / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize("rank_deficiency", [0, 1, 2])
+    def test_rows_equal_a_per_point_reference(self, rank_deficiency):
+        # the sweep pins x_diamond once; a point built from scratch must agree
+        config = ExperimentConfig(**SMALL, rank_deficiency=rank_deficiency, seed=6)
+        d = pinning_matrix(config.n, config.k, rank_deficiency)
+        rows = iter(run_sweep(config))
+        for index, delta in enumerate(config.deltas):
+            xd, xtd, _, _ = make_pair(config, delta, index=index)
+            x, _ = align(xd, d, rtol=SWEEP_RANK_RTOL)
+            xt, _ = align(xtd, d, rtol=SWEEP_RANK_RTOL)
+            reports = evaluate_instance(x, xt, d, config.norms, rtol=SWEEP_RANK_RTOL)
+            for rep in reports:
+                row = next(rows)
+                expected = dict(
+                    delta=delta,
+                    kind=rep.kind,
+                    sin_theta_computed=rep.sin_theta,
+                    measured=rep.measured,
+                    measured_lower=rep.measured_lower,
+                    measured_upper=rep.measured_upper,
+                    xi=rep.xi,
+                    xi_sharpened=rep.xi_sharpened,
+                    slack=rep.slack,
+                    sigma_r=rep.sigma_r,
+                    sigma_r_tilde=rep.sigma_r_tilde,
+                    flag="",
+                )
+                for name, value in expected.items():
+                    assert getattr(row, name) == value, (name, index)
+        assert next(rows, None) is None
 
     def test_determinism(self):
         config = ExperimentConfig(**SMALL, seed=9)

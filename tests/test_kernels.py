@@ -204,6 +204,23 @@ class TestHadamard:
         m = h / np.sqrt(n)
         assert np.linalg.norm(m.T @ m - np.eye(n)) <= 1e-13 * n
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 12, 20, 24, 40, 96, 160])
+    def test_leading_columns_are_those_of_the_full_matrix(self, n):
+        # reference: Sylvester doubling of the odd-part seed block
+        full = hadamard(n)
+        seed = n
+        while seed % 2 == 0 and seed not in (12, 20):
+            seed //= 2
+        doubled = hadamard(seed)
+        while doubled.shape[0] < n:
+            doubled = np.block([[doubled, doubled], [doubled, -doubled]])
+        assert full.tobytes() == doubled.tobytes()
+        for c in sorted({c for c in (1, 2, n // 2, n) if 1 <= c <= n}):
+            h = hadamard(n, c)
+            assert h.dtype == np.int64 and h.shape == (n, c)
+            assert np.array_equal(h, full[:, :c])
+        assert np.array_equal(hadamard(n, np.int64(n)), full)
+
     def test_order_support_predicate(self):
         supported = {a for a in range(1, 129) if is_hadamard_order(a)}
         expected = set()
@@ -214,6 +231,7 @@ class TestHadamard:
                 order *= 2
         expected |= {2}
         assert supported == expected
+        assert not is_hadamard_order(True) and not is_hadamard_order(2.0)
 
     @pytest.mark.parametrize("n", [3, 6, 10, 36, 52])
     def test_unsupported_orders(self, n):
@@ -225,6 +243,9 @@ class TestHadamard:
             hadamard(0)
         with pytest.raises(InvalidInput):
             hadamard(-4)
+        for columns in (0, 9, -1):
+            with pytest.raises(InvalidInput, match=r"^columns must lie in \[1, 8\]"):
+                hadamard(8, columns)
 
 
 class TestGenerators:
@@ -285,6 +306,9 @@ _NON_INTEGER_CALLS = {
     "random_orthonormal-bool": ("k", lambda: random_orthonormal(10, True, None)),
     "haar_orthogonal": ("size", lambda: haar_orthogonal(2.5, None)),
     "haar_orthogonal-bool": ("size", lambda: haar_orthogonal(True, None)),
+    "hadamard-bool": ("n", lambda: hadamard(True)),
+    "hadamard-columns": ("columns", lambda: hadamard(8, 2.0)),
+    "hadamard-columns-bool": ("columns", lambda: hadamard(8, True)),
     "pinning_matrix-n": ("n", lambda: pinning_matrix(8.7, 3)),
     "pinning_matrix": ("zero_last", lambda: pinning_matrix(8, 3, zero_last=1.6)),
     "pinning_matrix-bool": ("zero_last", lambda: pinning_matrix(8, 3, zero_last=True)),
