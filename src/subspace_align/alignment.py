@@ -54,28 +54,28 @@ class CanonicalPolar:
     sigma_r: float
 
 
-def polar(b, tol=None, rtol=None):
+def polar(b, *, rtol=None):
     """Canonical polar decomposition of a tall or square matrix.
 
     Parameters
     ----------
     b : (n, m) array_like, n >= m
         Matrix to decompose.  Callers with wide matrices transpose first.
-    tol, rtol : float, optional
-        Rank tolerance, as in :func:`subspace_align.kernels.svd`.
+    rtol : float, optional
+        Relative rank tolerance, as in :func:`subspace_align.kernels.svd`.
 
     Returns
     -------
     CanonicalPolar
-        With SVD ``b = u @ diag(s) @ v.T`` partitioned at the numerical rank
-        r, the factor is ``q = u[:, :r] @ v[:, :r].T`` and
-        ``h = v @ diag(s) @ v.T``.
+        With thin SVD ``b = u @ diag(s) @ v.T`` (``u`` n-by-m, ``v``
+        m-by-m) partitioned at the numerical rank r, the factor is
+        ``q = u[:, :r] @ v[:, :r].T`` and ``h = v @ diag(s) @ v.T``.
     """
     b = _as_matrix(b, "b")
     n, m = b.shape
     if n < m:
         raise ShapeError(f"b must be tall or square, got {n}x{m}; transpose first")
-    f = svd(b, tol=tol, rtol=rtol)
+    f = svd(b, rtol=rtol)
     r = f.numerical_rank
     q = f.u[:, :r] @ f.v[:, :r].T
     h = (f.v * f.sigma) @ f.v.T
@@ -117,12 +117,12 @@ class AlignedBasisSet:
         if w.shape != (f, f):
             raise DimensionMismatch(f"w must be {f}x{f}, got {w.shape}")
         defect = float(np.linalg.norm(w.T @ w - np.eye(f)))
-        if defect > 1e-10:
+        if not defect <= 1e-10:  # NaN fails too
             raise InvalidInput(f"w is not orthogonal: ||w.T w - I||_F = {defect:.3e}")
         return self.base + self.freedom_left @ w @ self.freedom_right.T
 
 
-def align(x_any, d, tol=None, rtol=None):
+def align(x_any, d, *, rtol=None):
     """Rotate an orthonormal basis so its product with `d` is symmetric PSD.
 
     Parameters
@@ -131,10 +131,10 @@ def align(x_any, d, tol=None, rtol=None):
         Any orthonormal basis of the subspace.
     d : (n, k) array_like
         Pinning matrix.
-    tol, rtol : float, optional
-        Rank tolerance for ``x_any.T @ d``; the default policy assigns
-        exact-rank inputs their exact rank, and callers needing a specific
-        regime can pass an explicit tolerance.
+    rtol : float, optional
+        Relative rank tolerance for ``x_any.T @ d``; the default policy
+        assigns exact-rank inputs their exact rank, and callers needing a
+        specific regime can pass an explicit `rtol`.
 
     Returns
     -------
@@ -148,8 +148,8 @@ def align(x_any, d, tol=None, rtol=None):
     Notes
     -----
     When ``rank(x_any.T @ d) == k`` the aligned basis is unique and `x` does
-    not depend on the input basis choice.  When the rank is zero (``d``
-    orthogonal to the subspace, or zero) every orthonormal basis qualifies:
+    not depend on the input basis choice.  At rank zero (a zero product
+    ``x_any.T @ d``, or ``rtol >= 1``) every orthonormal basis qualifies:
     ``base`` is the zero matrix and the freedom spans the whole basis.
     """
     x_any = check_orthonormal(x_any, name="x_any")
@@ -157,7 +157,7 @@ def align(x_any, d, tol=None, rtol=None):
     n, k = x_any.shape
     if d.shape != (n, k):
         raise DimensionMismatch(f"d must be {n}x{k}, got {d.shape[0]}x{d.shape[1]}")
-    f = svd(x_any.T @ d, tol=tol, rtol=rtol)
+    f = svd(x_any.T @ d, rtol=rtol)
     r = f.numerical_rank
     x = x_any @ (f.u @ f.v.T)
     base = (x_any @ f.u[:, :r]) @ f.v[:, :r].T

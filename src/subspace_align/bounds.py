@@ -191,7 +191,7 @@ class PolarFactorBounds:
     bound_improved: float | None
 
 
-def polar_factor_bound(b, b_tilde, kind, tol=None, rtol=None):
+def polar_factor_bound(b, b_tilde, kind, *, rtol=None):
     """Measured polar-factor change and its predicted bounds.
 
     For square full-rank pairs the generic coefficient is
@@ -205,8 +205,8 @@ def polar_factor_bound(b, b_tilde, kind, tol=None, rtol=None):
     bt = _as_matrix(b_tilde, "b_tilde")
     if b.shape != bt.shape:
         raise DimensionMismatch(f"shapes differ: {b.shape} vs {bt.shape}")
-    pb = polar(b, tol=tol, rtol=rtol)
-    pt = polar(bt, tol=tol, rtol=rtol)
+    pb = polar(b, rtol=rtol)
+    pt = polar(bt, rtol=rtol)
     if pb.r != pt.r:
         raise RankMismatch(f"numerical ranks differ: {pb.r} vs {pt.r}")
     r = pb.r
@@ -284,7 +284,7 @@ def _require_psd(g, d_norm, label):
         )
 
 
-def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
+def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     """Measure one pinned pair against the predicted bound.
 
     Parameters
@@ -298,8 +298,8 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
     kind : str, or tuple or list of str
         Norm kind for the distances and bound.  Several kinds share one pass
         over the norm-independent work (checks, factorizations, angles).
-    tol, rtol : float, optional
-        Rank tolerance for both products, recorded in the report.
+    rtol : float, optional
+        Relative rank tolerance for both products, as in :func:`align`.
 
     Returns
     -------
@@ -325,8 +325,8 @@ def evaluate_instance(x, x_tilde, d, kind, tol=None, rtol=None):
     _require_psd(x.T @ d, d_norm, "x.T @ d")
     _require_psd(gt, d_norm, "x_tilde.T @ d")
     # the one factorization of x.T @ d: the family of x carries its rank decision
-    _, aset = align(x, d, tol=tol, rtol=rtol)
-    fgt = svd(gt, tol=tol, rtol=rtol)
+    _, aset = align(x, d, rtol=rtol)
+    fgt = svd(gt, rtol=rtol)
     r = aset.r
     if r != fgt.numerical_rank:
         raise RankMismatch(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .alignment import align
 from .bounds import evaluate_instance
-from .errors import SubspaceAlignError
+from .errors import InvalidInput, SubspaceAlignError
 from .experiments import (
     ExperimentConfig,
     config_from_dict,
@@ -102,18 +102,20 @@ def _cmd_bounds(args):
 
 
 def _cmd_experiment(args):
+    sizes = {flag: getattr(args, flag) for flag in ("n", "k", "seed", "points") if flag in args}
     if args.custom is not None:
-        with open(args.custom, "r", encoding="ascii") as fh:
-            config = config_from_dict(json.load(fh))
+        if sizes:
+            raise InvalidInput("--custom takes n, k, seed and deltas from its file only")
+        try:
+            with open(args.custom, "r", encoding="ascii") as fh:
+                payload = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON, bytes or nesting
+            raise InvalidInput(f"{args.custom}: {exc}") from exc
+        config = config_from_dict(payload)
         out_dir = args.out or "experiment-custom"
     else:
-        config = ExperimentConfig(
-            n=args.n,
-            k=args.k,
-            deltas=default_delta_grid(points=args.points),
-            rank_deficiency=args.figure - 1,
-            seed=args.seed,
-        )
+        grid = default_delta_grid(points=sizes.pop("points", 40))
+        config = ExperimentConfig(deltas=grid, rank_deficiency=args.figure - 1, **sizes)
         out_dir = args.out or f"experiment-fig{args.figure}"
     rows = run_sweep(config, out_dir=out_dir)
     failures = [row for row in rows if not row_passes(row)]
@@ -179,10 +181,11 @@ def build_parser():
         help="preset sweep: 1 full rank, 2 one zeroed column, 3 two zeroed columns",
     )
     group.add_argument("--custom", help="JSON config file (the emitted config.json shape)")
-    p_exp.add_argument("--n", type=int, default=96, help="ambient dimension")
-    p_exp.add_argument("--k", type=int, default=5, help="subspace dimension")
-    p_exp.add_argument("--seed", type=int, default=0, help="Philox seed")
-    p_exp.add_argument("--points", type=int, default=40, help="delta grid size")
+    sized = dict(type=int, default=argparse.SUPPRESS)  # in args only when given
+    p_exp.add_argument("--n", **sized, help="ambient dimension (default 96)")
+    p_exp.add_argument("--k", **sized, help="subspace dimension (default 5)")
+    p_exp.add_argument("--seed", **sized, help="Philox seed (default 0)")
+    p_exp.add_argument("--points", **sized, help="delta grid size (default 40)")
     p_exp.add_argument("--out", default=None, help="output directory")
     p_exp.set_defaults(func=_cmd_experiment)
 

@@ -72,14 +72,11 @@ CLOSED_FORM_RTOL = 1e-9
 SWEEP_RANK_RTOL = 1e-8
 
 
-def default_delta_grid(points=40, lo=1e-12, hi=1e-2):
-    """Logarithmic grid of `points` deltas from `lo` to `hi` inclusive."""
+def default_delta_grid(points=40):
+    """Logarithmic grid of `points` deltas from 1e-12 to 1e-2 inclusive."""
     if _integer(points, "points") < 2:
         raise InvalidInput("need at least 2 grid points")
-    # NaN fails the comparison too
-    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
-        raise InvalidInput(f"lo and hi must be positive and finite, got {lo!r} and {hi!r}")
-    return tuple(float(v) for v in np.logspace(math.log10(lo), math.log10(hi), points))
+    return tuple(float(v) for v in np.logspace(-12.0, -2.0, points))
 
 
 @dataclass(frozen=True)
@@ -94,8 +91,11 @@ class ExperimentConfig:
     norms: tuple = NORM_KINDS
 
     def __post_init__(self):
-        object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
-        object.__setattr__(self, "norms", tuple(self.norms))
+        try:
+            object.__setattr__(self, "deltas", tuple(float(d) for d in self.deltas))
+            object.__setattr__(self, "norms", tuple(self.norms))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInput(f"deltas and norms must be sequences: {exc}") from exc
         for name in ("n", "k", "rank_deficiency"):
             _integer(getattr(self, name), name)
         _uint64(self.seed, "seed")
@@ -118,6 +118,8 @@ class ExperimentConfig:
 
 def config_from_dict(payload):
     """Rebuild a configuration from the dict shape emitted in config.json."""
+    if not isinstance(payload, dict):
+        raise InvalidInput(f"config must be a JSON object, got {type(payload).__name__}")
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(payload) - known
     if unknown:

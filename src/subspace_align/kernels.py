@@ -94,11 +94,11 @@ def _gauge(values, kind):
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Full SVD ``b = u @ diag(sigma) @ v.T`` plus a numerical-rank decision.
+    """Thin SVD ``b = u @ diag(sigma) @ v.T`` plus a numerical-rank decision.
 
-    ``u`` is m-by-m orthogonal, ``sigma`` holds the min(m, n) singular values
-    in nonincreasing order, ``v`` is n-by-n orthogonal.  ``numerical_rank`` is
-    the number of singular values strictly greater than ``rank_tolerance``.
+    ``u`` (m-by-p) and ``v`` (n-by-p) have orthonormal columns, ``sigma`` holds
+    the p = min(m, n) singular values in nonincreasing order.  ``numerical_rank``
+    is the number of singular values strictly greater than ``rank_tolerance``.
     """
 
     u: np.ndarray
@@ -108,19 +108,16 @@ class SvdFactors:
     rank_tolerance: float
 
 
-def svd(b, tol=None, rtol=None):
-    """Full singular value decomposition with a numerical-rank decision.
+def svd(b, *, rtol=None):
+    """Thin singular value decomposition with a numerical-rank decision.
 
     Parameters
     ----------
     b : (m, n) array_like
         Matrix to factor; entries must be finite.
-    tol : float, optional
-        Absolute rank tolerance: the rank is the number of singular values
-        strictly greater than ``tol``.  Mutually exclusive with `rtol`.
     rtol : float, optional
-        Relative rank tolerance; the absolute tolerance is ``rtol * sigma_1``.
-        Either tolerance must be finite and nonnegative.
+        Relative rank tolerance, finite and nonnegative; the absolute
+        tolerance is ``rtol * sigma_1``.
 
     Returns
     -------
@@ -128,33 +125,26 @@ def svd(b, tol=None, rtol=None):
 
     Notes
     -----
-    With neither `tol` nor `rtol` given, the tolerance defaults to
-    ``max(m, n) * sigma_1 * u`` where ``u`` is the binary64 unit roundoff.
-    Singular values exactly at the tolerance count as zero: the rank rule is
-    the strict inequality ``sigma_r > tolerance``.
+    Without `rtol`, the tolerance is ``max(m, n) * sigma_1 * u``, with ``u``
+    the binary64 unit roundoff.  The rank counts the singular values strictly
+    above the tolerance, so one exactly at the tolerance counts as zero.
 
     No sign convention is imposed on ``u`` and ``v``.  Downstream quantities
     (polar factors, pinned bases) are invariant under paired sign flips, and
     callers must not rely on the signs of individual singular vectors.
     """
     b = _as_matrix(b, "b")
-    if tol is not None and rtol is not None:
-        raise InvalidInput("pass at most one of tol and rtol")
     # NaN fails both comparisons, so a NaN tolerance cannot select rank 0
-    for name, value in (("tol", tol), ("rtol", rtol)):
-        if value is not None and not 0.0 <= float(value) < np.inf:
-            raise InvalidInput(f"{name} must be nonnegative and finite")
+    if rtol is not None and not 0.0 <= float(rtol) < np.inf:
+        raise InvalidInput("rtol must be nonnegative and finite")
     try:
-        u, s, vt = np.linalg.svd(b, full_matrices=True)
+        u, s, vt = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     sigma1 = float(s[0])
-    if tol is not None:
-        rank_tol = float(tol)
-    elif rtol is not None:
-        rank_tol = float(rtol) * sigma1
-    else:
-        rank_tol = max(b.shape) * sigma1 * UNIT_ROUNDOFF
+    rank_tol = (
+        max(b.shape) * sigma1 * UNIT_ROUNDOFF if rtol is None else float(rtol) * sigma1
+    )
     rank = int(np.count_nonzero(s > rank_tol))
     return SvdFactors(u=u, sigma=s, v=vt.T, numerical_rank=rank, rank_tolerance=rank_tol)
 

@@ -3,7 +3,8 @@
 Format: a header line ``rows cols``, then one line per row of whitespace
 separated decimals.  Values are written with 17 significant digits so every
 float64 round-trips exactly.  Lines whose first non-blank character is ``#``
-are comments and may appear anywhere; blank lines are ignored.
+are comments and may appear anywhere; blank lines are ignored.  Files are
+ASCII text, comments included.
 """
 
 from __future__ import annotations
@@ -75,4 +76,7 @@ def save_matrix(path, a):
 def load_matrix(path):
     """Read a matrix from `path`."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())
+        try:
+            return parse_matrix(fh.read())
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path}: not an ASCII matrix file: {exc}") from exc

@@ -160,12 +160,8 @@ class TestAlign:
     def test_rank_zero_degenerate_family(self, rng):
         n, k = 8, 3
         x_any = random_orthonormal(n, k, rng)
-        comp = np.linalg.qr(
-            (np.eye(n) - x_any @ x_any.T) @ rng.standard_normal((n, k))
-        )[0]
-        # the product is numerically zero, so only an absolute tolerance
-        # classifies it as rank 0
-        x, aset = align(x_any, comp, tol=1e-10)
+        # a zero product has rank 0 under the default rule
+        x, aset = align(x_any, np.zeros((n, k)))
         assert aset.r == 0
         assert aset.freedom == k
         assert np.linalg.norm(aset.base) <= 1e-10
@@ -223,6 +219,16 @@ class TestMember:
         with pytest.raises(DimensionMismatch):
             aset.member(np.eye(3))
 
+    @pytest.mark.parametrize("deficiency", [1, 2])
+    def test_nan_w_rejected(self, rng, deficiency):
+        # NaN fails every comparison, so a NaN defect must not pass the check
+        d = rank_matrix(rng, 10, 4, 4 - deficiency)
+        _, aset = align(random_orthonormal(10, 4, rng), d, rtol=RANK_RTOL)
+        w = np.eye(deficiency)
+        w[0, 0] = np.nan
+        with pytest.raises(InvalidInput, match="^w is not orthogonal"):
+            aset.member(w)
+
 
 class TestOptimalRepresentative:
     def test_member_recovers_itself(self, rng):
@@ -270,10 +276,7 @@ class TestOptimalRepresentative:
 
         n, k = 9, 3
         x_any = random_orthonormal(n, k, rng)
-        comp = np.linalg.qr(
-            (np.eye(n) - x_any @ x_any.T) @ rng.standard_normal((n, k))
-        )[0]
-        _, aset = align(x_any, comp, tol=1e-10)
+        _, aset = align(x_any, np.zeros((n, k)))
         assert aset.r == 0
         target = random_orthonormal(n, k, rng)
         y_opt, _ = optimal_representative(aset, target)

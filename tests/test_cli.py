@@ -210,3 +210,59 @@ def test_invalid_matrix_reports_error(tmp_path):
     )
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+_MALFORMED_CUSTOM = {
+    "invalid-json": (b'{"n": 32', "Expecting"),
+    "non-ascii-byte": (b'{"n": 32, "k": 3}\xe9', "'ascii' codec can't decode"),
+    "deltas-number": (b'{"deltas": 5}', "deltas and norms must be sequences"),
+    "norms-number": (b'{"norms": 5}', "deltas and norms must be sequences"),
+    "deltas-string-entry": (b'{"deltas": [0.1, "x"]}', "deltas and norms must be sequences"),
+    "list-payload": (b"[1, 2]", "config must be a JSON object"),
+    "deep-nesting": (b"[" * 100000, "maximum recursion depth"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_CUSTOM))
+def test_experiment_custom_malformed_file_reports_error(tmp_path, case):
+    payload, message = _MALFORMED_CUSTOM[case]
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(payload)
+    proc = run_cli("experiment", "--custom", str(config_path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_custom_rejects_sweep_flags(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"n": 32, "k": 3, "deltas": [1e-4]}))
+    for flags in (["--seed", "5", "--n", "64"], ["--k", "2"], ["--points", "3"]):
+        out = tmp_path / "out"
+        proc = run_cli("experiment", "--custom", str(config_path), "--out", str(out), *flags)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: --custom takes n, k, seed and deltas")
+        assert not out.exists()
+    # without --custom the flags keep their defaults
+    out = tmp_path / "fig"
+    proc = run_cli("experiment", "--figure", "1", "--points", "2", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    config = json.loads((out / "config.json").read_text())
+    assert (config["n"], config["k"], config["seed"]) == (96, 5, 0)
+    assert config["deltas"] == pytest.approx([1e-12, 1e-2])
+
+
+def test_non_ascii_matrix_file_reports_error(tmp_path):
+    # a comment is allowed anywhere, but the file must be ASCII
+    path = tmp_path / "x.txt"
+    path.write_bytes("# café\n1 1\n1\n".encode("utf-8"))
+    for args in (
+        ["angles", "--x", str(path), "--y", str(path)],
+        ["align", "--x", str(path), "--d", str(path)],
+        ["bounds", "--x", str(path), "--xt", str(path), "--d", str(path)],
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {path}: not an ASCII matrix file")
+        assert "Traceback" not in proc.stderr

@@ -60,12 +60,13 @@ class TestSvd:
         assert f.rank_tolerance == pytest.approx(7 * f.sigma[0] * UNIT_ROUNDOFF)
 
     def test_relative_and_absolute_policies(self):
-        b = np.diag([3.0, 1.0])
+        b = np.diag([4.0, 1.0])
         assert svd(b, rtol=0.5).numerical_rank == 1
-        assert svd(b, tol=0.5).numerical_rank == 2
-        assert svd(b, tol=1.0).numerical_rank == 1
+        assert svd(b, rtol=0.125).numerical_rank == 2
+        assert svd(b, rtol=0.125).rank_tolerance == 0.5
         # the rank rule is strict: a singular value at the tolerance is zero
-        assert svd(b, tol=3.0).numerical_rank == 0
+        assert svd(b, rtol=0.25).numerical_rank == 1
+        assert svd(b, rtol=1.0).numerical_rank == 0
 
     def test_rank_bracket_invariant(self, rng):
         for _ in range(20):
@@ -81,28 +82,28 @@ class TestSvd:
         for m, n in [(5, 5), (9, 4), (4, 9), (200, 50), (120, 37)]:
             b = rng.uniform(-1.0, 1.0, size=(m, n))
             f = svd(b)
-            assert np.abs(f.u.T @ f.u - np.eye(m)).max() <= 1e-12 * m
-            assert np.abs(f.v.T @ f.v - np.eye(n)).max() <= 1e-12 * n
+            p = min(m, n)
+            assert f.u.shape == (m, p) and f.sigma.shape == (p,) and f.v.shape == (n, p)
+            assert np.abs(f.u.T @ f.u - np.eye(p)).max() <= 1e-12 * m
+            assert np.abs(f.v.T @ f.v - np.eye(p)).max() <= 1e-12 * n
             assert np.all(np.diff(f.sigma) <= 0.0)
             assert np.all(f.sigma >= 0.0)
-            smat = np.zeros((m, n))
-            np.fill_diagonal(smat, f.sigma)
-            residual = np.linalg.norm(f.u @ smat @ f.v.T - b)
+            residual = np.linalg.norm(f.u @ np.diag(f.sigma) @ f.v.T - b)
             assert residual <= 1e-12 * max(m, n) * f.sigma[0]
 
     def test_errors(self):
         with pytest.raises(InvalidInput):
             svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(InvalidInput):
-            svd(np.eye(2), tol=0.1, rtol=0.1)
-        with pytest.raises(InvalidInput):
-            svd(np.eye(2), tol=-1.0)
+            svd(np.eye(2), rtol=-1.0)
         with pytest.raises(InvalidInput):
             svd(np.ones(3))
-        for name in ("tol", "rtol"):
-            for bad in (np.nan, np.inf):
-                with pytest.raises(InvalidInput, match=f"^{name} must be nonnegative"):
-                    svd(np.eye(2), **{name: bad})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInput, match="^rtol must be nonnegative"):
+                svd(np.eye(2), rtol=bad)
+        # the tolerance is keyword-only, so a positional one is never misread
+        with pytest.raises(TypeError):
+            svd(np.eye(2), 0.1)
         # a NaN tolerance must not pass for rank 0 and the freedom-k family
         with pytest.raises(InvalidInput, match="^rtol must be nonnegative"):
             align(np.eye(3)[:, :2], np.ones((3, 2)), rtol=float("nan"))

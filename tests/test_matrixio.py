@@ -57,3 +57,10 @@ def test_comments_and_blank_lines_ignored():
 def test_malformed_inputs_rejected(text):
     with pytest.raises(InvalidInput):
         parse_matrix(text)
+
+
+def test_non_ascii_file_rejected_by_name(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_bytes("# café\n1 1\n1\n".encode("utf-8"))
+    with pytest.raises(InvalidInput, match="not an ASCII matrix file"):
+        load_matrix(path)
