@@ -1,8 +1,9 @@
 """Dense-matrix primitives shared by the whole package: SVD with an explicit
 numerical-rank decision, truncated unitarily invariant norms, orthonormal
-completion, Hadamard matrices or their leading columns (built from a closed
-form, in time and memory proportional to the entries returned), and
-deterministic random-matrix generators.
+completion (from compact-WY Householder factors, in O(n (n-k) k) work with
+one n-by-(n-k) buffer), Hadamard matrices or their leading columns (built
+from a closed form, in time and memory proportional to the entries
+returned), and deterministic random-matrix generators.
 
 All functions are pure; returned arrays are freshly allocated and never
 aliased to the inputs.
@@ -207,16 +208,37 @@ def orthonormal_completion(x):
     n-by-(n-k) matrix ``xp`` such that ``[x, xp]`` is orthogonal to within
     ``1e-12 * n``.  The completion is not unique; only that residual contract
     is promised.
+
+    ``xp`` is ``Q[:, k:]`` for the Householder QR of `x`, taken from the
+    compact WY form ``Q = I - V T V.T`` (Schreiber and Van Loan, 1989) as
+    ``I[:, k:] - (V T) V[k:].T``: O(n (n-k) k) work and one n-by-(n-k)
+    buffer, the C-contiguous result; no n-by-n Q.  V is read from the ``h``
+    of ``np.linalg.qr(x, mode="raw")``, k-by-n from numpy 1.24 on, whose
+    transpose holds V below its diagonal and R on and above it.
     """
     x = check_orthonormal(x)
     n, k = x.shape
     if n == k:
         raise EmptyComplement("a square orthonormal basis has no complement")
-    # Householder QR of x: the trailing n-k columns of the full Q span the
-    # complement because x already has full column rank.  The slice is
-    # returned without a copy, which would be a second O(n^2) buffer.
-    q = np.linalg.qr(x, mode="complete")[0]
-    return q[:, k:]
+    h, tau = np.linalg.qr(x, mode="raw")
+    eye = np.eye(k)
+    below = eye.cumsum(0) - eye  # the strictly lower triangle
+    v = h.T  # a fresh array; R's entries become V's zeros and unit diagonal
+    top = v[:k]
+    top *= below
+    top += eye
+    # T = (I + D striu(V.T V))^{-1} D, D = diag(tau): the inverse of
+    # D^{-1} + striu(V.T V) without a division, so a tau_i = 0 (column i
+    # already +-e_i, H_i = I) gives T the zero column i it must have.  The
+    # unit upper triangular matrix inverted needs no pivoting.
+    m = h @ v  # V.T V, as h is V.T
+    m *= below.T * tau[:, None]
+    m += eye
+    t = np.linalg.inv(m)
+    t *= -tau  # -T
+    xp = v @ (t @ h[:, k:])
+    xp.ravel()[k * (n - k) :: n - k + 1] += 1.0  # the ones of I[:, k:]
+    return xp
 
 
 def _paley(q):

@@ -20,16 +20,17 @@ __all__ = ["format_matrix", "parse_matrix", "save_matrix", "load_matrix"]
 def format_matrix(a):
     """Render a matrix in the text format, ending with a newline."""
     a = _as_matrix(a, "matrix")
+    row = " ".join(["%.17g"] * a.shape[1])
     lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+    lines += [row % tuple(values) for values in a.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text):
     """Parse the text format into a float64 array."""
     rows = cols = None
-    data = []
+    tokens = []  # every value token, converted in one pass at the end
+    data = []  # (line number, line) of each data row
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -45,25 +46,38 @@ def parse_matrix(text):
             if rows < 1 or cols < 1:
                 raise InvalidInput(f"line {lineno}: dimensions must be positive")
             continue
-        tokens = line.split()
-        if len(tokens) != cols:
+        parts = line.split()
+        if len(parts) != cols:
+            _floats(tokens, data)  # a bad number on an earlier row comes first
             raise InvalidInput(
-                f"line {lineno}: expected {cols} values, got {len(tokens)}"
+                f"line {lineno}: expected {cols} values, got {len(parts)}"
             )
-        try:
-            data.append([float(t) for t in tokens])
-        except ValueError as exc:
-            raise InvalidInput(f"line {lineno}: bad number in {line!r}") from exc
+        tokens += parts
+        data.append((lineno, line))
         if len(data) > rows:
+            _floats(tokens, data)
             raise InvalidInput(f"line {lineno}: more than {rows} data rows")
     if rows is None:
         raise InvalidInput("no header line found")
+    a = np.array(_floats(tokens, data), dtype=np.float64)
     if len(data) != rows:
         raise InvalidInput(f"expected {rows} data rows, got {len(data)}")
-    a = np.array(data, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix contains non-finite entries")
-    return a
+    return a.reshape(rows, cols)
+
+
+def _floats(tokens, data):
+    """The tokens as floats; on a bad one, InvalidInput naming its line."""
+    try:
+        return list(map(float, tokens))
+    except ValueError:
+        for lineno, line in data:
+            try:
+                list(map(float, line.split()))
+            except ValueError as exc:
+                raise InvalidInput(f"line {lineno}: bad number in {line!r}") from exc
+        raise
 
 
 def save_matrix(path, a):

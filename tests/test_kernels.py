@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subspace_align import (
     EmptyComplement,
@@ -168,14 +170,45 @@ class TestOrthonormalCompletion:
         full = np.hstack([x, orthonormal_completion(x)])
         assert np.linalg.norm(full.T @ full - np.eye(10)) <= 1e-12 * 10
 
-    def test_residual_contract(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(2, 40))
-            k = int(rng.integers(1, n))
+    @given(
+        n=st.integers(2, 200),
+        k_frac=st.floats(0.0, 1.0),
+        layout=st.sampled_from(("haar", "identity", "permuted", "defect")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_residual_contract(self, n, k_frac, layout, seed):
+        k = 1 + min(int(k_frac * (n - 1)), n - 2)  # 1 <= k <= n-1, 2k > n included
+        rng = np.random.default_rng(seed)
+        if layout == "haar":
             x = random_orthonormal(n, k, rng)
-            comp = orthonormal_completion(x)
-            assert np.linalg.norm(comp.T @ x) <= 1e-12 * n
-            assert np.linalg.norm(comp.T @ comp - np.eye(n - k)) <= 1e-12 * n
+        elif layout == "defect":
+            # x (I + E) with E symmetric: ||x.T x - I||_F is about 2 ||E||_F
+            f = rng.standard_normal((k, k))
+            f += f.T
+            x = random_orthonormal(n, k, rng) @ (np.eye(k) + 0.45e-12 * n * f / np.linalg.norm(f))
+            assert 0.8e-12 * n < np.linalg.norm(x.T @ x - np.eye(k)) <= 1e-12 * n
+        else:
+            # signed identity columns, in order (LAPACK returns tau = 0 for
+            # each) or permuted
+            order = np.arange(n) if layout == "identity" else rng.permutation(n)
+            x = np.eye(n)[:, order[:k]] * rng.choice((-1.0, 1.0), k)
+            if layout == "identity":
+                assert not np.linalg.qr(x, mode="raw")[1].any()
+        before = x.copy()
+        comp = orthonormal_completion(x)
+        assert comp.shape == (n, n - k)
+        assert np.linalg.norm(comp.T @ x) <= 1e-12 * n
+        assert np.linalg.norm(comp.T @ comp - np.eye(n - k)) <= 1e-12 * n
+        assert comp.flags.c_contiguous
+        assert not np.shares_memory(comp, x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("delta", [1e-8, 1e-5, 1e-3])
+    def test_tall_hadamard_pair_sines(self, delta):
+        # tall bases: at n = 2048, k = 8 every sine is delta to within 1e-9
+        x, xt, _, _ = make_pair(ExperimentConfig(n=2048, k=8, seed=7), delta)
+        sines = canonical_angles(x, xt).sines
+        assert np.max(np.abs(sines - delta)) <= 1e-9 * (1.0 + delta)
 
     def test_square_basis_rejected(self, rng):
         with pytest.raises(EmptyComplement):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from subspace_align import (
     InvalidInput,
@@ -39,23 +42,51 @@ def test_comments_and_blank_lines_ignored():
     assert np.array_equal(parse_matrix(text), np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "# only a comment\n",
-        "2\n1 2\n",
-        "2 2\n1 2\n",
-        "1 2\n1 2 3\n",
-        "1 1\npotato\n",
-        "1 1\ninf\n",
-        "1 1\nnan\n",
-        "0 3\n",
-        "1 2\n1 2\n3 4\n",
-    ],
+_EDGES = st.sampled_from((-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308))
+_MATRICES = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False) | _EDGES,
 )
+
+
+@given(a=_MATRICES)
+def test_round_trip_bit_identical(a):
+    b = parse_matrix(format_matrix(a))
+    assert b.shape == a.shape
+    assert b.tobytes() == a.tobytes()
+
+
+@given(a=_MATRICES)
+def test_format_is_one_17_digit_value_per_entry(a):
+    # the per-value rendering the format was defined by
+    lines = [f"{a.shape[0]} {a.shape[1]}"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in a]
+    assert format_matrix(a) == "\n".join(lines) + "\n"
+
+
+# Each rejected text, with the message it must be rejected with.  A bad
+# number is named by its own line, also after valid rows and when a later
+# line is malformed too.
+_MALFORMED = {
+    "": "no header line found",
+    "# only a comment\n": "no header line found",
+    "2\n1 2\n": "line 1: expected header",
+    "2 2\n1 2\n": "expected 2 data rows, got 1",
+    "1 2\n1 2 3\n": "line 2: expected 2 values, got 3",
+    "1 1\npotato\n": "line 2: bad number",
+    "1 1\ninf\n": "non-finite",
+    "1 1\nnan\n": "non-finite",
+    "0 3\n": "line 1: dimensions must be positive",
+    "1 2\n1 2\n3 4\n": "line 3: more than 1 data rows",
+    "# c\n3 2\n1 2\n\n3 4\n5 x\n": "line 6: bad number",
+    "3 2\n1 2\n1 x\n1 2 3\n": "line 3: bad number",
+}
+
+
+@pytest.mark.parametrize("text", list(_MALFORMED))
 def test_malformed_inputs_rejected(text):
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match=_MALFORMED[text]):
         parse_matrix(text)
 
 
