@@ -53,19 +53,15 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _checked(value, name, zero_ok=False):
-    """`value` as float64, required finite and positive (nonnegative with
-    `zero_ok`) in every entry; NaN fails both comparisons."""
-    value = np.asarray(value, dtype=np.float64)
-    above = value >= 0.0 if zero_ok else value > 0.0
-    if not (above & (value < math.inf)).all():
+    """`value` as a Python float, finite and positive (nonnegative with `zero_ok`)."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{name} must be a real scalar, got {value!r}") from None
+    if not ((value >= 0.0 if zero_ok else value > 0.0) and value < math.inf):
         need = "nonnegative" if zero_ok else "positive"
         raise InvalidInput(f"{name} must be {need} and finite")
     return value
-
-
-def _result(out):
-    """A Python float for a scalar result, the array otherwise."""
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
@@ -79,15 +75,16 @@ def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
         values.
     r, k : int
         Common rank of the pinned products and the subspace dimension.
-    sigma_r, sigma_r_tilde : float or array_like
+    sigma_r, sigma_r_tilde : float
         Smallest positive singular values of ``x.T @ d`` and
-        ``x_tilde.T @ d``.  Arrays broadcast, for vectorized evaluation.
-    d_norm : float or array_like
-        Spectral norm of the pinning matrix.
+        ``x_tilde.T @ d``, as real scalars.
+    d_norm : float
+        Spectral norm of the pinning matrix, a real scalar.
 
     Returns
     -------
-    float or ndarray
+    float
+        ``inf``, silently, where ``d_norm`` over a singular value overflows.
     """
     _check_kind(kind)
     r, k = _integer(r, "r"), _integer(k, "k")
@@ -97,32 +94,36 @@ def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
     st = _checked(sigma_r_tilde, "sigma_r_tilde")
     d = _checked(d_norm, "d_norm", zero_ok=True)
     both = s + st
-    largest = np.maximum(s, st)
+    largest = max(s, st)
     if r == k:
-        out = _SQRT2 * (1.0 + 2.0 * d / both)
-    elif kind == "frobenius":
-        out = _SQRT2 * (1.0 + 2.0 * d / both) + 4.0 * d / largest
-    elif kind == "spectral":
-        out = (
-            _SQRT2
-            + np.sqrt(8.0 * (d / both) ** 2 + 4.0 * (d / largest) ** 2)
-            + 4.0 * d / largest
-        )
-    else:  # trace, and the generic unitarily invariant coefficient
-        out = _SQRT2 * (1.0 + 2.0 * d / both) + (2.0 * _SQRT2 + 4.0) * d / largest
-    return _result(out)
+        return _SQRT2 * (1.0 + 2.0 * d / both)
+    if kind == "frobenius":
+        return _SQRT2 * (1.0 + 2.0 * d / both) + 4.0 * d / largest
+    if kind == "spectral":
+        try:  # squares by pow as numpy took them; a product can round apart
+            root = math.sqrt(8.0 * (d / both) ** 2 + 4.0 * (d / largest) ** 2)
+        except OverflowError:  # where numpy's pow gave inf
+            root = math.inf
+        return _SQRT2 + root + 4.0 * d / largest
+    # trace, and the generic unitarily invariant coefficient
+    return _SQRT2 * (1.0 + 2.0 * d / both) + (2.0 * _SQRT2 + 4.0) * d / largest
+
+
+def _bound(coefficient, sin_theta):
+    """``coefficient * sin_theta``, and 0 at ``sin_theta == 0`` even at an inf."""
+    return coefficient * sin_theta if sin_theta else sin_theta
 
 
 def xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, sin_theta):
-    """Bound value ``eta(...) * sin_theta``; homogeneous of degree 1 in
-    `sin_theta` by construction."""
+    """Bound value ``eta(...) * sin_theta`` of real scalars, a float; homogeneous
+    of degree 1 in `sin_theta`, and 0 at a zero `sin_theta` even where `eta` is inf."""
     sin_theta = _checked(sin_theta, "sin_theta", zero_ok=True)
-    return _result(eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm) * sin_theta)
+    return _bound(eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm), sin_theta)
 
 
 def xi_sharpened(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta):
     """Rank-deficient bound with the sin-theta norm truncated to the r
-    largest sines.
+    largest sines; real scalars in, a float out.
 
     Never exceeds :func:`xi` evaluated on the untruncated norm, and equals it
     for the spectral kind (truncation keeps the largest sine).  Only defined
@@ -357,7 +358,7 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
         sin_t = _gauge(angles.sines, each)
         sin_trunc = _gauge(angles.sines[-r:], each)
         eta_val = eta(each, r, k, aset.sigma_r, sigma_rt, d_norm)
-        xi_val = eta_val * sin_t
+        xi_val = _bound(eta_val, sin_t)
         if each == "frobenius":
             measured = upper = min(matrix_norm(diff, each) for diff in diffs)
         else:
@@ -379,7 +380,7 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
                 sin_theta_truncated=sin_trunc,
                 eta=eta_val,
                 xi=xi_val,
-                xi_sharpened=eta_val * sin_trunc if r < k else None,
+                xi_sharpened=_bound(eta_val, sin_trunc) if r < k else None,
                 measured=measured,
                 measured_lower=lower,
                 measured_upper=upper,

@@ -4,7 +4,7 @@ Format: a header line ``rows cols``, then one line per row of whitespace
 separated decimals.  Values are written with 17 significant digits so every
 float64 round-trips exactly.  Lines whose first non-blank character is ``#``
 are comments and may appear anywhere; blank lines are ignored.  Files are
-ASCII text, comments included.
+ASCII text, comments included, with no digit-group underscore (``1_0``).
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ def parse_matrix(text):
             if len(parts) != 2:
                 raise InvalidInput(f"line {lineno}: expected header 'rows cols'")
             try:
+                if "_" in line:  # int() would read "1_0" as 10
+                    raise ValueError("digit-group underscore")
                 rows, cols = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise InvalidInput(f"line {lineno}: bad header {line!r}") from exc
@@ -70,10 +72,14 @@ def parse_matrix(text):
 def _floats(tokens, data):
     """The tokens as floats; on a bad one, InvalidInput naming its line."""
     try:
+        if any("_" in line for _, line in data):  # float() reads "1_0" as 10
+            raise ValueError("digit-group underscore")
         return list(map(float, tokens))
     except ValueError:
         for lineno, line in data:
             try:
+                if "_" in line:
+                    raise ValueError("digit-group underscore")
                 list(map(float, line.split()))
             except ValueError as exc:
                 raise InvalidInput(f"line {lineno}: bad number in {line!r}") from exc

@@ -5,6 +5,8 @@ computed by explicitly building candidate matrices and taking norms, never by
 the polar-factor identities they are used to check.
 """
 
+import math
+
 import numpy as np
 
 from subspace_align import align, matrix_norm
@@ -14,6 +16,39 @@ from subspace_align.kernels import random_orthonormal
 #: regime: far above the rounding floor of computed products, far below any
 #: genuine singular value of the instances built here.
 RANK_RTOL = 1e-8
+
+
+def reference_eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
+    """The bound coefficient as numpy evaluates it on float64 values, the
+    formula `bounds.eta` must match bit for bit; no input checks.
+
+    Overflow gives inf and (for `reference_xi`) inf * 0 gives NaN, silently.
+    """
+    s, st, d = (np.asarray(v, dtype=np.float64) for v in (sigma_r, sigma_r_tilde, d_norm))
+    sqrt2 = math.sqrt(2.0)
+    with np.errstate(all="ignore"):
+        both = s + st
+        largest = np.maximum(s, st)
+        if r == k:
+            out = sqrt2 * (1.0 + 2.0 * d / both)
+        elif kind == "frobenius":
+            out = sqrt2 * (1.0 + 2.0 * d / both) + 4.0 * d / largest
+        elif kind == "spectral":
+            out = (
+                sqrt2
+                + np.sqrt(8.0 * (d / both) ** 2 + 4.0 * (d / largest) ** 2)
+                + 4.0 * d / largest
+            )
+        else:
+            out = sqrt2 * (1.0 + 2.0 * d / both) + (2.0 * sqrt2 + 4.0) * d / largest
+    return float(out)
+
+
+def reference_xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, sin_theta):
+    """``reference_eta(...) * sin_theta`` in float64."""
+    with np.errstate(all="ignore"):
+        coefficient = reference_eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm)
+        return float(np.asarray(coefficient) * np.asarray(sin_theta, dtype=np.float64))
 
 
 def rank_matrix(rng, m, n, r, smin=0.3, smax=3.0):

@@ -289,13 +289,6 @@ def test_criterion_09_coefficient_ordering_and_sharpening():
         st = 10.0 ** rng.uniform(-3, 3, size)
         d = np.maximum(s, st) * 10.0 ** rng.uniform(0, 3, size)
         k = 5
-        for r in (2, 3, 4):
-            full = eta("frobenius", k, k, s, st, d)
-            fro = eta("frobenius", r, k, s, st, d)
-            spec = eta("spectral", r, k, s, st, d)
-            generic = eta("trace", r, k, s, st, d)
-            assert np.all(full < fro) and np.all(full < spec)
-            assert np.all(fro < generic) and np.all(spec < generic)
         r = 3
         sines = np.sort(rng.uniform(0.0, 1.0, size=(size, k)), axis=1)
         top = sines[:, -r:]
@@ -307,13 +300,23 @@ def test_criterion_09_coefficient_ordering_and_sharpening():
             ),
             "trace": (sines.sum(axis=1), top.sum(axis=1)),
         }
-        for kind, (full_norm, trunc_norm) in norms.items():
-            sharp = xi_sharpened(kind, r, k, s, st, d, trunc_norm)
-            plain = xi(kind, r, k, s, st, d, full_norm)
-            assert np.all(sharp <= plain + 1e-12)
-        spectral_sharp = xi_sharpened("spectral", r, k, s, st, d, norms["spectral"][1])
-        spectral_plain = xi("spectral", r, k, s, st, d, norms["spectral"][0])
-        assert np.allclose(spectral_sharp, spectral_plain, rtol=1e-13)
+        norms = {kind: (a.tolist(), b.tolist()) for kind, (a, b) in norms.items()}
+        # the coefficients take scalars: every tuple is checked at each
+        # deficient rank, and its sharpening at r = 3 in each norm kind
+        for i, (a, b, c) in enumerate(zip(s.tolist(), st.tolist(), d.tolist())):
+            full = eta("frobenius", k, k, a, b, c)
+            for rank in (2, 3, 4):
+                fro = eta("frobenius", rank, k, a, b, c)
+                spec = eta("spectral", rank, k, a, b, c)
+                generic = eta("trace", rank, k, a, b, c)
+                assert full < fro and full < spec
+                assert fro < generic and spec < generic
+            for kind, (full_norm, trunc_norm) in norms.items():
+                sharp = xi_sharpened(kind, r, k, a, b, c, trunc_norm[i])
+                plain = xi(kind, r, k, a, b, c, full_norm[i])
+                assert sharp <= plain + 1e-12
+                if kind == "spectral":
+                    assert sharp == plain
 
 
 def test_criterion_10_byte_identical_experiment(tmp_path):

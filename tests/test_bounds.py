@@ -1,9 +1,10 @@
 import functools
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from subspace_align import (
@@ -30,9 +31,27 @@ from subspace_align import (
 )
 from subspace_align.kernels import random_orthonormal
 
-from support import RANK_RTOL, draw_aligned_instance, equal_rank_pair, rank_matrix
+from support import (
+    RANK_RTOL,
+    draw_aligned_instance,
+    equal_rank_pair,
+    rank_matrix,
+    reference_eta,
+    reference_xi,
+)
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _each(func, *columns):
+    """`func` called on each row of equal-length columns, as an array: the
+    coefficients take scalars only."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return np.array([func(*row) for row in rows])
+
+
+def _bits(value):
+    return struct.pack("<d", value)
 
 
 @functools.lru_cache(maxsize=1)
@@ -68,10 +87,10 @@ class TestEta:
         s = 10.0 ** rng.uniform(-3, 3, size)
         st = 10.0 ** rng.uniform(-3, 3, size)
         d = np.maximum(s, st) * 10.0 ** rng.uniform(0, 3, size)
-        full = eta("frobenius", 4, 4, s, st, d)
-        fro = eta("frobenius", 3, 4, s, st, d)
-        spec = eta("spectral", 3, 4, s, st, d)
-        generic = eta("trace", 3, 4, s, st, d)
+        full = _each(functools.partial(eta, "frobenius", 4, 4), s, st, d)
+        fro = _each(functools.partial(eta, "frobenius", 3, 4), s, st, d)
+        spec = _each(functools.partial(eta, "spectral", 3, 4), s, st, d)
+        generic = _each(functools.partial(eta, "trace", 3, 4), s, st, d)
         assert np.all(full < fro)
         assert np.all(full < spec)
         assert np.all(fro < generic)
@@ -94,33 +113,76 @@ class TestEta:
                 if bad == 0.0 and name in ("d_norm", "sin_theta"):
                     assert xi("trace", 2, 3, **{**good, name: bad}) >= 0.0
                     continue
-                for value in (bad, np.array([1.0, bad])):
+                for value in (bad, np.float64(bad), np.array(bad)):
                     with pytest.raises(InvalidInput, match=rf"^{name} must"):
                         xi("trace", 2, 3, **{**good, name: value})
+            with pytest.raises(InvalidInput, match=rf"^{name} must"):
+                xi("trace", 2, 3, **{**good, name: 10**400})  # beyond float64
+
+    def test_arrays_rejected(self):
+        good = dict(sigma_r=1.0, sigma_r_tilde=1.0, d_norm=1.0, sin_theta=0.5)
+        for name in good:
+            for value in (np.array([1.0, 0.5]), np.ones((2, 2)), [0.5], "one", None):
+                with pytest.raises(InvalidInput, match=rf"^{name} must be a real scalar"):
+                    xi("trace", 2, 3, **{**good, name: value})
+
+    def test_scalar_types_give_python_floats(self):
+        for value in (0.5, np.float64(0.5), np.array(0.5), np.float32(0.5), 1):
+            assert type(eta("spectral", 2, 3, value, 1.0, 1.0)) is float
+            assert type(xi("spectral", 2, 3, 1.0, 1.0, 1.0, value)) is float
+
+    def test_overflow_gives_inf_without_warning(self):
+        # pytest turns warnings into errors; d_norm / sigma overflows in the
+        # square of the spectral term, then in the ratio itself
+        assert eta("spectral", 2, 3, 1e-200, 1e-200, 1.0) == math.inf
+        for kind in NORM_KINDS:
+            for r in (2, 3):
+                assert eta(kind, r, 3, 5e-324, 5e-324, 1.0) == math.inf
+                assert xi(kind, r, 3, 5e-324, 5e-324, 1.0, 0.5) == math.inf
+
+    def test_zero_sin_theta_gives_zero_even_when_eta_is_inf(self):
+        for kind in NORM_KINDS:
+            assert xi(kind, 3, 3, 5e-324, 5e-324, 1.0, 0.0) == 0.0
+            assert xi(kind, 2, 3, 1e-200, 1e-200, 1.0, 0.0) == 0.0
+            assert xi_sharpened(kind, 2, 3, 5e-324, 5e-324, 1.0, 0.0) == 0.0
 
 
 _POSITIVE = st.floats(min_value=1e-8, max_value=1e8)
 _ENTRY = st.tuples(_POSITIVE, _POSITIVE, st.floats(0.0, 1e8), st.floats(0.0, 1.0))
+#: positive or nonnegative floats, subnormals included, up to 2**1020: there
+#: the numpy formula's sums and multiples of d_norm stay finite, and only its
+#: ratios over the singular values overflow, to a vacuous inf
+_ANY_POSITIVE = st.floats(min_value=0.0, max_value=2.0**1020, exclude_min=True)
+_ANY_NONNEGATIVE = st.floats(min_value=0.0, max_value=2.0**1020)
 
 
 class TestCoefficientProperties:
-    """The array path and the scalar path of the coefficient family agree."""
-
     @given(
-        entries=st.lists(_ENTRY, min_size=1, max_size=8),
+        s=_ANY_POSITIVE,
+        s_tilde=_ANY_POSITIVE,
+        d=_ANY_NONNEGATIVE,
+        sin_t=st.floats(min_value=0.0, allow_infinity=False),
         kind=st.sampled_from(NORM_KINDS),
         r=st.sampled_from((4, 3, 1)),
     )
-    def test_arrays_equal_scalar_calls(self, entries, kind, r):
-        s, s_tilde, d, sin_t = (np.array(column) for column in zip(*entries))
-        eta_array = eta(kind, r, 4, s, s_tilde, d)
-        xi_array = xi(kind, r, 4, s, s_tilde, d, sin_t)
-        for i, entry in enumerate(entries):
-            eta_scalar = eta(kind, r, 4, *entry[:3])
-            xi_scalar = xi(kind, r, 4, *entry)
-            assert type(eta_scalar) is float and type(xi_scalar) is float
-            assert eta_array[i] == eta_scalar
-            assert xi_array[i] == xi_scalar
+    # numpy squared with libm's pow, which rounds these squares differently
+    # from a product
+    @example(s=0.78, s_tilde=0.78, d=4.01, sin_t=0.5, kind="spectral", r=3)
+    @example(s=0.15, s_tilde=0.7, d=8.4, sin_t=0.5, kind="spectral", r=1)
+    def test_bits_equal_numpy_formula(self, s, s_tilde, d, sin_t, kind, r):
+        # the numpy evaluation the coefficients had when they took arrays
+        expected_eta = reference_eta(kind, r, 4, s, s_tilde, d)
+        expected_xi = reference_xi(kind, r, 4, s, s_tilde, d, sin_t)
+        got_eta = eta(kind, r, 4, s, s_tilde, d)
+        got_xi = xi(kind, r, 4, s, s_tilde, d, sin_t)
+        assert type(got_eta) is float and type(got_xi) is float
+        assert _bits(got_eta) == _bits(expected_eta)
+        if math.isnan(expected_xi):  # a vacuous eta times a zero sine is 0
+            assert sin_t == 0.0 and got_eta == math.inf and _bits(got_xi) == _bits(sin_t)
+        else:
+            assert _bits(got_xi) == _bits(expected_xi)
+        if r < 4:
+            assert _bits(xi_sharpened(kind, r, 4, s, s_tilde, d, sin_t)) == _bits(got_xi)
 
     @given(entry=_ENTRY, kind=st.sampled_from(NORM_KINDS), r=st.sampled_from((3, 1)))
     def test_sharpened_is_xi_of_the_truncated_norm(self, entry, kind, r):
@@ -138,8 +200,9 @@ class TestXi:
         sin_t = 10.0 ** rng.uniform(-12, 0, 1000)
         lam = 10.0 ** rng.uniform(-6, 6, 1000)
         for kind in NORM_KINDS:
-            a = xi(kind, 2, 4, s, st, d, lam * sin_t)
-            b = lam * xi(kind, 2, 4, s, st, d, sin_t)
+            bound = functools.partial(xi, kind, 2, 4)
+            a = _each(bound, s, st, d, lam * sin_t)
+            b = lam * _each(bound, s, st, d, sin_t)
             assert np.allclose(a, b, rtol=1e-12)
 
     def test_full_rank_hadamard_instance_formula(self):
@@ -172,7 +235,9 @@ class TestXi:
         d_norm = np.linalg.norm(d, 2)
         deltas = np.asarray(config.deltas)
         for kind in NORM_KINDS:
-            values = xi(kind, 5, 5, sx.sigma_r, st.sigma_r, d_norm, deltas)
+            values = np.array(
+                [xi(kind, 5, 5, sx.sigma_r, st.sigma_r, d_norm, delta) for delta in deltas]
+            )
             slope = np.polyfit(np.log10(deltas), np.log10(values), 1)[0]
             assert abs(slope - 1.0) <= 1e-6
 
@@ -225,10 +290,9 @@ class TestXiSharpened:
                 trunc = np.sqrt((top**2).sum(axis=1))
             else:
                 full, trunc = sines.sum(axis=1), top.sum(axis=1)
-            assert np.all(
-                xi_sharpened(kind, r, k, s, st, d, trunc)
-                <= xi(kind, r, k, s, st, d, full) + 1e-12
-            )
+            sharp = _each(functools.partial(xi_sharpened, kind, r, k), s, st, d, trunc)
+            plain = _each(functools.partial(xi, kind, r, k), s, st, d, full)
+            assert np.all(sharp <= plain + 1e-12)
 
 
 class TestWedinBound:
@@ -444,3 +508,15 @@ class TestEvaluateInstance:
         x = random_orthonormal(8, 3, rng)
         with pytest.raises(InvalidInput):
             evaluate_instance(x, x, np.zeros((8, 3)), "trace")
+
+    def test_equal_subspaces_bound_zero_where_eta_is_inf(self):
+        # x.T @ d has rank 2 with sigma_r = 1e-160, so the spectral
+        # coefficient's square overflows; the subspaces are equal
+        x = np.eye(6)[:, :3]
+        d = np.zeros((6, 3))
+        d[0, 0] = d[1, 1] = 1e-160
+        d[3, 0] = d[4, 1] = d[5, 2] = 1.0
+        for rep in evaluate_instance(x, x.copy(), d, NORM_KINDS):
+            assert rep.r == 2 and rep.sin_theta == 0.0 and rep.measured == 0.0
+            assert rep.xi == 0.0 and rep.xi_sharpened == 0.0
+        assert evaluate_instance(x, x.copy(), d, "spectral").eta == math.inf

@@ -81,6 +81,12 @@ _MALFORMED = {
     "1 2\n1 2\n3 4\n": "line 3: more than 1 data rows",
     "# c\n3 2\n1 2\n\n3 4\n5 x\n": "line 6: bad number",
     "3 2\n1 2\n1 x\n1 2 3\n": "line 3: bad number",
+    # int() and float() read PEP 515 digit groups; the format has none
+    "2 1\n1_0\n2\n": "line 2: bad number in '1_0'",
+    "2 1\n1\n2.5e1_0\n": "line 3: bad number in '2.5e1_0'",
+    "1_0 1\n1\n": "line 1: bad header '1_0 1'",
+    "# c\n1 1_0\n1\n": "line 2: bad header",
+    "3 2\n1_0 2\n1 2 3\n": "line 2: bad number",
 }
 
 
@@ -88,6 +94,11 @@ _MALFORMED = {
 def test_malformed_inputs_rejected(text):
     with pytest.raises(InvalidInput, match=_MALFORMED[text]):
         parse_matrix(text)
+
+
+def test_underscores_allowed_in_comments():
+    a = parse_matrix("# x_tilde, n_rows\n1 2\n# row_1\n1.5 2\n")
+    assert a.tolist() == [[1.5, 2.0]]
 
 
 def test_non_ascii_file_rejected_by_name(tmp_path):
