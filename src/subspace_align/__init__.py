@@ -10,135 +10,23 @@ together with a reproducible experiment harness that measures how tight the
 bounds are.
 """
 
-from .alignment import (
-    AlignedBasisSet,
-    CanonicalPolar,
-    HausdorffEstimate,
-    align,
-    hausdorff_distance_estimate,
-    optimal_representative,
-    polar,
-)
-from .bounds import (
-    BoundReport,
-    PolarFactorBounds,
-    WedinBounds,
-    eta,
-    evaluate_instance,
-    polar_factor_bound,
-    wedin_bound,
-    xi,
-    xi_sharpened,
-)
-from .errors import (
-    DimensionMismatch,
-    EmptyComplement,
-    InvalidBasis,
-    InvalidInput,
-    NotAligned,
-    NotApplicable,
-    NumericalFailure,
-    RankMismatch,
-    ShapeError,
-    SubspaceAlignError,
-    UnsupportedOrder,
-    VerificationFailure,
-)
-from .experiments import (
-    ClosedFormCheck,
-    ExperimentConfig,
-    SweepRow,
-    default_delta_grid,
-    make_pair,
-    pinning_matrix,
-    run_sweep,
-    verify_closed_form,
-)
-from .kernels import (
-    NORM_KINDS,
-    UNIT_ROUNDOFF,
-    SvdFactors,
-    check_orthonormal,
-    haar_orthogonal,
-    hadamard,
-    is_hadamard_order,
-    matrix_norm,
-    orthonormal_completion,
-    random_orthonormal,
-    singular_values,
-    svd,
-    truncated_norm,
-)
-from .matrixio import format_matrix, load_matrix, parse_matrix, save_matrix
-from .metrics import (
-    AngleSpectrum,
-    align_rotation,
-    canonical_angles,
-    sin_theta_norm,
-    subspace_distance,
-    truncated_sin_theta_norm,
-)
+from .alignment import *
+from .bounds import *
+from .errors import *
+from .experiments import *
+from .kernels import *
+from .matrixio import *
+from .metrics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignedBasisSet",
-    "AngleSpectrum",
-    "BoundReport",
-    "CanonicalPolar",
-    "ClosedFormCheck",
-    "DimensionMismatch",
-    "EmptyComplement",
-    "ExperimentConfig",
-    "HausdorffEstimate",
-    "InvalidBasis",
-    "InvalidInput",
-    "NORM_KINDS",
-    "NotAligned",
-    "NotApplicable",
-    "NumericalFailure",
-    "PolarFactorBounds",
-    "RankMismatch",
-    "ShapeError",
-    "SubspaceAlignError",
-    "SvdFactors",
-    "SweepRow",
-    "UNIT_ROUNDOFF",
-    "UnsupportedOrder",
-    "VerificationFailure",
-    "WedinBounds",
-    "align",
-    "align_rotation",
-    "canonical_angles",
-    "check_orthonormal",
-    "default_delta_grid",
-    "eta",
-    "evaluate_instance",
-    "format_matrix",
-    "haar_orthogonal",
-    "hadamard",
-    "hausdorff_distance_estimate",
-    "is_hadamard_order",
-    "load_matrix",
-    "make_pair",
-    "matrix_norm",
-    "optimal_representative",
-    "orthonormal_completion",
-    "parse_matrix",
-    "pinning_matrix",
-    "polar",
-    "polar_factor_bound",
-    "random_orthonormal",
-    "run_sweep",
-    "save_matrix",
-    "sin_theta_norm",
-    "singular_values",
-    "subspace_distance",
-    "svd",
-    "truncated_norm",
-    "truncated_sin_theta_norm",
-    "verify_closed_form",
-    "wedin_bound",
-    "xi",
-    "xi_sharpened",
-]
+# each module's __all__ is the one list of its public names
+__all__ = (
+    alignment.__all__
+    + bounds.__all__
+    + errors.__all__
+    + experiments.__all__
+    + kernels.__all__
+    + matrixio.__all__
+    + metrics.__all__
+)

@@ -93,6 +93,9 @@ def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
     s = _checked(sigma_r, "sigma_r")
     st = _checked(sigma_r_tilde, "sigma_r_tilde")
     d = _checked(d_norm, "d_norm", zero_ok=True)
+    # eta reads only ratios: an exact power-of-two scale keeps s + st and 6.9 * d finite
+    if max(s, st, d) > 2.0**1020:
+        s, st, d = s * 2.0**-64, st * 2.0**-64, d * 2.0**-64
     both = s + st
     largest = max(s, st)
     if r == k:

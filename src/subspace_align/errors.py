@@ -1,5 +1,20 @@
 """Exception types raised across the package."""
 
+__all__ = [
+    "SubspaceAlignError",
+    "InvalidInput",
+    "DimensionMismatch",
+    "ShapeError",
+    "InvalidBasis",
+    "EmptyComplement",
+    "UnsupportedOrder",
+    "RankMismatch",
+    "NotAligned",
+    "NotApplicable",
+    "NumericalFailure",
+    "VerificationFailure",
+]
+
 
 class SubspaceAlignError(Exception):
     """Base class for every error raised by this package."""

@@ -28,6 +28,8 @@ def format_matrix(a):
 
 def parse_matrix(text):
     """Parse the text format into a float64 array."""
+    if not text.isascii():  # int() and float() read other scripts' digits and spaces
+        raise InvalidInput(_non_ascii_line(text))
     rows = cols = None
     tokens = []  # every value token, converted in one pass at the end
     data = []  # (line number, line) of each data row
@@ -69,6 +71,13 @@ def parse_matrix(text):
     return a.reshape(rows, cols)
 
 
+def _non_ascii_line(text):
+    """``line N: ...`` naming the first line of `text` that is not ASCII."""
+    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+        if not raw.isascii():
+            return f"line {lineno}: non-ASCII character in {raw!r}"
+
+
 def _floats(tokens, data):
     """The tokens as floats; on a bad one, InvalidInput naming its line."""
     try:
@@ -95,8 +104,9 @@ def save_matrix(path, a):
 
 def load_matrix(path):
     """Read a matrix from `path`."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            return parse_matrix(fh.read())
-        except UnicodeDecodeError as exc:
-            raise InvalidInput(f"{path}: not an ASCII matrix file: {exc}") from exc
+    # each non-ASCII byte decodes to a lone surrogate, which the ASCII rule rejects
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        raise InvalidInput(f"{path}: not an ASCII matrix file: {_non_ascii_line(text)}")
+    return parse_matrix(text)

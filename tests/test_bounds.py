@@ -140,6 +140,29 @@ class TestEta:
                 assert eta(kind, r, 3, 5e-324, 5e-324, 1.0) == math.inf
                 assert xi(kind, r, 3, 5e-324, 5e-324, 1.0, 0.5) == math.inf
 
+    def test_exact_near_the_top_of_the_float_range(self):
+        # eta reads only the ratios of its inputs, so scaling all three by a
+        # power of two changes no bit, even where s + s~ or 4 * d overflows
+        assert eta("trace", 3, 3, 1e308, 1e308, 1e307) == pytest.approx(1.1 * math.sqrt(2))
+        assert eta("spectral", 3, 3, 1e308, 1e308, 1e308) == pytest.approx(2 * math.sqrt(2))
+        assert eta("frobenius", 2, 3, 5e307, 5e307, 5e307) == pytest.approx(
+            2 * math.sqrt(2) + 4
+        )
+        top = np.finfo(np.float64).max
+        triples = [
+            (1e308, 1e308, 1e307),
+            (1e308, 1e308, 1e308),
+            (5e307, 5e307, 5e307),
+            (top, top, top),
+            (top, 1e-300, top),
+            (1.0, 2.0, top),
+        ]
+        for kind in NORM_KINDS:
+            for r in (2, 3):
+                for triple in triples:
+                    scaled = [v * 2.0**-64 for v in triple]
+                    assert _bits(eta(kind, r, 3, *triple)) == _bits(eta(kind, r, 3, *scaled))
+
     def test_zero_sin_theta_gives_zero_even_when_eta_is_inf(self):
         for kind in NORM_KINDS:
             assert xi(kind, 3, 3, 5e-324, 5e-324, 1.0, 0.0) == 0.0

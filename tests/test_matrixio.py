@@ -87,6 +87,11 @@ _MALFORMED = {
     "1_0 1\n1\n": "line 1: bad header '1_0 1'",
     "# c\n1 1_0\n1\n": "line 2: bad header",
     "3 2\n1_0 2\n1 2 3\n": "line 2: bad number",
+    # and digits and spaces of other scripts; the format is ASCII, comments too
+    "1 1\n\u0661\n": "line 2: non-ASCII character",
+    "\uff11 \uff11\n2\n": "line 1: non-ASCII character",
+    "1 2\n1\xa02\n": "line 2: non-ASCII character",
+    "1 1\n# caf\xe9\n1\n": "line 2: non-ASCII character",
 }
 
 
@@ -104,5 +109,5 @@ def test_underscores_allowed_in_comments():
 def test_non_ascii_file_rejected_by_name(tmp_path):
     path = tmp_path / "c.txt"
     path.write_bytes("# café\n1 1\n1\n".encode("utf-8"))
-    with pytest.raises(InvalidInput, match="not an ASCII matrix file"):
+    with pytest.raises(InvalidInput, match="not an ASCII matrix file: line 1: non-ASCII"):
         load_matrix(path)

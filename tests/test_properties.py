@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from subspace_align import NORM_KINDS, align, canonical_angles, evaluate_instance
+from subspace_align import NORM_KINDS, InvalidInput, align, canonical_angles, evaluate_instance
 from subspace_align.kernels import haar_orthogonal
 
 from support import RANK_RTOL, rank_matrix, subspace_pair
@@ -95,4 +95,48 @@ def test_measured_within_xi(shape, seed):
     for report in evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL):
         assert report.r == r
         assert report.regime == ("full_rank" if r == k else "rank_deficient")
+        assert report.measured <= report.xi + 1e-10
+
+
+#: relative rank tolerance of the near-tolerance cases; the pinned bases
+#: round to about u / rtol, which at 1e-6 exceeds the bound check's fixed
+#: 1e-10 slack where sin-theta is 0
+_RTOL = 1e-3
+
+
+@st.composite
+def _near_tolerance(draw):
+    """(n, k, r, factor): a product of rank r >= 2 whose r-th singular value
+    sits at `factor` times the rank tolerance ``_RTOL * sigma_1``."""
+    k = draw(st.integers(2, 6))
+    r = draw(st.integers(2, k))
+    n = draw(st.integers(k, 2 * k + 3))
+    return n, k, r, draw(st.sampled_from((0.5, 1.0, 2.0)))
+
+
+@given(case=_near_tolerance(), seed=_SEEDS)
+@example(case=(6, 3, 3, 0.5), seed=0)
+@example(case=(6, 3, 3, 1.0), seed=0)
+@example(case=(6, 3, 3, 2.0), seed=0)
+@example(case=(5, 5, 2, 1.0), seed=1)
+def test_rank_decision_at_the_tolerance(case, seed):
+    n, k, r, factor = case
+    rng = _rng(seed)
+    x, y_any = subspace_pair(rng, n, k, eps=10.0 ** rng.uniform(-12, -9))
+    s = np.zeros(k)
+    s[:r] = np.sort(rng.uniform(0.3, 1.0, r))[::-1]
+    s[0], s[r - 1] = 1.0, factor * _RTOL
+    v = haar_orthogonal(k, rng)
+    off = rng.standard_normal((n, k))
+    d = x @ ((v * s) @ v.T) + (off - x @ (x.T @ off))  # x.T @ d is PSD: x is pinned
+    y, _ = align(y_any, d, rtol=_RTOL)
+    try:
+        reports = evaluate_instance(x, y, d, NORM_KINDS, rtol=_RTOL)
+    except InvalidInput:  # RankMismatch and NotAligned among them: a typed refusal
+        return
+    sigma = np.linalg.svd(x.T @ d, full_matrices=False)[1]
+    for report in reports:
+        assert report.r == int(np.count_nonzero(sigma > report.rank_tolerance))
+        assert report.regime == ("full_rank" if report.r == k else "rank_deficient")
+        assert not (np.isnan(report.eta) or np.isnan(report.xi))
         assert report.measured <= report.xi + 1e-10

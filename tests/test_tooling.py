@@ -1,9 +1,12 @@
 """Checks on the test setup and on the source tree as a whole."""
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import subspace_align
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "subspace_align"
@@ -116,3 +119,22 @@ def test_src_runs_no_hidden_svd():
         if calls:
             found[path.name] = calls
     assert not found, f"use kernels.svd or kernels.matrix_norm instead: {found}"
+
+
+def test_export_contract():
+    # the package re-exports these modules' __all__ by star import, where a
+    # name listed twice would silently shadow the first binding
+    owners = {}
+    for name in ("alignment", "bounds", "errors", "experiments", "kernels", "matrixio", "metrics"):
+        module = getattr(subspace_align, name)
+        for public in module.__all__:
+            assert public not in owners, f"{public} in {owners.get(public)} and {name}"
+            owners[public] = name
+            obj = getattr(module, public)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, public
+    assert sorted(subspace_align.__all__) == sorted(owners)
+    namespace = {}
+    exec("from subspace_align import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(subspace_align.__all__)
