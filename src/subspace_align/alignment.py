@@ -20,6 +20,7 @@ from .kernels import (
     _as_matrix,
     _check_kind,
     _integer,
+    _pinning,
     _uint64,
     check_orthonormal,
     haar_orthogonal,
@@ -91,7 +92,8 @@ class AlignedBasisSet:
     Members are ``base + freedom_left @ w @ freedom_right.T`` over orthogonal
     ``w`` of size ``k - r``.  ``base`` depends only on the subspace, not on
     the particular basis it was computed from.  With ``r == k`` the freedom
-    is empty and the set is the single matrix ``base``.
+    is empty and the set is the single matrix ``base``.  Only ``sigma_r`` and
+    ``rank_tolerance`` scale with ``d``.
     """
 
     base: np.ndarray
@@ -130,7 +132,7 @@ def align(x_any, d, *, rtol=None):
     x_any : (n, k) array_like
         Any orthonormal basis of the subspace.
     d : (n, k) array_like
-        Pinning matrix.
+        Pinning matrix; `x` is the same at every scale of `d` (AlignedBasisSet).
     rtol : float, optional
         Relative rank tolerance for ``x_any.T @ d``; the default policy
         assigns exact-rank inputs their exact rank, and callers needing a
@@ -153,23 +155,18 @@ def align(x_any, d, *, rtol=None):
     ``base`` is the zero matrix and the freedom spans the whole basis.
     """
     x_any = check_orthonormal(x_any, name="x_any")
-    d = _as_matrix(d, "d")
-    n, k = x_any.shape
-    if d.shape != (n, k):
-        raise DimensionMismatch(f"d must be {n}x{k}, got {d.shape[0]}x{d.shape[1]}")
+    d, e = _pinning(d, *x_any.shape)
     f = svd(x_any.T @ d, rtol=rtol)
     r = f.numerical_rank
     x = x_any @ (f.u @ f.v.T)
-    base = (x_any @ f.u[:, :r]) @ f.v[:, :r].T
-    aset = AlignedBasisSet(
-        base=base,
+    return x, AlignedBasisSet(
+        base=(x_any @ f.u[:, :r]) @ f.v[:, :r].T,
         freedom_left=x_any @ f.u[:, r:],
         freedom_right=f.v[:, r:].copy(),
         r=r,
-        sigma_r=float(f.sigma[r - 1]) if r > 0 else 0.0,
-        rank_tolerance=f.rank_tolerance,
+        sigma_r=float(f.sigma[r - 1]) * 2.0**e if r > 0 else 0.0,
+        rank_tolerance=f.rank_tolerance * 2.0**e,
     )
-    return x, aset
 
 
 def optimal_representative(aset, x_tilde):

@@ -28,8 +28,10 @@ from .errors import (
 from .kernels import (
     _as_matrix,
     _check_kind,
+    _checked,
     _gauge,
     _integer,
+    _pinning,
     check_orthonormal,
     matrix_norm,
     singular_values,
@@ -50,18 +52,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _checked(value, name, zero_ok=False):
-    """`value` as a Python float, finite and positive (nonnegative with `zero_ok`)."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(f"{name} must be a real scalar, got {value!r}") from None
-    if not ((value >= 0.0 if zero_ok else value > 0.0) and value < math.inf):
-        need = "nonnegative" if zero_ok else "positive"
-        raise InvalidInput(f"{name} must be {need} and finite")
-    return value
 
 
 def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
@@ -249,7 +239,8 @@ class BoundReport:
     Frobenius norm and otherwise the upper endpoint of the bracketing
     interval ``[measured_lower, measured_upper]`` around the true minimum.
     ``slack`` is ``xi / measured`` (infinite when measured is zero), and
-    ``xi_sharpened`` is None in the full-rank regime.
+    ``xi_sharpened`` is None in the full-rank regime.  Only ``d_norm``,
+    ``sigma_r``, ``sigma_r_tilde`` and ``rank_tolerance`` scale with ``d``.
     """
 
     kind: str
@@ -272,13 +263,9 @@ class BoundReport:
 
 
 def _require_psd(g, d_norm, label):
-    """Check that g is symmetric PSD to within 1e-10 * ||d||_2.
-
-    The asymmetry is taken of g / ||d||_2, whose entries are at most 1, and
-    scaled back, so its squares do not overflow however large d is."""
+    """Check that g is symmetric PSD to within 1e-10 * ||d||_2."""
     tol = 1e-10 * d_norm
-    scale = d_norm if d_norm > 0.0 else 1.0
-    asym = float(np.linalg.norm((g - g.T) / scale)) * scale
+    asym = float(np.linalg.norm(g - g.T))
     if asym > tol:
         raise NotAligned(f"{label} is not symmetric: asymmetry {asym:.3e} > {tol:.3e}")
     floor = float(np.linalg.eigvalsh((g + g.T) / 2.0)[0])
@@ -298,7 +285,7 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
         PSD.  This is verified, not assumed (NotAligned on failure), and the
         two products must share a numerical rank (RankMismatch otherwise).
     d : (n, k) array_like
-        Pinning matrix.
+        Pinning matrix; BoundReport names the fields that scale with it.
     kind : str, or tuple or list of str
         Norm kind for the distances and bound.  Several kinds share one pass
         over the norm-independent work (checks, factorizations, angles).
@@ -319,10 +306,7 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     xt = check_orthonormal(x_tilde, name="x_tilde")
     if x.shape != xt.shape:
         raise DimensionMismatch(f"basis shapes differ: {x.shape} vs {xt.shape}")
-    d = _as_matrix(d, "d")
-    n, k = x.shape
-    if d.shape != (n, k):
-        raise DimensionMismatch(f"d must be {n}x{k}, got {d.shape[0]}x{d.shape[1]}")
+    d, e = _pinning(d, *x.shape)
 
     d_norm = float(singular_values(d)[0])
     gt = xt.T @ d
@@ -331,7 +315,7 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     # the one factorization of x.T @ d: the family of x carries its rank decision
     _, aset = align(x, d, rtol=rtol)
     fgt = svd(gt, rtol=rtol)
-    r = aset.r
+    r, k = aset.r, aset.k
     if r != fgt.numerical_rank:
         raise RankMismatch(
             f"rank(x.T d) = {r} but rank(x_tilde.T d) = {fgt.numerical_rank}"
@@ -376,9 +360,9 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
                 regime="full_rank" if r == k else "rank_deficient",
                 r=r,
                 k=k,
-                sigma_r=aset.sigma_r,
-                sigma_r_tilde=sigma_rt,
-                d_norm=d_norm,
+                sigma_r=aset.sigma_r * 2.0**e,
+                sigma_r_tilde=sigma_rt * 2.0**e,
+                d_norm=d_norm * 2.0**e,
                 sin_theta=sin_t,
                 sin_theta_truncated=sin_trunc,
                 eta=eta_val,
@@ -388,7 +372,7 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
                 measured_lower=lower,
                 measured_upper=upper,
                 slack=xi_val / measured if measured > 0.0 else math.inf,
-                rank_tolerance=aset.rank_tolerance,
+                rank_tolerance=aset.rank_tolerance * 2.0**e,
             )
         )
     return tuple(reports) if many else reports[0]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyComplement,
     InvalidBasis,
     InvalidInput,
@@ -63,10 +64,34 @@ def _as_matrix(b, name="matrix"):
 
 def _integer(value, name):
     """`value` as a Python int; InvalidInput unless it is an int or a numpy
-    integer (a bool is not), so a float size is never silently truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    integer (a bool is not), so a float size is never silently truncated.  An
+    exact int is tested first: the check against numpy's abstract class is slow."""
+    if type(value) is int or (type(value) is not bool and isinstance(value, (int, np.integer))):
+        return int(value)
+    raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
+def _checked(value, name, zero_ok=False):
+    """`value` as a Python float, finite and positive (nonnegative with `zero_ok`)."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{name} must be a real scalar, got {value!r}") from None
+    if (value >= 0.0 if zero_ok else value > 0.0) and value < math.inf:
+        return value
+    raise InvalidInput(f"{name} must be {'nonnegative' if zero_ok else 'positive'} and finite")
+
+
+def _pinning(d, n, k):
+    """``(d * 2**-e, e)`` for an n-by-k `d`, with ``max|d * 2**-e|`` in [1, 2) (e = 0,
+    and `d` itself, for a zero `d`): exact above the subnormal range, so every
+    decision made on it is the same at every scale of `d`."""
+    d = _as_matrix(d, "d")
+    if d.shape != (n, k):
+        raise DimensionMismatch(f"d must be {n}x{k}, got {d.shape[0]}x{d.shape[1]}")
+    top = float(np.abs(d).max())
+    e = math.frexp(top)[1] - 1 if top else 0
+    return (np.ldexp(d, -e) if e else d), e
 
 
 def _uint64(value, name):
@@ -135,17 +160,13 @@ def svd(b, *, rtol=None):
     callers must not rely on the signs of individual singular vectors.
     """
     b = _as_matrix(b, "b")
-    # NaN fails both comparisons, so a NaN tolerance cannot select rank 0
-    if rtol is not None and not 0.0 <= float(rtol) < np.inf:
-        raise InvalidInput("rtol must be nonnegative and finite")
+    rtol = None if rtol is None else _checked(rtol, "rtol", zero_ok=True)
     try:
         u, s, vt = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     sigma1 = float(s[0])
-    rank_tol = (
-        max(b.shape) * sigma1 * UNIT_ROUNDOFF if rtol is None else float(rtol) * sigma1
-    )
+    rank_tol = max(b.shape) * sigma1 * UNIT_ROUNDOFF if rtol is None else rtol * sigma1
     rank = int(np.count_nonzero(s > rank_tol))
     return SvdFactors(u=u, sigma=s, v=vt.T, numerical_rank=rank, rank_tolerance=rank_tol)
 
@@ -280,12 +301,10 @@ def _parity_signs(count):
 
 def is_hadamard_order(n):
     """True when :func:`hadamard` can build a matrix of order `n`."""
-    return (
-        isinstance(n, (int, np.integer))
-        and not isinstance(n, bool)
-        and n >= 1
-        and _seed_order(n) is not None
-    )
+    try:
+        return _integer(n, "n") >= 1 and _seed_order(n) is not None
+    except InvalidInput:  # the integer rule of every size argument
+        return False
 
 
 def hadamard(n, columns=None):

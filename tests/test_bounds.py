@@ -491,14 +491,27 @@ class TestEvaluateInstance:
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e200, 1e-200])
     def test_scaling_d_keeps_rank_eta_and_measured(self, scale):
-        # x.T @ d scales with d, and near 1e200 the squares of its rounding
-        # asymmetry overflow unless the PSD check scales them first
+        # every decision is made on d normalized by a power of two, so scale * d
+        # and d differ there only by the rounding of the product scale * d
+        # (these scales are not powers of two), and the results by its effect
         for x, y, d, r, reports in _mixed_instances():
             scaled = evaluate_instance(x, y, scale * d, NORM_KINDS, rtol=RANK_RTOL)
             for rep, ref in zip(scaled, reports):
                 assert rep.r == ref.r == r
                 assert rep.eta == pytest.approx(ref.eta, rel=1e-9)
                 assert rep.measured == pytest.approx(ref.measured, rel=1e-9, abs=1e-12)
+
+    def test_d_norm_beyond_the_float_range_reads_inf(self, rng):
+        # ||d||_2 = sqrt(5) * 1e308 overflows, d * 2**-1023 does not: every
+        # decision is made on the latter, and only the d_norm field overflows
+        x = np.eye(4)[:, :2]
+        d = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1.0]]) * 1e308
+        y, _ = align(np.linalg.qr(x + 1e-3 * rng.standard_normal((4, 2)))[0], d)
+        reports = evaluate_instance(x, y, d, NORM_KINDS)
+        for rep, ref in zip(reports, evaluate_instance(x, y, np.ldexp(d, -1023), NORM_KINDS)):
+            assert rep.d_norm == math.inf and ref.d_norm < math.inf
+            assert rep.sigma_r == ref.sigma_r * 2.0**1023 == 1e308
+            assert (rep.eta, rep.xi, rep.measured) == (ref.eta, ref.xi, ref.measured)
 
     def test_not_aligned_rejected(self, rng):
         d = rank_matrix(rng, 10, 4, 4)

@@ -14,6 +14,7 @@ from subspace_align import (
     check_orthonormal,
     default_delta_grid,
     eta,
+    evaluate_instance,
     haar_orthogonal,
     hadamard,
     hausdorff_distance_estimate,
@@ -22,6 +23,8 @@ from subspace_align import (
     matrix_norm,
     orthonormal_completion,
     pinning_matrix,
+    polar,
+    polar_factor_bound,
     random_orthonormal,
     singular_values,
     svd,
@@ -376,6 +379,29 @@ def test_non_integer_sizes_ranks_and_counts_rejected(case):
     name, call = _NON_INTEGER_CALLS[case]
     with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
         call()
+
+
+_PLANE = np.eye(3)[:, :2]  # pinned by itself: the product is the identity
+
+#: every public function that takes `rtol` reads it by one scalar rule
+_RTOL_CALLS = {
+    "svd": lambda rtol: svd(_PLANE, rtol=rtol),
+    "polar": lambda rtol: polar(_PLANE, rtol=rtol),
+    "align": lambda rtol: align(_PLANE, _PLANE, rtol=rtol),
+    "polar_factor_bound": lambda rtol: polar_factor_bound(
+        _PLANE, _PLANE, "trace", rtol=rtol
+    ),
+    "evaluate_instance": lambda rtol: evaluate_instance(
+        _PLANE, _PLANE, _PLANE, "trace", rtol=rtol
+    ),
+}
+
+
+@pytest.mark.parametrize("rtol", ["abc", [1e-8], 1j], ids=["str", "list", "complex"])
+@pytest.mark.parametrize("case", list(_RTOL_CALLS))
+def test_non_scalar_rtol_rejected(case, rtol):
+    with pytest.raises(InvalidInput, match="^rtol must be a real scalar"):
+        _RTOL_CALLS[case](rtol)
 
 
 #: Philox key words are unsigned 64-bit: a key or stream id outside that range

@@ -140,3 +140,51 @@ def test_rank_decision_at_the_tolerance(case, seed):
         assert report.regime == ("full_rank" if report.r == k else "rank_deficient")
         assert not (np.isnan(report.eta) or np.isnan(report.xi))
         assert report.measured <= report.xi + 1e-10
+
+
+#: report fields that do not depend on the scale of d, and those that carry it
+_SCALE_FREE = (
+    "r",
+    "measured",
+    "measured_lower",
+    "measured_upper",
+    "xi",
+    "xi_sharpened",
+    "eta",
+    "sin_theta",
+    "sin_theta_truncated",
+    "slack",
+)
+_SCALED = ("d_norm", "sigma_r", "sigma_r_tilde", "rank_tolerance")
+
+
+@given(shape=_shapes(), seed=_SEEDS, e=st.integers(-1050, 1020))
+@example(shape=(20, 5, 4), seed=0, e=-1043)
+@example(shape=(6, 3, 3), seed=1, e=1020)
+@example(shape=(9, 4, 1), seed=2, e=-1050)
+def test_scaling_d_by_a_power_of_two_is_exact(shape, seed, e):
+    n, k, r = shape
+    rng = _rng(seed)
+    # multiples of 2**-11 in [-1, 1], at most 12 significant bits, so d * 2**e
+    # is exact down to e = -1063; the zero columns make the rank r
+    d = rng.integers(-2048, 2049, (n, k)) / 2048.0
+    d[:, r:] = 0.0
+    x_any, y_any = subspace_pair(rng, n, k)
+    x, sx = align(x_any, d, rtol=RANK_RTOL)
+    y, sy = align(y_any, d, rtol=RANK_RTOL)
+    assume(sx.r == r and sy.r == r and min(sx.sigma_r, sy.sigma_r) >= 1e-6)
+    d_scaled = np.ldexp(d, e)
+    x_scaled, sx_scaled = align(x_any, d_scaled, rtol=RANK_RTOL)
+    reports = evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL)
+    scaled = evaluate_instance(x, y, d_scaled, NORM_KINDS, rtol=RANK_RTOL)
+    assert x_scaled.tobytes() == x.tobytes()
+    for name in ("base", "freedom_left", "freedom_right"):
+        assert getattr(sx_scaled, name).tobytes() == getattr(sx, name).tobytes()
+    assert sx_scaled.r == r
+    assert sx_scaled.sigma_r == sx.sigma_r * 2.0**e
+    assert sx_scaled.rank_tolerance == sx.rank_tolerance * 2.0**e
+    for rep, ref in zip(scaled, reports):
+        for name in _SCALE_FREE:
+            assert getattr(rep, name) == getattr(ref, name), name
+        for name in _SCALED:
+            assert getattr(rep, name) == getattr(ref, name) * 2.0**e, name
