@@ -21,6 +21,7 @@ from .kernels import (
     _check_kind,
     _integer,
     _pinning,
+    _real,
     _uint64,
     check_orthonormal,
     haar_orthogonal,
@@ -114,7 +115,7 @@ class AlignedBasisSet:
 
     def member(self, w):
         """The basis selected by an orthogonal ``(k - r)``-size matrix `w`."""
-        w = np.asarray(w, dtype=np.float64)
+        w = _real(w, "w")
         f = self.freedom
         if w.shape != (f, f):
             raise DimensionMismatch(f"w must be {f}x{f}, got {w.shape}")

@@ -32,6 +32,7 @@ from .kernels import (
     _gauge,
     _integer,
     _pinning,
+    _stack,
     check_orthonormal,
     matrix_norm,
     singular_values,
@@ -276,7 +277,7 @@ def _require_psd(g, d_norm, label):
 
 
 def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
-    """Measure one pinned pair against the predicted bound.
+    """Measure a pinned pair, or `x` against each basis of a stack, against the bound.
 
     Parameters
     ----------
@@ -284,17 +285,21 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
         Orthonormal bases with ``x.T @ d`` and ``x_tilde.T @ d`` symmetric
         PSD.  This is verified, not assumed (NotAligned on failure), and the
         two products must share a numerical rank (RankMismatch otherwise).
+        `x_tilde` may be an (m, n, k) stack, a 3-d array or a list of bases.
     d : (n, k) array_like
         Pinning matrix; BoundReport names the fields that scale with it.
     kind : str, or tuple or list of str
         Norm kind for the distances and bound.  Several kinds share one pass
         over the norm-independent work (checks, factorizations, angles).
     rtol : float, optional
-        Relative rank tolerance for both products, as in :func:`align`.
+        Relative rank tolerance for all products, as in :func:`align`.
 
     Returns
     -------
-    BoundReport, or a tuple of them in the order of a tuple or list `kind`
+    BoundReport, or a tuple of them in the order of a tuple or list `kind`;
+    for a stack, a list of what each basis alone gives
+        The work on `x` and `d` runs once.  A stack raises the error of a
+        failing basis as its own call would.
     """
     many = isinstance(kind, (tuple, list))
     kinds = tuple(kind) if many else (kind,)
@@ -303,76 +308,73 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     for each in kinds:
         _check_kind(each)
     x = check_orthonormal(x, name="x")
-    xt = check_orthonormal(x_tilde, name="x_tilde")
-    if x.shape != xt.shape:
-        raise DimensionMismatch(f"basis shapes differ: {x.shape} vs {xt.shape}")
+    xts, stacked = _stack(x_tilde, "x_tilde", x.shape)
     d, e = _pinning(d, *x.shape)
 
     d_norm = float(singular_values(d)[0])
-    gt = xt.T @ d
     _require_psd(x.T @ d, d_norm, "x.T @ d")
-    _require_psd(gt, d_norm, "x_tilde.T @ d")
     # the one factorization of x.T @ d: the family of x carries its rank decision
     _, aset = align(x, d, rtol=rtol)
-    fgt = svd(gt, rtol=rtol)
     r, k = aset.r, aset.k
-    if r != fgt.numerical_rank:
-        raise RankMismatch(
-            f"rank(x.T d) = {r} but rank(x_tilde.T d) = {fgt.numerical_rank}"
-        )
-    if r == 0:
-        raise InvalidInput("x.T @ d vanishes; the bound needs a positive singular value")
-    sigma_rt = float(fgt.sigma[r - 1])
-    angles = canonical_angles(x, xt)
-
-    # measured is the smallest norm over these candidates; at freedom >= 2 the
-    # one candidate is Frobenius-optimal, so the other norms get a bracket.
-    # The spectral and trace norms share one SVD per candidate.
-    dist_f = None
-    if r == k:
-        diffs = [x - xt]
-    elif aset.freedom == 1:
-        diffs = [xt - aset.member(np.array([[s]])) for s in (1.0, -1.0)]
-    else:
-        y_opt, _ = optimal_representative(aset, xt)
-        diffs = [xt - y_opt]
-        dist_f = float(np.linalg.norm(diffs[0]))
-    if any(each != "frobenius" for each in kinds):
-        svals = [singular_values(diff) for diff in diffs]
-
-    reports = []
-    for each in kinds:
-        sin_t = _gauge(angles.sines, each)
-        sin_trunc = _gauge(angles.sines[-r:], each)
-        eta_val = eta(each, r, k, aset.sigma_r, sigma_rt, d_norm)
-        xi_val = _bound(eta_val, sin_t)
-        if each == "frobenius":
-            measured = upper = min(matrix_norm(diff, each) for diff in diffs)
+    results = []
+    for xt, angles in zip(xts, canonical_angles(x, xts)):
+        gt = xt.T @ d
+        _require_psd(gt, d_norm, "x_tilde.T @ d")
+        ft = svd(gt, rtol=rtol)
+        if r != ft.numerical_rank:
+            raise RankMismatch(f"rank(x.T d) = {r} but rank(x_tilde.T d) = {ft.numerical_rank}")
+        if r == 0:
+            raise InvalidInput("x.T @ d vanishes; the bound needs a positive singular value")
+        sigma_rt = float(ft.sigma[r - 1])
+        # measured is the smallest norm over these candidates; at freedom >= 2 the
+        # one candidate is Frobenius-optimal, so the other norms get a bracket.
+        # The spectral and trace norms share one SVD per candidate.
+        dist_f = None
+        if r == k:
+            diffs = [x - xt]
+        elif aset.freedom == 1:
+            diffs = [xt - aset.member(np.array([[s]])) for s in (1.0, -1.0)]
         else:
-            measured = upper = min(_gauge(s, each) for s in svals)
-        if dist_f is None:
-            lower = measured
-        else:  # the Frobenius measured is dist_f itself, a bracket of width 0
-            lower = dist_f / math.sqrt(k) if each == "spectral" else dist_f
-        reports.append(
-            BoundReport(
-                kind=each,
-                regime="full_rank" if r == k else "rank_deficient",
-                r=r,
-                k=k,
-                sigma_r=aset.sigma_r * 2.0**e,
-                sigma_r_tilde=sigma_rt * 2.0**e,
-                d_norm=d_norm * 2.0**e,
-                sin_theta=sin_t,
-                sin_theta_truncated=sin_trunc,
-                eta=eta_val,
-                xi=xi_val,
-                xi_sharpened=_bound(eta_val, sin_trunc) if r < k else None,
-                measured=measured,
-                measured_lower=lower,
-                measured_upper=upper,
-                slack=xi_val / measured if measured > 0.0 else math.inf,
-                rank_tolerance=aset.rank_tolerance * 2.0**e,
+            y_opt, _ = optimal_representative(aset, xt)
+            diffs = [xt - y_opt]
+            dist_f = float(np.linalg.norm(diffs[0]))
+        if any(each != "frobenius" for each in kinds):
+            svals = [singular_values(diff) for diff in diffs]
+
+        reports = []
+        for each in kinds:
+            sin_t = _gauge(angles.sines, each)
+            sin_trunc = _gauge(angles.sines[-r:], each)
+            eta_val = eta(each, r, k, aset.sigma_r, sigma_rt, d_norm)
+            xi_val = _bound(eta_val, sin_t)
+            if each == "frobenius":
+                measured = upper = min(matrix_norm(diff, each) for diff in diffs)
+            else:
+                measured = upper = min(_gauge(s, each) for s in svals)
+            if dist_f is None:
+                lower = measured
+            else:  # the Frobenius measured is dist_f itself, a bracket of width 0
+                lower = dist_f / math.sqrt(k) if each == "spectral" else dist_f
+            reports.append(
+                BoundReport(
+                    kind=each,
+                    regime="full_rank" if r == k else "rank_deficient",
+                    r=r,
+                    k=k,
+                    sigma_r=aset.sigma_r * 2.0**e,
+                    sigma_r_tilde=sigma_rt * 2.0**e,
+                    d_norm=d_norm * 2.0**e,
+                    sin_theta=sin_t,
+                    sin_theta_truncated=sin_trunc,
+                    eta=eta_val,
+                    xi=xi_val,
+                    xi_sharpened=_bound(eta_val, sin_trunc) if r < k else None,
+                    measured=measured,
+                    measured_lower=lower,
+                    measured_upper=upper,
+                    slack=xi_val / measured if measured > 0.0 else math.inf,
+                    rank_tolerance=aset.rank_tolerance * 2.0**e,
+                )
             )
-        )
-    return tuple(reports) if many else reports[0]
+        results.append(tuple(reports) if many else reports[0])
+    return results if stacked else results[0]

@@ -9,8 +9,8 @@ of the configuration.
 
 Randomness is fully reproducible: the two rotations of each sweep point are
 drawn from Philox streams keyed ``(seed, 2*index)`` and ``(seed, 2*index+1)``,
-so points may be evaluated in any order, or in parallel, without changing a
-single bit of the output.
+so points may be built in any order or in parallel, and evaluated together or
+one by one, without changing a single bit of the output.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import align
-from .bounds import evaluate_instance
+from .bounds import BoundReport, evaluate_instance
 from .errors import InvalidInput, UnsupportedOrder, VerificationFailure
 from .kernels import (
     NORM_KINDS,
+    _checked,
     _gauge,
     _integer,
     _uint64,
@@ -141,7 +142,8 @@ def make_pair(config, delta, index=0):
     x_diamond, x_tilde_diamond : (n, k) ndarray
     q1, q2 : (k, k) ndarray
     """
-    if not 0.0 <= delta <= 1.0:
+    delta = _checked(delta, "delta", zero_ok=True)
+    if delta > 1.0:
         raise InvalidInput(f"delta must lie in [0, 1], got {delta}")
     if not 0 <= 2 * _integer(index, "index") + 1 < 2**64:
         raise InvalidInput(f"index must lie in [0, 2**63), got {index}")
@@ -208,6 +210,9 @@ class SweepRow:
     flag: str = ""
 
 
+#: The SweepRow fields that a BoundReport holds under the same name, kind among them.
+_FROM_REPORT = [f.name for f in fields(SweepRow) if f.name in BoundReport.__dataclass_fields__]
+
 _CLOSED_FACTORS = {"spectral": lambda k: 1.0, "frobenius": math.sqrt, "trace": float}
 
 
@@ -218,12 +223,12 @@ def _closed_form(kind, k, delta):
 def run_sweep(config, out_dir=None):
     """Evaluate the bound across the delta grid.
 
-    Per grid point: build the pair, pin the second basis against the
+    Per grid point: build the pair and pin the second basis against the
     configured pinning matrix (the first basis is the same at every point and
-    is pinned once), verify the equal-rank hypothesis, and report measured
-    error, bound, and slack for each requested norm, all norms in one
-    evaluation.  A hypothesis failure flags every row of that point and the
-    sweep continues.
+    is pinned once).  One :func:`evaluate_instance` call on all points then
+    verifies the equal-rank hypothesis and reports measured error, bound and
+    slack per norm; if it fails, each point is evaluated alone, a failure
+    flags every row of that point with its own message, and the sweep goes on.
 
     With `out_dir` set, writes ``sweep.csv`` (columns exactly the SweepRow
     fields, shortest round-trip floats), one ``sweep_<kind>.svg`` per norm,
@@ -234,36 +239,33 @@ def run_sweep(config, out_dir=None):
     list of SweepRow
     """
     d = pinning_matrix(config.n, config.k, config.rank_deficiency)
-    rows = []
-    x = None  # x_diamond depends on neither delta nor index: pin it once
+    xts = []
     for index, delta in enumerate(config.deltas):
         x_diamond, x_tilde_diamond, _, _ = make_pair(config, delta, index=index)
-        if x is None:
+        if not xts:  # x_diamond depends on neither delta nor index: pin it once
             x, _ = align(x_diamond, d, rtol=SWEEP_RANK_RTOL)
-        xt, _ = align(x_tilde_diamond, d, rtol=SWEEP_RANK_RTOL)
-        try:
-            reports = evaluate_instance(x, xt, d, config.norms, rtol=SWEEP_RANK_RTOL)
-        except InvalidInput as exc:
-            flag = f"{type(exc).__name__}: {exc}"
-            rows += [
-                SweepRow(delta, kind, _closed_form(kind, config.k, delta), flag=flag)
-                for kind in config.norms
-            ]
+        xts.append(align(x_tilde_diamond, d, rtol=SWEEP_RANK_RTOL)[0])
+    try:
+        results = evaluate_instance(x, xts, d, config.norms, rtol=SWEEP_RANK_RTOL)
+    except InvalidInput:  # point by point, so each failing point keeps its own message
+        results = []
+        for xt in xts:
+            try:
+                results.append(evaluate_instance(x, xt, d, config.norms, rtol=SWEEP_RANK_RTOL))
+            except InvalidInput as exc:
+                results.append(f"{type(exc).__name__}: {exc}")
+    rows = []
+    for delta, reports in zip(config.deltas, results):
+        closed = {kind: _closed_form(kind, config.k, delta) for kind in config.norms}
+        if isinstance(reports, str):
+            rows += [SweepRow(delta, kind, closed[kind], flag=reports) for kind in config.norms]
             continue
         rows += [
             SweepRow(
-                delta=delta,
-                kind=rep.kind,
-                sin_theta_closed=_closed_form(rep.kind, config.k, delta),
+                delta,
+                sin_theta_closed=closed[rep.kind],
                 sin_theta_computed=rep.sin_theta,
-                measured=rep.measured,
-                measured_lower=rep.measured_lower,
-                measured_upper=rep.measured_upper,
-                xi=rep.xi,
-                xi_sharpened=rep.xi_sharpened,
-                slack=rep.slack,
-                sigma_r=rep.sigma_r,
-                sigma_r_tilde=rep.sigma_r_tilde,
+                **{name: getattr(rep, name) for name in _FROM_REPORT},
             )
             for rep in reports
         ]

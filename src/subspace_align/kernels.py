@@ -50,9 +50,30 @@ NORM_KINDS = ("spectral", "frobenius", "trace")
 UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
 
+def _real(b, name):
+    """`b` as float64; InvalidInput naming `name` if complex, ragged or not numeric."""
+    try:  # bool, integer and float input only: complex, text and object entries fail
+        return np.asarray(b).astype(np.float64, copy=False, casting="same_kind")
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be a real numeric array: {exc}") from None
+
+
+def _stack(b, name, shape):
+    """(`b` as m >= 1 orthonormal bases of `shape` in one float64 array, whether
+    `b` is a stack): a 3-d array or a list of bases is, anything else is one."""
+    b = _real(b, name)
+    many = b.ndim == 3
+    if many and not len(b):
+        raise InvalidInput(f"{name} is an empty stack")
+    for each in b if many else [b]:
+        if check_orthonormal(each, name).shape != shape:
+            raise DimensionMismatch(f"basis shapes differ: {shape} vs {each.shape}")
+    return (b if many else b[None]), many
+
+
 def _as_matrix(b, name="matrix"):
     """Coerce to a finite 2-d float64 array with at least one row and column."""
-    b = np.asarray(b, dtype=np.float64)
+    b = _real(b, name)
     if b.ndim != 2:
         raise InvalidInput(f"{name} must be 2-dimensional, got ndim={b.ndim}")
     if b.shape[0] < 1 or b.shape[1] < 1:

@@ -14,6 +14,7 @@ from .kernels import (
     _check_kind,
     _gauge,
     _integer,
+    _stack,
     check_orthonormal,
     orthonormal_completion,
     singular_values,
@@ -55,32 +56,35 @@ def canonical_angles(x, y):
     Parameters
     ----------
     x, y : (n, k) array_like
-        Orthonormal bases of two k-dimensional subspaces of R^n.
+        Orthonormal bases of two k-dimensional subspaces of R^n; `y` may be
+        an (m, n, k) stack, a 3-d array or a list of bases.
 
     Returns
     -------
-    AngleSpectrum
+    AngleSpectrum, or for a stack a list of what each basis alone gives
 
     Notes
     -----
     Cosines are the singular values of ``x.T @ y``; sines are the singular
     values of ``xp.T @ y`` where ``xp`` completes `x` to an orthogonal matrix,
     padded with zeros when the subspace dimension exceeds the codimension.
-    The result depends only on the two subspaces, not the basis choices.
+    The result depends only on the two subspaces, not the basis choices.  A
+    stack validates and completes `x` once.
     """
     x = check_orthonormal(x, name="x")
-    y = check_orthonormal(y, name="y")
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"basis shapes differ: {x.shape} vs {y.shape}")
+    ys, many = _stack(y, "y", x.shape)
     n, k = x.shape
-    cosines = np.clip(np.linalg.svd(x.T @ y, compute_uv=False), 0.0, 1.0)
-    sines = np.zeros(k)
-    if n > k:
-        xp = orthonormal_completion(x)
-        sv = np.linalg.svd(xp.T @ y, compute_uv=False)
-        # ascending, padded with the zero sines forced when 2k > n
-        sines[k - sv.size :] = np.clip(sv[::-1], 0.0, 1.0)
-    return AngleSpectrum(cosines=cosines, sines=sines)
+    xp = orthonormal_completion(x) if n > k else None
+    out = []
+    for y in ys:
+        cosines = np.clip(np.linalg.svd(x.T @ y, compute_uv=False), 0.0, 1.0)
+        sines = np.zeros(k)
+        if xp is not None:
+            sv = np.linalg.svd(xp.T @ y, compute_uv=False)
+            # ascending, padded with the zero sines forced when 2k > n
+            sines[k - sv.size :] = np.clip(sv[::-1], 0.0, 1.0)
+        out.append(AngleSpectrum(cosines=cosines, sines=sines))
+    return out if many else out[0]
 
 
 def sin_theta_norm(angles, kind):

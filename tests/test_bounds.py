@@ -556,3 +556,45 @@ class TestEvaluateInstance:
             assert rep.r == 2 and rep.sin_theta == 0.0 and rep.measured == 0.0
             assert rep.xi == 0.0 and rep.xi_sharpened == 0.0
         assert evaluate_instance(x, x.copy(), d, "spectral").eta == math.inf
+
+
+class TestStackOfBases:
+    """One reference `x` against an (m, n, k) stack: each element is the
+    single call on that basis; a failing basis raises its own error."""
+
+    def _stack(self, rng, n=10, k=3, m=3):
+        d = rank_matrix(rng, n, k, k)
+        x_any = random_orthonormal(n, k, rng)
+        x, _ = align(x_any, d, rtol=RANK_RTOL)
+        stack = []
+        for _ in range(m):
+            y_any, _ = np.linalg.qr(x_any + 1e-3 * rng.standard_normal((n, k)))
+            stack.append(align(y_any, d, rtol=RANK_RTOL)[0])
+        return x, stack, d
+
+    def test_list_and_array_stacks_equal_single_calls(self, rng):
+        x, stack, d = self._stack(rng)
+        single = [evaluate_instance(x, y, d, "trace", rtol=RANK_RTOL) for y in stack]
+        assert evaluate_instance(x, stack, d, "trace", rtol=RANK_RTOL) == single
+        assert evaluate_instance(x, np.array(stack), d, "trace", rtol=RANK_RTOL) == single
+        one = evaluate_instance(x, stack[:1], d, NORM_KINDS, rtol=RANK_RTOL)
+        assert one == [evaluate_instance(x, stack[0], d, NORM_KINDS, rtol=RANK_RTOL)]
+
+    def test_empty_stack_rejected(self, rng):
+        x, _, d = self._stack(rng)
+        with pytest.raises(InvalidInput, match="^x_tilde is an empty stack"):
+            evaluate_instance(x, np.empty((0, 10, 3)), d, "trace")
+
+    def test_stack_of_another_shape_rejected(self, rng):
+        x, _, d = self._stack(rng)
+        with pytest.raises(DimensionMismatch, match=r"\(10, 3\) vs \(12, 3\)"):
+            evaluate_instance(x, [random_orthonormal(12, 3, rng)] * 2, d, "trace")
+
+    def test_one_unpinned_basis_raises_its_single_call_error(self, rng):
+        x, stack, d = self._stack(rng)
+        stack[1] = stack[1] @ np.diag([1.0, -1.0, 1.0])  # x_tilde.T @ d not PSD
+        with pytest.raises(NotAligned) as alone:
+            evaluate_instance(x, stack[1], d, "trace", rtol=RANK_RTOL)
+        with pytest.raises(NotAligned) as stacked:
+            evaluate_instance(x, stack, d, "trace", rtol=RANK_RTOL)
+        assert str(stacked.value) == str(alone.value)

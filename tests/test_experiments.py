@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import io
 import json
@@ -32,6 +33,13 @@ from subspace_align.experiments import (
 from subspace_align.kernels import svd
 
 SMALL = dict(n=32, k=3, deltas=tuple(float(v) for v in np.logspace(-8, -2, 8)))
+
+
+def _pinned_point(config, index):
+    """The pinned second basis of sweep point `index`, built as run_sweep does."""
+    d = pinning_matrix(config.n, config.k, config.rank_deficiency)
+    _, x_tilde_diamond, _, _ = make_pair(config, config.deltas[index], index=index)
+    return align(x_tilde_diamond, d, rtol=SWEEP_RANK_RTOL)[0]
 
 
 class TestConfig:
@@ -114,8 +122,19 @@ class TestMakePair:
         assert not np.array_equal(a[3], c[3])
 
     def test_bad_delta(self):
-        with pytest.raises(InvalidInput):
-            make_pair(ExperimentConfig(**SMALL), 1.5)
+        config = ExperimentConfig(**SMALL)
+        for delta, message in [
+            (1.5, "delta must lie in [0, 1], got 1.5"),
+            (-0.1, "delta must be nonnegative and finite"),
+            (math.nan, "delta must be nonnegative and finite"),
+            ("abc", "delta must be a real scalar, got 'abc'"),
+            ([0.1], "delta must be a real scalar, got [0.1]"),
+            (1j, "delta must be a real scalar, got 1j"),
+        ]:
+            for call in (make_pair, verify_closed_form):
+                with pytest.raises(InvalidInput) as info:
+                    call(config, delta)
+                assert str(info.value) == message, (call.__name__, delta)
 
 
 class TestPinningMatrix:
@@ -238,13 +257,15 @@ class TestRunSweep:
 
         message = "rank(x.T d) = 3 but rank(x_tilde.T d) = 2"
         real = exp.evaluate_instance
-        calls = []
+        # the third point's basis in the two sweeps below, SMALL and CLI figure 1
+        thirds = [_pinned_point(ExperimentConfig(**c), 2) for c in (SMALL, dict(n=32, k=3))]
 
-        def evaluate(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
+        def evaluate(x, x_tilde, *args, **kwargs):
+            # fires on the call that receives a third point's basis, stacked or alone
+            bases = np.reshape(x_tilde, (-1, *np.shape(x)))
+            if any(np.array_equal(b, t) for b in bases for t in thirds):
                 raise RankMismatch(message)
-            return real(*args, **kwargs)
+            return real(x, x_tilde, *args, **kwargs)
 
         monkeypatch.setattr(exp, "evaluate_instance", evaluate)
         rows = run_sweep(ExperimentConfig(**SMALL))
@@ -255,11 +276,60 @@ class TestRunSweep:
             assert row.flag == f"RankMismatch: {message}"
             assert not row_passes(row)
 
-        calls.clear()
         argv = ["experiment", "--figure", "1", "--n", "32", "--k", "3"]
         assert main([*argv, "--out", str(tmp_path)]) == 1
         assert f"flag=RankMismatch: {message}" in capsys.readouterr().err
         assert message in (tmp_path / "sweep.csv").read_text()
+
+    def test_a_real_failure_flags_only_its_point(self, monkeypatch):
+        import subspace_align.experiments as exp
+
+        config = ExperimentConfig(**SMALL)
+        d = pinning_matrix(config.n, config.k)
+        # an orthonormal basis with one column orthogonal to range(d): its
+        # pinned product has rank 2, so the stacked evaluation fails for real
+        q, _ = np.linalg.qr(np.hstack([d, np.ones((config.n, 1))]))
+        low = q[:, [0, 1, 3]]
+        real = exp.make_pair
+
+        def make_pair_low_third(config, delta, index=0):
+            x_diamond, x_tilde_diamond, q1, q2 = real(config, delta, index=index)
+            return x_diamond, low if index == 2 else x_tilde_diamond, q1, q2
+
+        reference = run_sweep(config)
+        monkeypatch.setattr(exp, "make_pair", make_pair_low_third)
+        rows = run_sweep(config)
+        message = "RankMismatch: rank(x.T d) = 3 but rank(x_tilde.T d) = 2"
+        assert [row.kind for row in rows] == [row.kind for row in reference]
+        for row, expected in zip(rows, reference):
+            if row.delta == config.deltas[2]:
+                assert row.flag == message and math.isnan(row.measured)
+            else:
+                assert row == expected
+
+    def test_one_shared_evaluation_per_sweep(self, monkeypatch):
+        import subspace_align.alignment as alignment
+        import subspace_align.bounds as bounds
+        import subspace_align.experiments as exp
+        import subspace_align.kernels as kernels
+        import subspace_align.metrics as metrics
+
+        calls = collections.Counter()
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        names = ("evaluate_instance", "canonical_angles", "orthonormal_completion")
+        for module in (kernels, metrics, alignment, bounds, exp):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        run_sweep(ExperimentConfig(**SMALL))
+        assert calls == dict.fromkeys(names, 1)
 
     @pytest.mark.parametrize("rank_deficiency", [0, 1, 2])
     def test_rows_equal_a_per_point_reference(self, rank_deficiency):

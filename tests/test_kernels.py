@@ -404,6 +404,34 @@ def test_non_scalar_rtol_rejected(case, rtol):
         _RTOL_CALLS[case](rtol)
 
 
+#: complex, ragged and text input: each public matrix entry point refuses it
+#: by argument name, never keeping the real part or raising a bare numpy error
+_NOT_REAL = {
+    "complex": [[1j, 0.0], [0.0, 1.0], [0.0, 0.0]],
+    "ragged": [[1.0, 0.0], [0.0], [0.0, 0.0]],
+    "ragged-stack": [_PLANE, np.eye(2)],
+    "text": "abc",
+}
+_MATRIX_CALLS = {
+    "check_orthonormal": ("x", check_orthonormal),
+    "svd": ("b", svd),
+    "singular_values": ("b", singular_values),
+    "matrix_norm": ("b", lambda a: matrix_norm(a, "trace")),
+    "align": ("x_any", lambda a: align(a, _PLANE)),
+    "AlignedBasisSet.member": ("w", lambda a: align(_PLANE, _PLANE)[1].member(a)),
+    "canonical_angles": ("y", lambda a: canonical_angles(_PLANE, a)),
+    "evaluate_instance": ("x_tilde", lambda a: evaluate_instance(_PLANE, a, _PLANE, "trace")),
+}
+
+
+@pytest.mark.parametrize("value", list(_NOT_REAL))
+@pytest.mark.parametrize("case", list(_MATRIX_CALLS))
+def test_non_real_matrices_rejected(case, value):
+    name, call = _MATRIX_CALLS[case]
+    with pytest.raises(InvalidInput, match=f"^{name} must be a real numeric array"):
+        call(_NOT_REAL[value])
+
+
 #: Philox key words are unsigned 64-bit: a key or stream id outside that range
 #: must be rejected by name, not wrapped or raised as a bare OverflowError.
 _KEYS_OUT_OF_RANGE = {

@@ -97,6 +97,15 @@ class TestCanonicalAngles:
         with pytest.raises(InvalidBasis):
             canonical_angles(x, rng.standard_normal((6, 2)))
 
+    def test_stack_errors(self, rng):
+        x = random_orthonormal(6, 2, rng)
+        with pytest.raises(InvalidInput, match="^y is an empty stack"):
+            canonical_angles(x, np.empty((0, 6, 2)))
+        with pytest.raises(DimensionMismatch):
+            canonical_angles(x, [random_orthonormal(7, 2, rng)] * 2)
+        with pytest.raises(InvalidBasis):
+            canonical_angles(x, [x, 2.0 * x])
+
 
 class TestSinThetaNorms:
     def test_zero_distance(self, rng):

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from subspace_align import NORM_KINDS, InvalidInput, align, canonical_angles, evaluate_instance
-from subspace_align.kernels import haar_orthogonal
+from subspace_align.kernels import haar_orthogonal, random_orthonormal
 
 from support import RANK_RTOL, rank_matrix, subspace_pair
 
@@ -96,6 +96,33 @@ def test_measured_within_xi(shape, seed):
         assert report.r == r
         assert report.regime == ("full_rank" if r == k else "rank_deficient")
         assert report.measured <= report.xi + 1e-10
+
+
+@given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 4))
+@example(shape=(4, 4, 4), seed=0, m=2)
+@example(shape=(5, 3, 2), seed=1, m=3)
+@example(shape=(11, 6, 3), seed=2, m=4)
+def test_a_stack_equals_its_bases_one_at_a_time(shape, seed, m):
+    n, k, r = shape
+    rng = _rng(seed)
+    d = rank_matrix(rng, n, k, r)
+    x_any = random_orthonormal(n, k, rng)
+    x, sx = align(x_any, d, rtol=RANK_RTOL)
+    stack = []
+    for _ in range(m):
+        eps = 10.0 ** rng.uniform(-8, -0.2)
+        y, sy = align(np.linalg.qr(x_any + eps * rng.standard_normal((n, k)))[0], d, rtol=RANK_RTOL)
+        assume(sy.r == r and sy.sigma_r >= 1e-6)
+        stack.append(y)
+    assume(sx.r == r and sx.sigma_r >= 1e-6)
+    reports = evaluate_instance(x, np.array(stack), d, NORM_KINDS, rtol=RANK_RTOL)
+    angles = canonical_angles(x, stack)
+    assert len(reports) == len(angles) == m
+    for y, stacked, spectrum in zip(stack, reports, angles):
+        assert stacked == evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL)
+        alone = canonical_angles(x, y)
+        assert np.array_equal(spectrum.sines, alone.sines)
+        assert np.array_equal(spectrum.cosines, alone.cosines)
 
 
 #: relative rank tolerance of the near-tolerance cases; the pinned bases
