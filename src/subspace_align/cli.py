@@ -61,21 +61,14 @@ def _cmd_align(args):
     x, aset = align(x_any, d)
     sys.stdout.write(format_matrix(x))
     if args.emit_set:
-        base_path = _sibling(args.x, "base")
-        save_matrix(base_path, aset.base)
-        written = [base_path]
+        parts = ["base"]
         if aset.freedom > 0:
-            left = _sibling(args.x, "freedom_left")
-            right = _sibling(args.x, "freedom_right")
-            save_matrix(left, aset.freedom_left)
-            save_matrix(right, aset.freedom_right)
-            written += [left, right]
+            parts += ["freedom_left", "freedom_right"]
         else:
-            print(
-                "freedom is empty (full rank): the aligned basis is unique",
-                file=sys.stderr,
-            )
-        for path in written:
+            print("freedom is empty (full rank): the aligned basis is unique", file=sys.stderr)
+        for part in parts:
+            path = _sibling(args.x, part)
+            save_matrix(path, getattr(aset, part))
             print(f"wrote {path}", file=sys.stderr)
     return 0
 

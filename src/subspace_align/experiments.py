@@ -286,21 +286,12 @@ def row_passes(row):
     )
 
 
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_rows_csv(rows, fh):
     """Write sweep rows as CSV with the SweepRow field names as header."""
     names = [f.name for f in fields(SweepRow)]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(names)
-    for row in rows:
-        writer.writerow([_csv_cell(getattr(row, name)) for name in names])
+    writer.writerows([getattr(row, name) for name in names] for row in rows)
 
 
 def _emit(config, rows, out_dir):

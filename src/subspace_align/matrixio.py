@@ -2,9 +2,10 @@
 
 Format: a header line ``rows cols``, then one line per row of whitespace
 separated decimals.  Values are written with 17 significant digits so every
-float64 round-trips exactly.  Lines whose first non-blank character is ``#``
-are comments and may appear anywhere; blank lines are ignored.  Files are
-ASCII text, comments included, with no digit-group underscore (``1_0``).
+float64 round-trips exactly.  A line ends only at LF, CR LF or CR.  Lines
+whose first non-blank character is ``#`` are comments and may appear
+anywhere; blank lines are ignored.  Files are ASCII text, comments included,
+with no digit-group underscore (``1_0``).
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ def format_matrix(a):
 def parse_matrix(text):
     """Parse the text format into a float64 array."""
     if not text.isascii():  # int() and float() read other scripts' digits and spaces
-        raise InvalidInput(_non_ascii_line(text))
+        raise InvalidInput(f"not an ASCII matrix file: {_non_ascii_line(text)}")
     rows = cols = None
     tokens = []  # every value token, converted in one pass at the end
     data = []  # (line number, line) of each data row
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -71,9 +72,17 @@ def parse_matrix(text):
     return a.reshape(rows, cols)
 
 
+def _lines(text):
+    """The lines of `text`, each ended only by LF, CR LF or CR.
+
+    str.splitlines also ends a line at \\v, \\f and \\x1c to \\x1e.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _non_ascii_line(text):
     """``line N: ...`` naming the first line of `text` that is not ASCII."""
-    for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         if not raw.isascii():
             return f"line {lineno}: non-ASCII character in {raw!r}"
 
@@ -103,10 +112,11 @@ def save_matrix(path, a):
 
 
 def load_matrix(path):
-    """Read a matrix from `path`."""
+    """Read a matrix from `path`; every parse error starts with the path."""
     # each non-ASCII byte decodes to a lone surrogate, which the ASCII rule rejects
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         text = fh.read()
-    if not text.isascii():
-        raise InvalidInput(f"{path}: not an ASCII matrix file: {_non_ascii_line(text)}")
-    return parse_matrix(text)
+    try:
+        return parse_matrix(text)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc

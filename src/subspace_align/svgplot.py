@@ -17,10 +17,11 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 24, 40, 56
 
 
 def _decades(lo, hi):
+    """The whole decades in ``[lo, hi]``, on a grid stepped from ``floor(lo)``."""
     first = math.floor(lo)
     last = math.ceil(hi)
     step = max(1, (last - first) // 10)
-    return list(range(first, last + 1, step))
+    return [exp for exp in range(first, last + 1, step) if lo <= exp <= hi]
 
 
 def loglog_svg(series, title="", xlabel="", ylabel=""):
@@ -69,8 +70,6 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
     ]
 
     for exp in _decades(xlo, xhi):
-        if not xlo <= exp <= xhi:
-            continue
         gx = px(exp)
         parts.append(
             f'<line x1="{gx:.2f}" y1="{_MARGIN_T}" x2="{gx:.2f}" '
@@ -81,8 +80,6 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
             f'font-family="sans-serif" font-size="12">1e{exp}</text>'
         )
     for exp in _decades(ylo, yhi):
-        if not ylo <= exp <= yhi:
-            continue
         gy = py(exp)
         parts.append(
             f'<line x1="{_MARGIN_L}" y1="{gy:.2f}" x2="{_WIDTH - _MARGIN_R}" '

@@ -266,3 +266,27 @@ def test_non_ascii_matrix_file_reports_error(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"error: {path}: not an ASCII matrix file")
         assert "Traceback" not in proc.stderr
+
+
+_INPUTS = {
+    "angles": ("--x", "--y"),
+    "align": ("--x", "--d"),
+    "bounds": ("--x", "--xt", "--d"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,bad", [(command, flag) for command, flags in _INPUTS.items() for flag in flags]
+)
+def test_matrix_file_error_names_the_file(tmp_path, command, bad):
+    good = tmp_path / "good.txt"
+    save_matrix(good, np.eye(3, 2))
+    path = tmp_path / "bad.txt"
+    path.write_text("3 2\n1 0\n0 x\n0 0\n")
+    args = [command]
+    for flag in _INPUTS[command]:
+        args += [flag, str(path if flag == bad else good)]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: line 3: bad number"), proc.stderr
+    assert "Traceback" not in proc.stderr

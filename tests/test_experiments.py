@@ -390,6 +390,34 @@ class TestRunSweep:
             svg = (tmp_path / "deficient" / f"sweep_{kind}.svg").read_text()
             assert ("min lower bracket" in svg) == (kind != "frobenius")
 
+    def test_csv_cells_follow_the_csv_module(self):
+        rows = [
+            SweepRow(
+                delta=0.1,
+                kind="spectral",
+                sin_theta_closed=5e-324,
+                sin_theta_computed=-0.0,
+                measured=math.inf,
+                measured_lower=-math.inf,
+                xi_sharpened=None,
+            ),
+            SweepRow(
+                delta=1e-12,
+                kind="trace",
+                sin_theta_closed=3e-12,
+                xi_sharpened=0.25,
+                flag='InvalidInput: a, "b"\nc',
+            ),
+        ]
+        buffer = io.StringIO(newline="")
+        write_rows_csv(rows, buffer)
+        assert buffer.getvalue() == (
+            "delta,kind,sin_theta_closed,sin_theta_computed,measured,measured_lower,"
+            "measured_upper,xi,xi_sharpened,slack,sigma_r,sigma_r_tilde,flag\n"
+            "0.1,spectral,5e-324,-0.0,inf,-inf,nan,nan,,nan,nan,nan,\n"
+            '1e-12,trace,3e-12,nan,nan,nan,nan,nan,0.25,nan,nan,nan,"InvalidInput: a, ""b""\nc"\n'
+        )
+
     def test_csv_floats_round_trip(self, tmp_path):
         config = ExperimentConfig(**SMALL, seed=4)
         rows = run_sweep(config, out_dir=tmp_path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -92,6 +94,9 @@ _MALFORMED = {
     "\uff11 \uff11\n2\n": "line 1: non-ASCII character",
     "1 2\n1\xa02\n": "line 2: non-ASCII character",
     "1 1\n# caf\xe9\n1\n": "line 2: non-ASCII character",
+    # a row ends only at LF, CR LF or CR; \v, \f and \x1c-\x1e are whitespace
+    "2 2\n1 2\v3 4\n": "line 2: expected 2 values, got 4",
+    "1 1\n\f\nx\n": "line 3: bad number",
 }
 
 
@@ -110,4 +115,18 @@ def test_non_ascii_file_rejected_by_name(tmp_path):
     path = tmp_path / "c.txt"
     path.write_bytes("# café\n1 1\n1\n".encode("utf-8"))
     with pytest.raises(InvalidInput, match="not an ASCII matrix file: line 1: non-ASCII"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\v", "\f"])
+def test_only_line_ends_end_a_row(sep):
+    # str.splitlines ends a line at each of these; the format does not
+    assert parse_matrix(f"1 4\n1 2{sep}3 4\n").tolist() == [[1.0, 2.0, 3.0, 4.0]]
+
+
+def test_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 1\n1\nfish\n")
+    message = f"{path}: line 3: bad number in 'fish'"
+    with pytest.raises(InvalidInput, match="^" + re.escape(message)):
         load_matrix(path)

@@ -5,11 +5,25 @@ Every example is drawn from a seed, so the derandomized profile of
 ``n == k``, ``2k > n`` and ``k = 1``, and the rank over freedoms 0 to 3.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from subspace_align import NORM_KINDS, InvalidInput, align, canonical_angles, evaluate_instance
+from subspace_align import (
+    NORM_KINDS,
+    InvalidInput,
+    align,
+    canonical_angles,
+    evaluate_instance,
+    format_matrix,
+    load_matrix,
+    parse_matrix,
+    save_matrix,
+)
 from subspace_align.kernels import haar_orthogonal, random_orthonormal
 
 from support import RANK_RTOL, rank_matrix, subspace_pair
@@ -215,3 +229,31 @@ def test_scaling_d_by_a_power_of_two_is_exact(shape, seed, e):
             assert getattr(rep, name) == getattr(ref, name), name
         for name in _SCALED:
             assert getattr(rep, name) == getattr(ref, name) * 2.0**e, name
+
+
+_FLOAT_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308)
+_TEXT_MATRICES = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_FLOAT_EDGES),
+)
+_EXTRA_LINES = st.lists(
+    st.sampled_from(["", "  ", "\t\f", "# a comment", " # x_1, 1_0 \v"]), max_size=2
+)
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@given(a=_TEXT_MATRICES, data=st.data())
+def test_matrix_text_round_trips_under_any_line_end(a, data):
+    lines = []
+    for line in format_matrix(a).split("\n")[:-1]:
+        lines += data.draw(_EXTRA_LINES) + [line]
+    lines += data.draw(_EXTRA_LINES)
+    text = "".join(line + data.draw(_LINE_ENDS) for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, rewritten = Path(tmp) / "saved.txt", Path(tmp) / "rewritten.txt"
+        save_matrix(saved, a)
+        rewritten.write_bytes(text.encode("ascii"))
+        for b in (parse_matrix(text), load_matrix(saved), load_matrix(rewritten)):
+            assert b.shape == a.shape and b.tobytes() == a.tobytes()
