@@ -22,6 +22,7 @@ from .kernels import (
     _integer,
     _pinning,
     _real,
+    _stack,
     _uint64,
     check_orthonormal,
     haar_orthogonal,
@@ -131,7 +132,8 @@ def align(x_any, d, *, rtol=None):
     Parameters
     ----------
     x_any : (n, k) array_like
-        Any orthonormal basis of the subspace.
+        Any orthonormal basis of the subspace.  May be an (m, n, k) stack, a
+        3-d array or a list of bases, pinned against the same `d`.
     d : (n, k) array_like
         Pinning matrix; `x` is the same at every scale of `d` (AlignedBasisSet).
     rtol : float, optional
@@ -148,6 +150,10 @@ def align(x_any, d, *, rtol=None):
     aset : AlignedBasisSet
         The full family of PSD-pinned bases; `x` is ``aset.member(I)``.
 
+    For a stack, a list with the ``(x, aset)`` each basis alone gives: `d` is
+    validated and scaled once, and the products ``x_any.T @ d`` are formed
+    and factored in one call each.
+
     Notes
     -----
     When ``rank(x_any.T @ d) == k`` the aligned basis is unique and `x` does
@@ -155,12 +161,19 @@ def align(x_any, d, *, rtol=None):
     ``x_any.T @ d``, or ``rtol >= 1``) every orthonormal basis qualifies:
     ``base`` is the zero matrix and the freedom spans the whole basis.
     """
-    x_any = check_orthonormal(x_any, name="x_any")
-    d, e = _pinning(d, *x_any.shape)
-    f = svd(x_any.T @ d, rtol=rtol)
+    xs = _stack(x_any, "x_any")
+    d, e = _pinning(d, *xs.shape[-2:])
+    factors = svd(xs.swapaxes(-1, -2) @ d, rtol=rtol)
+    if xs.ndim == 2:
+        return _pinned(xs, factors, e)
+    return [_pinned(xs[i], f, e) for i, f in enumerate(factors)]
+
+
+def _pinned(x_any, f, e):
+    """align's ``(x, aset)`` for one basis, from the SVD `f` of its product
+    with ``d * 2**-e``."""
     r = f.numerical_rank
-    x = x_any @ (f.u @ f.v.T)
-    return x, AlignedBasisSet(
+    return x_any @ (f.u @ f.v.T), AlignedBasisSet(
         base=(x_any @ f.u[:, :r]) @ f.v[:, :r].T,
         freedom_left=x_any @ f.u[:, r:],
         freedom_right=f.v[:, r:].copy(),

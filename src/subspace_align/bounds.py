@@ -221,9 +221,11 @@ def polar_factor_bound(b, b_tilde, kind, *, rtol=None):
     if kind == "frobenius":
         improved = 2.0 / (s_r + st_r) * diff_norm
     elif kind == "spectral":
-        improved = (
-            math.sqrt(4.0 / (s_r + st_r) ** 2 + 2.0 / max(s_r, st_r) ** 2) * diff_norm
-        )
+        # squared after an exact power-of-two scale, so no square leaves the float range
+        e = math.frexp(max(s_r, st_r))[1]
+        both = math.ldexp(s_r, -e) + math.ldexp(st_r, -e)
+        largest = math.ldexp(max(s_r, st_r), -e)
+        improved = math.sqrt(4.0 / both**2 + 2.0 / largest**2) * 2.0**-e * diff_norm
     else:
         improved = None
     return PolarFactorBounds(
@@ -263,17 +265,22 @@ class BoundReport:
     rank_tolerance: float
 
 
-def _require_psd(g, d_norm, label):
-    """Check that g is symmetric PSD to within 1e-10 * ||d||_2."""
+def _psd_defects(gs, d_norm, labels):
+    """For each product of the stack `gs`, with its label, why it is not
+    symmetric PSD to within 1e-10 * ||d||_2, or None; one eigvalsh call."""
     tol = 1e-10 * d_norm
-    asym = float(np.linalg.norm(g - g.T))
-    if asym > tol:
-        raise NotAligned(f"{label} is not symmetric: asymmetry {asym:.3e} > {tol:.3e}")
-    floor = float(np.linalg.eigvalsh((g + g.T) / 2.0)[0])
-    if floor < -tol:
-        raise NotAligned(
-            f"{label} is not positive semidefinite: min eigenvalue {floor:.3e}"
-        )
+    floors = np.linalg.eigvalsh((gs + gs.swapaxes(1, 2)) / 2.0)[:, 0].tolist()
+    skew = (gs - gs.swapaxes(1, 2)).reshape(len(gs), -1)
+    out = []
+    for i, label in enumerate(labels):  # by index, as in kernels._stack
+        asym = math.sqrt(skew[i].dot(skew[i]))  # np.linalg.norm's own Frobenius formula
+        if asym > tol:
+            out.append(f"{label} is not symmetric: asymmetry {asym:.3e} > {tol:.3e}")
+        elif floors[i] < -tol:
+            out.append(f"{label} is not positive semidefinite: min eigenvalue {floors[i]:.3e}")
+        else:
+            out.append(None)
+    return out
 
 
 def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
@@ -298,8 +305,9 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     -------
     BoundReport, or a tuple of them in the order of a tuple or list `kind`;
     for a stack, a list of what each basis alone gives
-        The work on `x` and `d` runs once.  A stack raises the error of a
-        failing basis as its own call would.
+        The work on `x` and `d` runs once.  A stack forms and factors the
+        products ``x_tilde.T @ d`` in one call each (PSD check, SVD, angles)
+        and raises the error of a failing basis as its own call would.
     """
     many = isinstance(kind, (tuple, list))
     kinds = tuple(kind) if many else (kind,)
@@ -308,19 +316,23 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     for each in kinds:
         _check_kind(each)
     x = check_orthonormal(x, name="x")
-    xts, stacked = _stack(x_tilde, "x_tilde", x.shape)
+    xts = _stack(x_tilde, "x_tilde", x.shape)
     d, e = _pinning(d, *x.shape)
 
     d_norm = float(singular_values(d)[0])
-    _require_psd(x.T @ d, d_norm, "x.T @ d")
+    gts = xts.swapaxes(-1, -2) @ d
+    gs = np.concatenate([(x.T @ d)[None], gts.reshape(-1, *gts.shape[-2:])])
+    defects = _psd_defects(gs, d_norm, ["x.T @ d"] + ["x_tilde.T @ d"] * (len(gs) - 1))
+    if defects[0]:
+        raise NotAligned(defects[0])
     # the one factorization of x.T @ d: the family of x carries its rank decision
     _, aset = align(x, d, rtol=rtol)
     r, k = aset.r, aset.k
-    results = []
-    for xt, angles in zip(xts, canonical_angles(x, xts)):
-        gt = xt.T @ d
-        _require_psd(gt, d_norm, "x_tilde.T @ d")
-        ft = svd(gt, rtol=rtol)
+
+    def measure(xt, angles, ft, defect):
+        """What the call gives for the one basis `xt`."""
+        if defect:
+            raise NotAligned(defect)
         if r != ft.numerical_rank:
             raise RankMismatch(f"rank(x.T d) = {r} but rank(x_tilde.T d) = {ft.numerical_rank}")
         if r == 0:
@@ -376,5 +388,9 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
                     rank_tolerance=aset.rank_tolerance * 2.0**e,
                 )
             )
-        results.append(tuple(reports) if many else reports[0])
-    return results if stacked else results[0]
+        return tuple(reports) if many else reports[0]
+
+    angles, factors = canonical_angles(x, xts), svd(gts, rtol=rtol)
+    if xts.ndim == 2:
+        return measure(xts, angles, factors, defects[1])
+    return [measure(xts[i], angles[i], factors[i], defects[i + 1]) for i in range(len(xts))]

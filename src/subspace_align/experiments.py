@@ -10,7 +10,10 @@ of the configuration.
 Randomness is fully reproducible: the two rotations of each sweep point are
 drawn from Philox streams keyed ``(seed, 2*index)`` and ``(seed, 2*index+1)``,
 so points may be built in any order or in parallel, and evaluated together or
-one by one, without changing a single bit of the output.
+one by one, without changing a single bit of the output.  A sweep is one
+stacked pass: its points are built, pinned and evaluated together, each
+stage one call on the stack of all points, and each point gets exactly the
+bits it would get alone.
 """
 
 from __future__ import annotations
@@ -125,6 +128,14 @@ def _stream(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _delta(value):
+    """`value` as a float in [0, 1]; InvalidInput otherwise."""
+    delta = _checked(value, "delta", zero_ok=True)
+    if delta > 1.0:
+        raise InvalidInput(f"delta must lie in [0, 1], got {delta}")
+    return delta
+
+
 def make_pair(config, delta, index=0):
     """Two orthonormal bases whose canonical angles all have sine `delta`.
 
@@ -137,26 +148,39 @@ def make_pair(config, delta, index=0):
     ``(config.seed, 2 * index)`` and ``(config.seed, 2 * index + 1)``, so
     `index` must satisfy ``0 <= 2 * index + 1 < 2**64``.
 
+    `delta` may be a tuple of deltas, as ``config.deltas`` is (a list is not
+    one, as for :meth:`str.startswith`): the pair of the i-th delta is then
+    the pair of index ``index + i``, and all of them come from one
+    ``hadamard(n, 2 * k)``, one Haar draw over their 2m streams and one
+    stacked product per block.
+
     Returns
     -------
     x_diamond, x_tilde_diamond : (n, k) ndarray
     q1, q2 : (k, k) ndarray
+        For a tuple of deltas, a list with what each delta alone gives.
     """
-    delta = _checked(delta, "delta", zero_ok=True)
-    if delta > 1.0:
-        raise InvalidInput(f"delta must lie in [0, 1], got {delta}")
-    if not 0 <= 2 * _integer(index, "index") + 1 < 2**64:
-        raise InvalidInput(f"index must lie in [0, 2**63), got {index}")
+    many = isinstance(delta, tuple)
+    deltas = [_delta(each) for each in (delta if many else (delta,))]
+    if not deltas:
+        raise InvalidInput("delta is an empty tuple")
+    index = _integer(index, "index")
+    # the first of index, index + 1, ... that lies outside [0, 2**63), if any does
+    first = index if index < 0 else max(index, 2**63)
+    if first < index + len(deltas):
+        raise InvalidInput(f"index must lie in [0, 2**63), got {first}")
     n, k = config.n, config.k
     m = hadamard(n, 2 * k) / math.sqrt(n)
-    q1 = haar_orthogonal(k, _stream(config.seed, 2 * index))
-    q2 = haar_orthogonal(k, _stream(config.seed, 2 * index + 1))
-    x_diamond = m[:, :k].copy()
+    streams = range(2 * index, 2 * (index + len(deltas)))
+    q = haar_orthogonal(k, [_stream(config.seed, each) for each in streams])
+    q1, q2 = q[0::2], q[1::2]
+    cosines = [math.sqrt(max(0.0, 1.0 - each * each)) for each in deltas]
     x_tilde_diamond = (
-        math.sqrt(max(0.0, 1.0 - delta * delta)) * m[:, :k] @ q1
-        + delta * m[:, k : 2 * k] @ q2
+        np.array(cosines)[:, None, None] * m[:, :k] @ q1
+        + np.array(deltas)[:, None, None] * m[:, k : 2 * k] @ q2
     )
-    return x_diamond, x_tilde_diamond, q1, q2
+    pairs = [(m[:, :k].copy(), x_tilde_diamond[i], q1[i], q2[i]) for i in range(len(deltas))]
+    return pairs if many else pairs[0]
 
 
 def pinning_matrix(n, k, zero_last=0):
@@ -223,12 +247,13 @@ def _closed_form(kind, k, delta):
 def run_sweep(config, out_dir=None):
     """Evaluate the bound across the delta grid.
 
-    Per grid point: build the pair and pin the second basis against the
-    configured pinning matrix (the first basis is the same at every point and
-    is pinned once).  One :func:`evaluate_instance` call on all points then
-    verifies the equal-rank hypothesis and reports measured error, bound and
-    slack per norm; if it fails, each point is evaluated alone, a failure
-    flags every row of that point with its own message, and the sweep goes on.
+    One :func:`make_pair` call builds the pairs of all grid points, and one
+    :func:`align` call pins their second bases against the configured pinning
+    matrix, together with the first basis, which is the same at every point.
+    One :func:`evaluate_instance` call on all points then verifies the
+    equal-rank hypothesis and reports measured error, bound and slack per
+    norm; if it fails, each point is evaluated alone, a failure flags every
+    row of that point with its own message, and the sweep goes on.
 
     With `out_dir` set, writes ``sweep.csv`` (columns exactly the SweepRow
     fields, shortest round-trip floats), one ``sweep_<kind>.svg`` per norm,
@@ -239,12 +264,10 @@ def run_sweep(config, out_dir=None):
     list of SweepRow
     """
     d = pinning_matrix(config.n, config.k, config.rank_deficiency)
-    xts = []
-    for index, delta in enumerate(config.deltas):
-        x_diamond, x_tilde_diamond, _, _ = make_pair(config, delta, index=index)
-        if not xts:  # x_diamond depends on neither delta nor index: pin it once
-            x, _ = align(x_diamond, d, rtol=SWEEP_RANK_RTOL)
-        xts.append(align(x_tilde_diamond, d, rtol=SWEEP_RANK_RTOL)[0])
+    pairs = make_pair(config, config.deltas)
+    # x_diamond depends on neither delta nor index: it is pinned once, first
+    bases = [pairs[0][0]] + [x_tilde_diamond for _, x_tilde_diamond, _, _ in pairs]
+    x, *xts = (pinned for pinned, _ in align(bases, d, rtol=SWEEP_RANK_RTOL))
     try:
         results = evaluate_instance(x, xts, d, config.norms, rtol=SWEEP_RANK_RTOL)
     except InvalidInput:  # point by point, so each failing point keeps its own message
@@ -350,6 +373,7 @@ def verify_closed_form(config, delta, index=0):
     Raises VerificationFailure naming the norm kind and delta on any breach.
     """
     n, k = config.n, config.k
+    delta = _delta(delta)  # a scalar: a tuple would ask make_pair for many pairs
     x_diamond, x_tilde_diamond, _, q2 = make_pair(config, delta, index=index)
 
     # x_tilde_diamond = (cos * c[:, :k] @ q1 + delta * c[:, k:] @ q2) / sqrt(n).

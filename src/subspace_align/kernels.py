@@ -3,7 +3,9 @@ numerical-rank decision, truncated unitarily invariant norms, orthonormal
 completion (from compact-WY Householder factors, in O(n (n-k) k) work with
 one n-by-(n-k) buffer), Hadamard matrices or their leading columns (built
 from a closed form, in time and memory proportional to the entries
-returned), and deterministic random-matrix generators.
+returned), and deterministic random-matrix generators.  The SVD and the
+random generators also take a stack of matrices or of generators, and factor
+it in one LAPACK call.
 
 All functions are pure; returned arrays are freshly allocated and never
 aliased to the inputs.
@@ -58,26 +60,35 @@ def _real(b, name):
         raise InvalidInput(f"{name} must be a real numeric array: {exc}") from None
 
 
-def _stack(b, name, shape):
-    """(`b` as m >= 1 orthonormal bases of `shape` in one float64 array, whether
-    `b` is a stack): a 3-d array or a list of bases is, anything else is one."""
-    b = _real(b, name)
-    many = b.ndim == 3
-    if many and not len(b):
-        raise InvalidInput(f"{name} is an empty stack")
-    for each in b if many else [b]:
-        if check_orthonormal(each, name).shape != shape:
-            raise DimensionMismatch(f"basis shapes differ: {shape} vs {each.shape}")
-    return (b if many else b[None]), many
+def _stack(b, name, shape=None):
+    """`b` as float64 orthonormal bases, each of `shape` if given: one basis,
+    2-d, or a 3-d stack of m >= 1 of them for a 3-d array or a list of bases.
+
+    The stacked forms of the package run the same numpy calls on either: the
+    linear algebra broadcasts over a leading stack axis, and a single basis
+    pays nothing for it."""
+    b = _as_matrix(b, name, stack=True)
+    if b.ndim == 2:
+        _orthonormal(b.T @ b, name, *b.shape)
+    else:
+        grams = b.swapaxes(1, 2) @ b  # the Gram matrices of the stack in one call
+        for i in range(len(b)):  # by index: iterating over an ndarray costs several times more
+            _orthonormal(grams[i], name, *b.shape[1:])
+    if shape is not None and b.shape[-2:] != shape:
+        raise DimensionMismatch(f"basis shapes differ: {shape} vs {b.shape[-2:]}")
+    return b
 
 
-def _as_matrix(b, name="matrix"):
-    """Coerce to a finite 2-d float64 array with at least one row and column."""
+def _as_matrix(b, name="matrix", stack=False):
+    """Coerce to a finite 2-d float64 array with at least one row and column;
+    with `stack`, a nonempty 3-d stack of such matrices passes as well."""
     b = _real(b, name)
-    if b.ndim != 2:
+    if b.ndim != 2 and not (stack and b.ndim == 3):
         raise InvalidInput(f"{name} must be 2-dimensional, got ndim={b.ndim}")
-    if b.shape[0] < 1 or b.shape[1] < 1:
-        raise InvalidInput(f"{name} must be at least 1x1, got shape {b.shape}")
+    if b.ndim == 3 and not len(b):
+        raise InvalidInput(f"{name} is an empty stack")
+    if b.shape[-2] < 1 or b.shape[-1] < 1:
+        raise InvalidInput(f"{name} must be at least 1x1, got shape {b.shape[-2:]}")
     if not np.isfinite(b).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return b
@@ -110,9 +121,32 @@ def _pinning(d, n, k):
     d = _as_matrix(d, "d")
     if d.shape != (n, k):
         raise DimensionMismatch(f"d must be {n}x{k}, got {d.shape[0]}x{d.shape[1]}")
-    top = float(np.abs(d).max())
-    e = math.frexp(top)[1] - 1 if top else 0
+    e = _exponent(float(np.abs(d).max()))
     return (np.ldexp(d, -e) if e else d), e
+
+
+def _exponent(top):
+    """The e with ``top * 2**-e`` in [1, 2) for a positive `top`, 0 for zero."""
+    return math.frexp(top)[1] - 1 if top else 0
+
+
+#: A norm or singular value whose matrix has its largest entry in
+#: [1 / _SAFE, _SAFE] is computed from the matrix as it stands, so it keeps its
+#: bits.  Outside that range the matrix is first scaled by the exact power of
+#: two that brings its largest entry into [1, 2), as `_pinning` does for `d`:
+#: a Frobenius sum of squares would overflow or lose digits to underflow, and
+#: LAPACK's SVD would rescale by a ratio that is not a power of two (beyond
+#: about 2**+-458).  Either way the result scales exactly with powers of two.
+_SAFE = 2.0**400
+
+
+def _unscaled(norm, b, top):
+    """``norm(b)``, for a norm of degree one given ``top = max|b|``, by the
+    `_SAFE` rule."""
+    if not top or 1.0 / _SAFE <= top <= _SAFE:
+        return norm(b)
+    e = _exponent(top)
+    return norm(np.ldexp(b, -e)) * 2.0**e
 
 
 def _uint64(value, name):
@@ -130,13 +164,17 @@ def _check_kind(kind):
 
 
 def _gauge(values, kind):
-    """Norm of a diagonal matrix given as a 1-d array of its entries."""
+    """Norm of a diagonal matrix given as a 1-d array of its nonnegative entries."""
     values = np.asarray(values, dtype=np.float64)
     if kind == "spectral":
         return float(values.max(initial=0.0))
     if kind == "frobenius":
-        return float(np.sqrt(np.sum(values * values)))
-    return float(np.sum(values))
+        return _unscaled(_root_sum_of_squares, values, float(values.max(initial=0.0)))
+    return float(values.sum())
+
+
+def _root_sum_of_squares(values):
+    return math.sqrt((values * values).sum())
 
 
 @dataclass(frozen=True)
@@ -161,14 +199,15 @@ def svd(b, *, rtol=None):
     Parameters
     ----------
     b : (m, n) array_like
-        Matrix to factor; entries must be finite.
+        Matrix to factor; entries must be finite.  May be an (s, m, n)
+        stack, a 3-d array or a list of matrices, factored in one LAPACK call.
     rtol : float, optional
         Relative rank tolerance, finite and nonnegative; the absolute
         tolerance is ``rtol * sigma_1``.
 
     Returns
     -------
-    SvdFactors
+    SvdFactors, or for a stack a list with what each matrix alone gives
 
     Notes
     -----
@@ -180,25 +219,45 @@ def svd(b, *, rtol=None):
     (polar factors, pinned bases) are invariant under paired sign flips, and
     callers must not rely on the signs of individual singular vectors.
     """
-    b = _as_matrix(b, "b")
+    b = _as_matrix(b, "b", stack=True)
     rtol = None if rtol is None else _checked(rtol, "rtol", zero_ok=True)
     try:
         u, s, vt = np.linalg.svd(b, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    size = max(b.shape[-2:])
+    if b.ndim == 2:
+        return _factors(u, s, vt, size, rtol)
+    return [_factors(u[i], s[i], vt[i], size, rtol) for i in range(len(s))]
+
+
+def _factors(u, s, vt, size, rtol):
+    """SvdFactors of one thin SVD of a matrix with `size` rows or columns."""
     sigma1 = float(s[0])
-    rank_tol = max(b.shape) * sigma1 * UNIT_ROUNDOFF if rtol is None else rtol * sigma1
+    rank_tol = size * sigma1 * UNIT_ROUNDOFF if rtol is None else rtol * sigma1
     rank = int(np.count_nonzero(s > rank_tol))
     return SvdFactors(u=u, sigma=s, v=vt.T, numerical_rank=rank, rank_tolerance=rank_tol)
 
 
-def singular_values(b):
-    """Singular values of `b` in nonincreasing order."""
-    b = _as_matrix(b, "b")
+def _svdvals(b):
     try:
         return np.linalg.svd(b, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+
+
+def singular_values(b):
+    """Singular values of `b` in nonincreasing order, by the `_SAFE` rule.
+
+    sigma_1 lies within a factor ``sqrt(min(m, n))`` of ``max|b|``, so a
+    sigma_1 inside the safe range shows that `b` needed no scaling, without a
+    pass over `b`."""
+    b = _as_matrix(b, "b")
+    s = _svdvals(b)
+    top = float(s[0])
+    if top and not 1.0 / _SAFE <= top <= _SAFE:
+        s = _unscaled(_svdvals, b, float(np.abs(b).max()))
+    return s
 
 
 def truncated_norm(b, r, kind):
@@ -214,10 +273,12 @@ def truncated_norm(b, r, kind):
 
 
 def matrix_norm(b, kind):
-    """Spectral, Frobenius, or trace (nuclear) norm of a dense matrix."""
+    """Spectral, Frobenius, or trace (nuclear) norm of a dense matrix, by the
+    `_SAFE` rule."""
     _check_kind(kind)
     if kind == "frobenius":
-        return float(np.linalg.norm(_as_matrix(b, "b")))
+        b = _as_matrix(b, "b")
+        return float(_unscaled(np.linalg.norm, b, float(np.abs(b).max())))
     s = singular_values(b)
     return float(s[0]) if kind == "spectral" else float(np.sum(s))
 
@@ -229,18 +290,22 @@ def check_orthonormal(x, name="x"):
     input.  Raises InvalidBasis on failure.
     """
     x = _as_matrix(x, name)
-    n, k = x.shape
+    _orthonormal(x.T @ x, name, *x.shape)
+    return x
+
+
+def _orthonormal(gram, name, n, k):
+    """check_orthonormal's verdict on an n-by-k basis from its Gram matrix."""
     if k > n:
         raise InvalidBasis(f"{name} has more columns ({k}) than rows ({n})")
     tol = 1e-12 * n
     # np.linalg.norm's own Frobenius formula, without its dispatch
-    g = (x.T @ x - np.eye(k)).ravel()
+    g = (gram - np.eye(k)).ravel()
     defect = math.sqrt(g.dot(g))
     if defect > tol:
         raise InvalidBasis(
             f"{name} is not orthonormal: ||x.T x - I||_F = {defect:.3e} > {tol:.3e}"
         )
-    return x
 
 
 def orthonormal_completion(x):
@@ -362,22 +427,41 @@ def haar_orthogonal(size, rng):
 
     Uses the QR decomposition of a standard Gaussian matrix with the signs of
     the R diagonal fixed, which makes the distribution exactly Haar and the
-    draw deterministic for a given generator state.
+    draw deterministic for a given generator state.  `rng` may be a list or
+    tuple of generators, as for :func:`random_orthonormal`.
     """
     if _integer(size, "size") < 0:
         raise InvalidInput("size must be nonnegative")
     if size == 0:
-        return np.zeros((0, 0))
+        return np.zeros((len(rng), 0, 0) if _many(rng) else (0, 0))
     return random_orthonormal(size, size, rng)
 
 
+def _many(rng):
+    """Whether `rng` is a list or tuple of generators; InvalidInput if empty."""
+    many = isinstance(rng, (list, tuple))
+    if many and not rng:
+        raise InvalidInput("rng is an empty sequence")
+    return many
+
+
 def random_orthonormal(n, k, rng):
-    """Uniformly random n-by-k matrix with orthonormal columns."""
+    """Uniformly random n-by-k matrix with orthonormal columns.
+
+    For a list or tuple of generators, an (m, n, k) stack: each generator
+    draws its own Gaussian matrix as it would alone, and one stacked QR and
+    sign fix follow, so each matrix is bit for bit the one its generator
+    alone gives.
+    """
     n, k = _integer(n, "n"), _integer(k, "k")
     if not 1 <= k <= n:
         raise InvalidInput(f"need 1 <= k <= n, got n={n}, k={k}")
-    g = rng.standard_normal((n, k))
+    if _many(rng):
+        g = np.stack([each.standard_normal((n, k)) for each in rng])
+    else:
+        g = rng.standard_normal((n, k))
     q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    q *= signs[..., None, :]
+    return q

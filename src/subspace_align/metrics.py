@@ -69,22 +69,21 @@ def canonical_angles(x, y):
     values of ``xp.T @ y`` where ``xp`` completes `x` to an orthogonal matrix,
     padded with zeros when the subspace dimension exceeds the codimension.
     The result depends only on the two subspaces, not the basis choices.  A
-    stack validates and completes `x` once.
+    stack validates and completes `x` once and takes each of the two SVDs in
+    one call.
     """
     x = check_orthonormal(x, name="x")
-    ys, many = _stack(y, "y", x.shape)
+    ys = _stack(y, "y", x.shape)
     n, k = x.shape
-    xp = orthonormal_completion(x) if n > k else None
-    out = []
-    for y in ys:
-        cosines = np.clip(np.linalg.svd(x.T @ y, compute_uv=False), 0.0, 1.0)
-        sines = np.zeros(k)
-        if xp is not None:
-            sv = np.linalg.svd(xp.T @ y, compute_uv=False)
-            # ascending, padded with the zero sines forced when 2k > n
-            sines[k - sv.size :] = np.clip(sv[::-1], 0.0, 1.0)
-        out.append(AngleSpectrum(cosines=cosines, sines=sines))
-    return out if many else out[0]
+    cosines = np.clip(np.linalg.svd(x.T @ ys, compute_uv=False), 0.0, 1.0)
+    sines = np.zeros(cosines.shape)
+    if n > k:
+        sv = np.linalg.svd(orthonormal_completion(x).T @ ys, compute_uv=False)
+        # ascending, padded with the zero sines forced when 2k > n
+        sines[..., k - sv.shape[-1] :] = np.clip(sv[..., ::-1], 0.0, 1.0)
+    if ys.ndim == 2:
+        return AngleSpectrum(cosines=cosines, sines=sines)
+    return [AngleSpectrum(cosines=cosines[i], sines=sines[i]) for i in range(len(ys))]
 
 
 def sin_theta_norm(angles, kind):

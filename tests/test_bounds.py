@@ -363,6 +363,25 @@ class TestWedinBound:
             wedin_bound(b, rank_matrix(rng, 5, 4, 2), 2, "trace")
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_bounds_hold_far_from_unit_scale(rng, scale):
+    # the Frobenius sums of squares of these pairs underflow or overflow in
+    # float64, and the spectral polar coefficient squares 1 / sigma_r
+    for n, m, r in [(6, 4, 4), (7, 4, 2), (5, 5, 5)]:
+        b, bt = equal_rank_pair(rng, n, m, r)
+        for kind in NORM_KINDS:
+            pb = polar_factor_bound(scale * b, scale * bt, kind, rtol=RANK_RTOL)
+            unit = polar_factor_bound(b, bt, kind, rtol=RANK_RTOL)
+            assert pb.measured <= pb.bound_generic
+            assert pb.bound_generic == pytest.approx(unit.bound_generic, rel=1e-12)
+            if pb.bound_improved is not None:
+                assert pb.measured <= pb.bound_improved
+                assert pb.bound_improved == pytest.approx(unit.bound_improved, rel=1e-12)
+            w = wedin_bound(scale * b, scale * bt, r, kind)
+            assert max(w.measured_left, w.measured_right) <= w.bound_truncated + 1e-10
+            assert w.bound_full == pytest.approx(wedin_bound(b, bt, r, kind).bound_full, rel=1e-12)
+
+
 class TestPolarFactorBound:
     def test_square_full_rank_branch(self, rng):
         for _ in range(100):

@@ -121,6 +121,19 @@ class TestMakePair:
         c = make_pair(config, 0.25, index=4)
         assert not np.array_equal(a[3], c[3])
 
+    def test_errors_of_a_tuple_of_deltas(self):
+        config = ExperimentConfig(**SMALL)
+        with pytest.raises(InvalidInput, match=r"^delta is an empty tuple$"):
+            make_pair(config, ())
+        # the first member whose index leaves [0, 2**63) names it, as its own call does
+        for deltas, index, first in [((0.1, 0.2, 0.3), 2**63 - 2, 2**63), ((0.1,), -1, -1)]:
+            with pytest.raises(InvalidInput) as stacked:
+                make_pair(config, deltas, index=index)
+            with pytest.raises(InvalidInput) as alone:
+                make_pair(config, 0.1, index=first)
+            assert str(stacked.value) == str(alone.value) == (
+                f"index must lie in [0, 2**63), got {first}")
+
     def test_bad_delta(self):
         config = ExperimentConfig(**SMALL)
         for delta, message in [
@@ -292,9 +305,12 @@ class TestRunSweep:
         low = q[:, [0, 1, 3]]
         real = exp.make_pair
 
-        def make_pair_low_third(config, delta, index=0):
-            x_diamond, x_tilde_diamond, q1, q2 = real(config, delta, index=index)
-            return x_diamond, low if index == 2 else x_tilde_diamond, q1, q2
+        def make_pair_low_third(config, deltas, index=0):
+            # the sweep builds its pairs in one stacked call: replace the third basis
+            pairs = real(config, deltas, index=index)
+            x_diamond, _, q1, q2 = pairs[2]
+            pairs[2] = (x_diamond, low, q1, q2)
+            return pairs
 
         reference = run_sweep(config)
         monkeypatch.setattr(exp, "make_pair", make_pair_low_third)
@@ -324,12 +340,14 @@ class TestRunSweep:
             return wrapper
 
         names = ("evaluate_instance", "canonical_angles", "orthonormal_completion")
+        built = ("make_pair", "hadamard", "haar_orthogonal", "align")
         for module in (kernels, metrics, alignment, bounds, exp):
-            for name in names:
+            for name in names + built:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         run_sweep(ExperimentConfig(**SMALL))
-        assert calls == dict.fromkeys(names, 1)
+        assert calls.pop("align") <= 3
+        assert calls == dict.fromkeys(names + built[:3], 1)
 
     @pytest.mark.parametrize("rank_deficiency", [0, 1, 2])
     def test_rows_equal_a_per_point_reference(self, rank_deficiency):

@@ -152,6 +152,23 @@ def test_matrix_norm_matches_singular_values(rng):
     assert matrix_norm(b, "trace") == pytest.approx(s.sum())
 
 
+@given(
+    b=st.integers(1, 6).flatmap(lambda m: st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n), min_size=m, max_size=m))),
+    e=st.integers(-1000, 1000),
+    r=st.integers(1, 6),
+)
+def test_norms_scale_exactly_with_powers_of_two(b, e, r):
+    # integer entries up to 2**20: b * 2**e is exact over the whole range of e,
+    # where the squares of a Frobenius sum overflow (e > 490) or go subnormal
+    # (e < -530) and LAPACK rescales by a ratio that is not a power of two
+    b = np.array(b, dtype=np.float64)
+    scaled = np.ldexp(b, e)
+    for kind in ("spectral", "frobenius", "trace"):
+        assert matrix_norm(scaled, kind) == matrix_norm(b, kind) * 2.0**e, kind
+        assert truncated_norm(scaled, r, kind) == truncated_norm(b, r, kind) * 2.0**e, kind
+
+
 class TestOrthonormalCompletion:
     def test_single_vector_in_plane(self):
         comp = orthonormal_completion(np.array([[1.0], [0.0]]))
@@ -311,6 +328,20 @@ class TestGenerators:
         x = random_orthonormal(9, 4, rng)
         assert x.shape == (9, 4)
         check_orthonormal(x)
+
+    def test_stacks_of_generators_and_matrices(self, rng):
+        for draw in (lambda g: haar_orthogonal(3, g), lambda g: random_orthonormal(4, 2, g),
+                     lambda g: haar_orthogonal(0, g)):
+            with pytest.raises(InvalidInput, match=r"^rng is an empty sequence$"):
+                draw([])
+        assert haar_orthogonal(0, (rng, rng)).shape == (2, 0, 0)
+        assert random_orthonormal(5, 2, [rng, rng, rng]).shape == (3, 5, 2)
+        with pytest.raises(InvalidInput, match=r"^b is an empty stack$"):
+            svd(np.zeros((0, 3, 2)))
+        with pytest.raises(InvalidInput, match=r"^x_any is an empty stack$"):
+            align(np.zeros((0, 3, 2)), np.ones((3, 2)))
+        with pytest.raises(InvalidInput, match=r"^b must be 2-dimensional, got ndim=4$"):
+            svd(np.ones((1, 1, 3, 2)))
 
     def test_check_orthonormal_rejects(self, rng):
         with pytest.raises(InvalidBasis):

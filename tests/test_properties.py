@@ -15,14 +15,17 @@ from hypothesis.extra import numpy as hnp
 
 from subspace_align import (
     NORM_KINDS,
+    ExperimentConfig,
     InvalidInput,
     align,
     canonical_angles,
     evaluate_instance,
     format_matrix,
     load_matrix,
+    make_pair,
     parse_matrix,
     save_matrix,
+    svd,
 )
 from subspace_align.kernels import haar_orthogonal, random_orthonormal
 
@@ -257,3 +260,117 @@ def test_matrix_text_round_trips_under_any_line_end(a, data):
         rewritten.write_bytes(text.encode("ascii"))
         for b in (parse_matrix(text), load_matrix(saved), load_matrix(rewritten)):
             assert b.shape == a.shape and b.tobytes() == a.tobytes()
+
+
+def _stacked_rank_matrices(rng, m, p, q):
+    """m matrices of one shape, each with a rank of its own in [0, min(p, q)]."""
+    return [rank_matrix(rng, p, q, r) if r else np.zeros((p, q))
+            for r in rng.integers(0, min(p, q) + 1, m)]
+
+
+@given(seed=_SEEDS, m=st.integers(1, 5), p=st.integers(1, 7), q=st.integers(1, 7),
+       rtol=st.sampled_from([None, RANK_RTOL, 0.5]))
+@example(seed=0, m=1, p=3, q=2, rtol=None)
+@example(seed=1, m=4, p=6, q=4, rtol=RANK_RTOL)
+def test_a_stacked_svd_equals_each_matrix_alone(seed, m, p, q, rtol):
+    bs = _stacked_rank_matrices(_rng(seed), m, p, q)
+    for stack in (bs, np.array(bs)):
+        factors = svd(stack, rtol=rtol)
+        assert len(factors) == m
+        for b, f in zip(bs, factors):
+            alone = svd(b, rtol=rtol)
+            for name in ("u", "sigma", "v"):
+                assert getattr(f, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert f.numerical_rank == alone.numerical_rank
+            assert f.rank_tolerance == alone.rank_tolerance
+
+
+@given(seed=_SEEDS, m=st.integers(1, 6), n=st.integers(1, 9), k=st.integers(1, 9))
+@example(seed=0, m=1, n=3, k=3)
+def test_stacked_draws_equal_each_generator_alone(seed, m, n, k):
+    assume(k <= n)
+    def streams():
+        return [_rng(np.array([seed, i], dtype=np.uint64)) for i in range(m)]
+
+    stacked, alone = streams(), streams()
+    for draw in (lambda g: random_orthonormal(n, k, g), lambda g: haar_orthogonal(k, g)):
+        many = draw(stacked)
+        assert many.shape[0] == m
+        for g, each in zip(alone, many):
+            assert each.tobytes() == draw(g).tobytes()
+    for a, b in zip(stacked, alone):  # and each generator is left where its own draws leave it
+        assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+@given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 5), rtol=st.sampled_from([None, RANK_RTOL]))
+@example(shape=(4, 4, 4), seed=0, m=1, rtol=None)
+@example(shape=(7, 3, 2), seed=1, m=4, rtol=RANK_RTOL)
+def test_a_stacked_align_equals_each_basis_alone(shape, seed, m, rtol):
+    n, k, r = shape
+    rng = _rng(seed)
+    d = rank_matrix(rng, n, k, r)
+    bases = []
+    for low in rng.integers(0, 2, m):
+        x_any = random_orthonormal(n, k, rng)
+        if low and n > r:  # a column orthogonal to range(d) lowers this basis's rank
+            v = np.linalg.svd(d)[0][:, -1:]
+            x_any = np.linalg.qr(np.hstack([v, x_any[:, 1:] - v @ (v.T @ x_any[:, 1:])]))[0]
+        bases.append(x_any)
+    pinned = align(bases, d, rtol=rtol)
+    assert len(pinned) == m
+    for x_any, (x, aset) in zip(bases, pinned):
+        x_alone, alone = align(x_any, d, rtol=rtol)
+        assert x.tobytes() == x_alone.tobytes()
+        for name in ("base", "freedom_left", "freedom_right"):
+            assert getattr(aset, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert (aset.r, aset.sigma_r, aset.rank_tolerance) == (
+            alone.r, alone.sigma_r, alone.rank_tolerance)
+
+
+_HADAMARD_SIZES = st.sampled_from([(2, 1), (4, 2), (8, 3), (12, 5), (20, 4), (32, 3)])
+
+
+@given(size=_HADAMARD_SIZES, seed=_SEEDS, index=st.integers(0, 50),
+       deltas=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-12]),
+                       min_size=1, max_size=5))
+@example(size=(4, 2), seed=0, index=0, deltas=[0.5])
+def test_a_stacked_make_pair_equals_each_delta_alone(size, seed, index, deltas):
+    n, k = size
+    config = ExperimentConfig(n=n, k=k, seed=seed)
+    pairs = make_pair(config, tuple(deltas), index=index)
+    assert len(pairs) == len(deltas)
+    for i, (delta, pair) in enumerate(zip(deltas, pairs)):
+        for stacked, alone in zip(pair, make_pair(config, delta, index=index + i)):
+            assert stacked.tobytes() == alone.tobytes()
+
+
+def _error(call):
+    """The class and message of what `call` raises, or None."""
+    try:
+        call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(seed=_SEEDS, m=st.integers(1, 4), data=st.data())
+def test_a_stack_with_one_bad_member_raises_its_error(seed, m, data):
+    bad = data.draw(st.integers(0, m - 1))
+    rng = _rng(seed)
+    d = rank_matrix(rng, 6, 3, 3)
+    matrices = [rank_matrix(rng, 4, 3, 2) for _ in range(m)]
+    matrices[bad] = np.where(matrices[bad] == matrices[bad].max(), np.nan, matrices[bad])
+    bases = [random_orthonormal(6, 3, rng) for _ in range(m)]
+    bases[bad] = 1.5 * bases[bad]
+    deltas = [0.25] * m
+    deltas[bad] = data.draw(st.sampled_from([1.5, -0.1, "abc"]))
+    config = ExperimentConfig(n=8, k=3, seed=seed)
+    cases = [
+        (lambda: svd(matrices), lambda: svd(matrices[bad])),
+        (lambda: align(bases, d), lambda: align(bases[bad], d)),
+        (lambda: make_pair(config, tuple(deltas)), lambda: make_pair(config, deltas[bad], index=bad)),
+    ]
+    for stacked, alone in cases:
+        expected = _error(alone)
+        assert expected is not None
+        assert _error(stacked) == expected

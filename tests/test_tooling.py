@@ -138,3 +138,30 @@ def test_export_contract():
     exec("from subspace_align import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(subspace_align.__all__)
+
+
+def test_figures_reach_every_traced_function(tmp_path, capsys):
+    # the benchmark's traced run fails a workload whose ops skip a function its
+    # layer map names; this is that check on three small figure sweeps
+    bench = str(ROOT / "bench")
+    sys.path.insert(0, bench)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        import spans
+    finally:
+        sys.dont_write_bytecode = writes
+        sys.path.remove(bench)
+    from subspace_align import cli
+
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        tracer.op = 0
+        for figure in (1, 2, 3):
+            argv = ["experiment", "--figure", str(figure), "--n", "32", "--k", "3"]
+            assert cli.main([*argv, "--out", str(tmp_path / f"fig{figure}")]) == 0
+    finally:
+        tracer.op = None
+        undo()
+    _, calls = tracer.aggregate(1)
+    assert spans.unreached(calls, "figures") == []
