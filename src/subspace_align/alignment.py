@@ -24,7 +24,6 @@ from .kernels import (
     _real,
     _stack,
     _uint64,
-    check_orthonormal,
     haar_orthogonal,
     matrix_norm,
     svd,
@@ -115,14 +114,20 @@ class AlignedBasisSet:
         return int(self.freedom_left.shape[1])
 
     def member(self, w):
-        """The basis selected by an orthogonal ``(k - r)``-size matrix `w`."""
+        """The basis selected by an orthogonal ``(k - r)``-size matrix `w`.
+
+        `w` may be an (m, k - r, k - r) stack: the result is then the
+        (m, n, k) stack of what each matrix alone selects, and each is checked
+        orthogonal on its own."""
         w = _real(w, "w")
         f = self.freedom
-        if w.shape != (f, f):
+        if w.shape[-2:] != (f, f) or w.ndim not in (2, 3):
             raise DimensionMismatch(f"w must be {f}x{f}, got {w.shape}")
-        defect = float(np.linalg.norm(w.T @ w - np.eye(f)))
-        if not defect <= 1e-10:  # NaN fails too
-            raise InvalidInput(f"w is not orthogonal: ||w.T w - I||_F = {defect:.3e}")
+        gram = w.swapaxes(-1, -2) @ w - np.eye(f)
+        for each in gram if w.ndim == 3 else [gram]:
+            defect = float(np.linalg.norm(each))
+            if not defect <= 1e-10:  # NaN fails too
+                raise InvalidInput(f"w is not orthogonal: ||w.T w - I||_F = {defect:.3e}")
         return self.base + self.freedom_left @ w @ self.freedom_right.T
 
 
@@ -190,17 +195,21 @@ def optimal_representative(aset, x_tilde):
     ``freedom_left.T @ x_tilde @ freedom_right`` (a trace-maximization
     argument), so the minimum is exact, not searched.
 
+    `x_tilde` may be an (m, n, k) stack, a 3-d array or a list of bases: one
+    product, one SVD and one :meth:`AlignedBasisSet.member` call then serve
+    all of them, and each basis gets the bits it gets alone.
+
     Returns
     -------
-    y_opt : (n, k) ndarray
-    w_opt : (k - r, k - r) ndarray
+    y_opt : (n, k) ndarray, or the (m, n, k) stack for a stack
+    w_opt : (k - r, k - r) ndarray, or the (m, k - r, k - r) stack for a stack
     """
-    x_tilde = check_orthonormal(x_tilde, name="x_tilde")
-    if x_tilde.shape != aset.base.shape:
+    xts = _stack(x_tilde, "x_tilde")
+    if xts.shape[-2:] != aset.base.shape:
         raise DimensionMismatch(
-            f"x_tilde must be {aset.base.shape}, got {x_tilde.shape}"
+            f"x_tilde must be {aset.base.shape}, got {xts.shape[-2:]}"
         )
-    u, _, vt = np.linalg.svd(aset.freedom_left.T @ x_tilde @ aset.freedom_right)
+    u, _, vt = np.linalg.svd(aset.freedom_left.T @ xts @ aset.freedom_right)
     w_opt = u @ vt
     return aset.member(w_opt), w_opt
 

@@ -283,6 +283,11 @@ def _psd_defects(gs, d_norm, labels):
     return out
 
 
+def _per_basis(value):
+    """A float, or an array with one value per basis, as a list of floats."""
+    return value.tolist() if isinstance(value, np.ndarray) else [value]
+
+
 def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     """Measure a pinned pair, or `x` against each basis of a stack, against the bound.
 
@@ -307,7 +312,15 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     for a stack, a list of what each basis alone gives
         The work on `x` and `d` runs once.  A stack forms and factors the
         products ``x_tilde.T @ d`` in one call each (PSD check, SVD, angles)
-        and raises the error of a failing basis as its own call would.
+        and raises the error of a failing basis as its own call would.  The
+        distances are measured in one stacked pass: the candidate
+        differences of all bases (``x - x_tilde``, ``x_tilde`` minus each of
+        the two family members at freedom 1, or minus the
+        :func:`optimal_representative` at freedom >= 2) take one
+        :func:`singular_values` call for the spectral and trace norms and one
+        :func:`matrix_norm` call for the Frobenius norm, made only when a
+        Frobenius report or the freedom >= 2 bracket needs it.  A single
+        basis runs the same calls on 2-d arrays.
     """
     many = isinstance(kind, (tuple, list))
     kinds = tuple(kind) if many else (kind,)
@@ -328,45 +341,63 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     # the one factorization of x.T @ d: the family of x carries its rank decision
     _, aset = align(x, d, rtol=rtol)
     r, k = aset.r, aset.k
-
-    def measure(xt, angles, ft, defect):
-        """What the call gives for the one basis `xt`."""
+    angles, factors = canonical_angles(x, xts), svd(gts, rtol=rtol)
+    single = xts.ndim == 2
+    if single:
+        angles, factors = [angles], [factors]
+    for ft, defect in zip(factors, defects[1:]):  # the first failing basis raises its error
         if defect:
             raise NotAligned(defect)
         if r != ft.numerical_rank:
             raise RankMismatch(f"rank(x.T d) = {r} but rank(x_tilde.T d) = {ft.numerical_rank}")
         if r == 0:
             raise InvalidInput("x.T @ d vanishes; the bound needs a positive singular value")
-        sigma_rt = float(ft.sigma[r - 1])
-        # measured is the smallest norm over these candidates; at freedom >= 2 the
-        # one candidate is Frobenius-optimal, so the other norms get a bracket.
-        # The spectral and trace norms share one SVD per candidate.
-        dist_f = None
-        if r == k:
-            diffs = [x - xt]
-        elif aset.freedom == 1:
-            diffs = [xt - aset.member(np.array([[s]])) for s in (1.0, -1.0)]
-        else:
-            y_opt, _ = optimal_representative(aset, xt)
-            diffs = [xt - y_opt]
-            dist_f = float(np.linalg.norm(diffs[0]))
-        if any(each != "frobenius" for each in kinds):
-            svals = [singular_values(diff) for diff in diffs]
 
+    # measured is the smallest norm over the candidates of each basis, all of
+    # them in one stack; at freedom >= 2 the one candidate is Frobenius-optimal,
+    # so the other norms get a bracket.
+    freedom = aset.freedom
+    if freedom == 0:
+        diffs = x - xts
+    elif freedom == 1:  # two candidates per basis, the members of w = +-1
+        members = aset.member(np.array([[[1.0]], [[-1.0]]]))
+        diffs = (xts - members[:, None]).reshape(-1, *x.shape)
+    else:
+        y_opt, _ = optimal_representative(aset, xts)
+        diffs = xts - y_opt
+
+    measured = {}
+    if "frobenius" in kinds or freedom > 1:
+        measured["frobenius"] = matrix_norm(diffs, "frobenius")
+    if any(each != "frobenius" for each in kinds):
+        svals = singular_values(diffs)
+        for each in kinds:
+            if each != "frobenius":
+                measured[each] = _gauge(svals, each)
+    for each, value in measured.items():
+        if freedom == 1:  # the nearer of each basis's two candidates
+            value = np.minimum(value[: len(value) // 2], value[len(value) // 2 :])
+        measured[each] = _per_basis(value)
+    sines = angles[0].sines if single else np.stack([each.sines for each in angles])
+    gauges = {}
+    for each in kinds:
+        gauges[each] = _per_basis(_gauge(sines, each)), _per_basis(_gauge(sines[..., -r:], each))
+
+    results = []
+    for i, ft in enumerate(factors):
+        sigma_rt = float(ft.sigma[r - 1])
         reports = []
         for each in kinds:
-            sin_t = _gauge(angles.sines, each)
-            sin_trunc = _gauge(angles.sines[-r:], each)
+            sin_t, sin_trunc = gauges[each][0][i], gauges[each][1][i]
             eta_val = eta(each, r, k, aset.sigma_r, sigma_rt, d_norm)
             xi_val = _bound(eta_val, sin_t)
-            if each == "frobenius":
-                measured = upper = min(matrix_norm(diff, each) for diff in diffs)
-            else:
-                measured = upper = min(_gauge(s, each) for s in svals)
-            if dist_f is None:
-                lower = measured
-            else:  # the Frobenius measured is dist_f itself, a bracket of width 0
-                lower = dist_f / math.sqrt(k) if each == "spectral" else dist_f
+            value = measured[each][i]
+            if freedom < 2:
+                lower = value
+            else:  # the Frobenius measured is a bracket of width 0
+                lower = measured["frobenius"][i]
+                if each == "spectral":
+                    lower /= math.sqrt(k)
             reports.append(
                 BoundReport(
                     kind=each,
@@ -381,16 +412,12 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
                     eta=eta_val,
                     xi=xi_val,
                     xi_sharpened=_bound(eta_val, sin_trunc) if r < k else None,
-                    measured=measured,
+                    measured=value,
                     measured_lower=lower,
-                    measured_upper=upper,
-                    slack=xi_val / measured if measured > 0.0 else math.inf,
+                    measured_upper=value,
+                    slack=xi_val / value if value > 0.0 else math.inf,
                     rank_tolerance=aset.rank_tolerance * 2.0**e,
                 )
             )
-        return tuple(reports) if many else reports[0]
-
-    angles, factors = canonical_angles(x, xts), svd(gts, rtol=rtol)
-    if xts.ndim == 2:
-        return measure(xts, angles, factors, defects[1])
-    return [measure(xts[i], angles[i], factors[i], defects[i + 1]) for i in range(len(xts))]
+        results.append(tuple(reports) if many else reports[0])
+    return results[0] if single else results

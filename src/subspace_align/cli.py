@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -84,7 +85,8 @@ def _cmd_bounds(args):
     d = load_matrix(args.d)
     reports = evaluate_instance(x, xt, d, _norm_kinds(args.norm))
     if args.json:
-        json.dump([asdict(r) for r in reports], sys.stdout, indent=2)
+        payload = [{name: _json_value(v) for name, v in asdict(r).items()} for r in reports]
+        json.dump(payload, sys.stdout, indent=2, allow_nan=False)
         sys.stdout.write("\n")
         return 0
     for rep in reports:
@@ -92,6 +94,12 @@ def _cmd_bounds(args):
             print(f"{name}={value!r}")
         print()
     return 0
+
+
+def _json_value(value):
+    """`value`, or for a non-finite float the string "inf", "-inf" or "nan":
+    strict JSON has no such numbers, and float() reads the strings back."""
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _cmd_experiment(args):

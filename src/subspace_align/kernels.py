@@ -3,9 +3,9 @@ numerical-rank decision, truncated unitarily invariant norms, orthonormal
 completion (from compact-WY Householder factors, in O(n (n-k) k) work with
 one n-by-(n-k) buffer), Hadamard matrices or their leading columns (built
 from a closed form, in time and memory proportional to the entries
-returned), and deterministic random-matrix generators.  The SVD and the
-random generators also take a stack of matrices or of generators, and factor
-it in one LAPACK call.
+returned), and deterministic random-matrix generators.  The SVD, the
+singular values, the norms and the random generators also take a stack of
+matrices or of generators, and factor it in one LAPACK call.
 
 All functions are pure; returned arrays are freshly allocated and never
 aliased to the inputs.
@@ -82,6 +82,15 @@ def _stack(b, name, shape=None):
 def _as_matrix(b, name="matrix", stack=False):
     """Coerce to a finite 2-d float64 array with at least one row and column;
     with `stack`, a nonempty 3-d stack of such matrices passes as well."""
+    b = _shaped(b, name, stack)
+    if not np.isfinite(b).all():
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return b
+
+
+def _shaped(b, name, stack):
+    """`_as_matrix` but for its finiteness check, for a caller that makes that
+    check on ``max|b|``, which is NaN or inf exactly when an entry is."""
     b = _real(b, name)
     if b.ndim != 2 and not (stack and b.ndim == 3):
         raise InvalidInput(f"{name} must be 2-dimensional, got ndim={b.ndim}")
@@ -89,8 +98,6 @@ def _as_matrix(b, name="matrix", stack=False):
         raise InvalidInput(f"{name} is an empty stack")
     if b.shape[-2] < 1 or b.shape[-1] < 1:
         raise InvalidInput(f"{name} must be at least 1x1, got shape {b.shape[-2:]}")
-    if not np.isfinite(b).all():
-        raise InvalidInput(f"{name} contains non-finite entries")
     return b
 
 
@@ -149,6 +156,11 @@ def _unscaled(norm, b, top):
     return norm(np.ldexp(b, -e)) * 2.0**e
 
 
+def _unsafe(tops):
+    """Indices of the nonzero entries of a 1-d `tops` outside the `_SAFE` range."""
+    return [i for i, top in enumerate(tops.tolist()) if top and not 1.0 / _SAFE <= top <= _SAFE]
+
+
 def _uint64(value, name):
     """`value` as a Python int in [0, 2**64), the range of a Philox key word;
     InvalidInput otherwise, never a truncation or a bare OverflowError."""
@@ -164,8 +176,12 @@ def _check_kind(kind):
 
 
 def _gauge(values, kind):
-    """Norm of a diagonal matrix given as a 1-d array of its nonnegative entries."""
+    """Norm of a diagonal matrix given as a 1-d array of its nonnegative
+    entries, a float; for a 2-d array, the norm of each row, a 1-d array with
+    the bits each row alone gives."""
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 2:
+        return _row_gauges(values, kind)
     if kind == "spectral":
         return float(values.max(initial=0.0))
     if kind == "frobenius":
@@ -173,8 +189,27 @@ def _gauge(values, kind):
     return float(values.sum())
 
 
+def _row_gauges(values, kind):
+    """`_gauge` of each row of a 2-d `values`: a reduction along a contiguous
+    last axis sums each row as the same reduction sums it alone."""
+    if kind == "spectral":
+        return values.max(axis=1, initial=0.0)
+    if kind == "trace":
+        return values.sum(axis=1)
+    out = np.sqrt((values * values).sum(axis=1))
+    for i in _unsafe(values.max(axis=1, initial=0.0)):
+        out[i] = _gauge(values[i], kind)
+    return out
+
+
 def _root_sum_of_squares(values):
     return math.sqrt((values * values).sum())
+
+
+def _frobenius(b):
+    """np.linalg.norm's own Frobenius formula, without its dispatch."""
+    v = b.ravel("K")
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -249,11 +284,19 @@ def _svdvals(b):
 def singular_values(b):
     """Singular values of `b` in nonincreasing order, by the `_SAFE` rule.
 
+    `b` may be an (s, p, q) stack, a 3-d array or a list of matrices: one
+    LAPACK call then gives an (s, min(p, q)) array whose row i is what
+    matrix i alone gives, each matrix scaled by the rule on its own.
+
     sigma_1 lies within a factor ``sqrt(min(m, n))`` of ``max|b|``, so a
     sigma_1 inside the safe range shows that `b` needed no scaling, without a
     pass over `b`."""
-    b = _as_matrix(b, "b")
+    b = _as_matrix(b, "b", stack=True)
     s = _svdvals(b)
+    if b.ndim == 3:
+        for i in _unsafe(s[:, 0]):
+            s[i] = _unscaled(_svdvals, b[i], float(np.abs(b[i]).max()))
+        return s
     top = float(s[0])
     if top and not 1.0 / _SAFE <= top <= _SAFE:
         s = _unscaled(_svdvals, b, float(np.abs(b).max()))
@@ -269,17 +312,29 @@ def truncated_norm(b, r, kind):
     _check_kind(kind)
     if _integer(r, "r") < 1:
         raise InvalidInput("truncation rank r must be at least 1")
-    return _gauge(singular_values(b)[:r], kind)
+    return _gauge(singular_values(_as_matrix(b, "b"))[:r], kind)
 
 
 def matrix_norm(b, kind):
     """Spectral, Frobenius, or trace (nuclear) norm of a dense matrix, by the
-    `_SAFE` rule."""
+    `_SAFE` rule, a float.
+
+    `b` may be an (s, p, q) stack, a 3-d array or a list of matrices: the
+    result is then a length-s array whose entry i is what matrix i alone
+    gives, each matrix scaled by the rule on its own.  The spectral and trace
+    norms of a stack take one LAPACK call."""
     _check_kind(kind)
     if kind == "frobenius":
-        b = _as_matrix(b, "b")
-        return float(_unscaled(np.linalg.norm, b, float(np.abs(b).max())))
+        b = _shaped(b, "b", stack=True)
+        tops = [float(np.abs(b).max())] if b.ndim == 2 else np.abs(b).max(axis=(1, 2)).tolist()
+        if not all(map(math.isfinite, tops)):
+            raise InvalidInput("b contains non-finite entries")
+        if b.ndim == 2:
+            return _unscaled(_frobenius, b, tops[0])
+        return np.array([_unscaled(_frobenius, b[i], top) for i, top in enumerate(tops)])
     s = singular_values(b)
+    if s.ndim == 2:
+        return s[:, 0].copy() if kind == "spectral" else s.sum(axis=1)
     return float(s[0]) if kind == "spectral" else float(np.sum(s))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -122,6 +123,28 @@ def test_bounds_json_fields_match_report(tmp_path, rng):
     for report in reports:
         assert set(report) == field_names
         assert report["measured"] <= report["xi"] + 1e-10
+
+
+def test_bounds_json_is_strict_where_a_field_is_infinite(tmp_path, rng):
+    # --xt == --x measures 0, so slack is infinite: a string, not a bare Infinity
+    d = pinning_matrix(16, 4)
+    x, _ = align(random_orthonormal(16, 4, rng), d)
+    save_matrix(tmp_path / "x.txt", x)
+    save_matrix(tmp_path / "d.txt", d)
+    x_file, d_file = str(tmp_path / "x.txt"), str(tmp_path / "d.txt")
+    proc = run_cli("bounds", "--x", x_file, "--xt", x_file, "--d", d_file, "--json")
+    assert proc.returncode == 0, proc.stderr
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    reports = json.loads(proc.stdout, parse_constant=reject)
+    assert len(reports) == 3
+    for report in reports:
+        assert report["measured"] == 0.0
+        assert report["slack"] == "inf" and float(report["slack"]) == math.inf
+        assert all(isinstance(value, (int, float)) for name, value in report.items()
+                   if name not in ("kind", "regime", "slack", "xi_sharpened"))
 
 
 def test_bounds_text_output(tmp_path, rng):

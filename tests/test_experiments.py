@@ -350,6 +350,39 @@ class TestRunSweep:
         assert calls == dict.fromkeys(names + built[:3], 1)
 
     @pytest.mark.parametrize("rank_deficiency", [0, 1, 2])
+    def test_lapack_calls_per_sweep_do_not_grow_with_the_grid(self, monkeypatch, rank_deficiency):
+        import subspace_align.alignment as alignment
+        import subspace_align.bounds as bounds
+
+        calls = collections.Counter()
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(
+            bounds, "optimal_representative", counted("optimal", bounds.optimal_representative)
+        )
+        monkeypatch.setattr(
+            alignment.AlignedBasisSet, "member", counted("member", alignment.AlignedBasisSet.member)
+        )
+        counts = []
+        for points in (len(SMALL["deltas"]), 2 * len(SMALL["deltas"])):
+            calls.clear()
+            config = ExperimentConfig(
+                **{**SMALL, "deltas": tuple(np.logspace(-8, -2, points))},
+                rank_deficiency=rank_deficiency,
+            )
+            assert all(row_passes(row) for row in run_sweep(config))
+            assert calls["optimal"] <= 1 and calls["member"] <= 2, calls
+            counts.append(calls["svd"])
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("rank_deficiency", [0, 1, 2])
     def test_rows_equal_a_per_point_reference(self, rank_deficiency):
         # the sweep pins x_diamond once; a point built from scratch must agree
         config = ExperimentConfig(**SMALL, rank_deficiency=rank_deficiency, seed=6)

@@ -23,8 +23,11 @@ from subspace_align import (
     format_matrix,
     load_matrix,
     make_pair,
+    matrix_norm,
+    optimal_representative,
     parse_matrix,
     save_matrix,
+    singular_values,
     svd,
 )
 from subspace_align.kernels import haar_orthogonal, random_orthonormal
@@ -285,6 +288,42 @@ def test_a_stacked_svd_equals_each_matrix_alone(seed, m, p, q, rtol):
             assert f.rank_tolerance == alone.rank_tolerance
 
 
+@given(seed=_SEEDS, m=st.integers(1, 5), p=st.integers(1, 7), q=st.integers(1, 7),
+       exponents=st.lists(st.sampled_from([0, 0, -600, 600]), min_size=5, max_size=5))
+@example(seed=0, m=1, p=3, q=2, exponents=[0] * 5)
+@example(seed=0, m=1, p=4, q=3, exponents=[600] * 5)
+@example(seed=1, m=4, p=6, q=4, exponents=[600, 0, -600, 0, 0])
+def test_stacked_singular_values_and_norms_equal_each_matrix_alone(seed, m, p, q, exponents):
+    # zero matrices come up among the ranks; a member scaled by 2**+-600 lies
+    # outside the _SAFE range and is rescaled on its own
+    bs = [np.ldexp(b, e) for b, e in zip(_stacked_rank_matrices(_rng(seed), m, p, q), exponents)]
+    for stack in (bs, np.array(bs)):
+        values = singular_values(stack)
+        assert values.shape == (m, min(p, q))
+        assert values.tobytes() == np.array([singular_values(b) for b in bs]).tobytes()
+        for kind in NORM_KINDS:
+            norms = matrix_norm(stack, kind)
+            assert norms.shape == (m,)
+            assert norms.tobytes() == np.array([matrix_norm(b, kind) for b in bs]).tobytes(), kind
+
+
+@given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 4))
+@example(shape=(4, 4, 4), seed=0, m=1)
+@example(shape=(7, 4, 2), seed=1, m=3)
+def test_a_stacked_optimal_representative_equals_each_basis_alone(shape, seed, m):
+    n, k, r = shape
+    rng = _rng(seed)
+    _, aset = align(random_orthonormal(n, k, rng), rank_matrix(rng, n, k, r), rtol=RANK_RTOL)
+    bases = [random_orthonormal(n, k, rng) for _ in range(m)]
+    f = aset.freedom
+    for stack in (bases, np.array(bases)):
+        y_opt, w_opt = optimal_representative(aset, stack)
+        assert y_opt.shape == (m, n, k) and w_opt.shape == (m, f, f)
+        for x_tilde, y, w in zip(bases, y_opt, w_opt):
+            y_alone, w_alone = optimal_representative(aset, x_tilde)
+            assert y.tobytes() == y_alone.tobytes() and w.tobytes() == w_alone.tobytes()
+
+
 @given(seed=_SEEDS, m=st.integers(1, 6), n=st.integers(1, 9), k=st.integers(1, 9))
 @example(seed=0, m=1, n=3, k=3)
 def test_stacked_draws_equal_each_generator_alone(seed, m, n, k):
@@ -365,9 +404,15 @@ def test_a_stack_with_one_bad_member_raises_its_error(seed, m, data):
     deltas = [0.25] * m
     deltas[bad] = data.draw(st.sampled_from([1.5, -0.1, "abc"]))
     config = ExperimentConfig(n=8, k=3, seed=seed)
+    _, aset = align(random_orthonormal(6, 3, rng), rank_matrix(rng, 6, 3, 1))
     cases = [
         (lambda: svd(matrices), lambda: svd(matrices[bad])),
+        (lambda: singular_values(matrices), lambda: singular_values(matrices[bad])),
+        *[(lambda kind=kind: matrix_norm(matrices, kind),
+           lambda kind=kind: matrix_norm(matrices[bad], kind)) for kind in NORM_KINDS],
         (lambda: align(bases, d), lambda: align(bases[bad], d)),
+        (lambda: optimal_representative(aset, bases),
+         lambda: optimal_representative(aset, bases[bad])),
         (lambda: make_pair(config, tuple(deltas)), lambda: make_pair(config, deltas[bad], index=bad)),
     ]
     for stacked, alone in cases:
