@@ -265,22 +265,21 @@ class BoundReport:
     rank_tolerance: float
 
 
-def _psd_defects(gs, d_norm, labels):
-    """For each product of the stack `gs`, with its label, why it is not
-    symmetric PSD to within 1e-10 * ||d||_2, or None; one eigvalsh call."""
+def _psd_defects(gs, d_norm):
+    """Which products of the stack `gs` are not symmetric PSD to within
+    1e-10 * ||d||_2, as a list of bools, and ``why(i, label)``, the message of
+    product i, built only for a product that fails; one eigvalsh call."""
     tol = 1e-10 * d_norm
-    floors = np.linalg.eigvalsh((gs + gs.swapaxes(1, 2)) / 2.0)[:, 0].tolist()
+    floors = np.linalg.eigvalsh((gs + gs.swapaxes(1, 2)) / 2.0)[:, 0]
     skew = (gs - gs.swapaxes(1, 2)).reshape(len(gs), -1)
-    out = []
-    for i, label in enumerate(labels):  # by index, as in kernels._stack
-        asym = math.sqrt(skew[i].dot(skew[i]))  # np.linalg.norm's own Frobenius formula
-        if asym > tol:
-            out.append(f"{label} is not symmetric: asymmetry {asym:.3e} > {tol:.3e}")
-        elif floors[i] < -tol:
-            out.append(f"{label} is not positive semidefinite: min eigenvalue {floors[i]:.3e}")
-        else:
-            out.append(None)
-    return out
+    asym = np.sqrt(np.vecdot(skew, skew))  # np.linalg.norm's own Frobenius formula, per row
+
+    def why(i, label):
+        if asym[i] > tol:
+            return f"{label} is not symmetric: asymmetry {asym[i]:.3e} > {tol:.3e}"
+        return f"{label} is not positive semidefinite: min eigenvalue {floors[i]:.3e}"
+
+    return ((asym > tol) | (floors < -tol)).tolist(), why
 
 
 def _per_basis(value):
@@ -335,9 +334,9 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     d_norm = float(singular_values(d)[0])
     gts = xts.swapaxes(-1, -2) @ d
     gs = np.concatenate([(x.T @ d)[None], gts.reshape(-1, *gts.shape[-2:])])
-    defects = _psd_defects(gs, d_norm, ["x.T @ d"] + ["x_tilde.T @ d"] * (len(gs) - 1))
-    if defects[0]:
-        raise NotAligned(defects[0])
+    failing, why = _psd_defects(gs, d_norm)
+    if failing[0]:
+        raise NotAligned(why(0, "x.T @ d"))
     # the one factorization of x.T @ d: the family of x carries its rank decision
     _, aset = align(x, d, rtol=rtol)
     r, k = aset.r, aset.k
@@ -345,9 +344,9 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     single = xts.ndim == 2
     if single:
         angles, factors = [angles], [factors]
-    for ft, defect in zip(factors, defects[1:]):  # the first failing basis raises its error
-        if defect:
-            raise NotAligned(defect)
+    for i, ft in enumerate(factors):  # the first failing basis raises its error
+        if failing[i + 1]:
+            raise NotAligned(why(i + 1, "x_tilde.T @ d"))
         if r != ft.numerical_rank:
             raise RankMismatch(f"rank(x.T d) = {r} but rank(x_tilde.T d) = {ft.numerical_rank}")
         if r == 0:
@@ -379,45 +378,31 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
             value = np.minimum(value[: len(value) // 2], value[len(value) // 2 :])
         measured[each] = _per_basis(value)
     sines = angles[0].sines if single else np.stack([each.sines for each in angles])
-    gauges = {}
-    for each in kinds:
-        gauges[each] = _per_basis(_gauge(sines, each)), _per_basis(_gauge(sines[..., -r:], each))
 
-    results = []
-    for i, ft in enumerate(factors):
-        sigma_rt = float(ft.sigma[r - 1])
-        reports = []
-        for each in kinds:
-            sin_t, sin_trunc = gauges[each][0][i], gauges[each][1][i]
-            eta_val = eta(each, r, k, aset.sigma_r, sigma_rt, d_norm)
+    # the reports, one column per kind; what scales with d is scaled back once
+    regime = "full_rank" if r == k else "rank_deficient"
+    scale = 2.0**e
+    sigma_r, d_scaled, rank_tol = aset.sigma_r * scale, d_norm * scale, aset.rank_tolerance * scale
+    sigma_rts = [float(ft.sigma[r - 1]) for ft in factors]
+    columns = []
+    for each in kinds:
+        sins, truncs = _per_basis(_gauge(sines, each)), _per_basis(_gauge(sines[..., -r:], each))
+        values = lowers = measured[each]
+        if freedom > 1:  # the Frobenius measured is a bracket of width 0
+            lowers = measured["frobenius"]
+            if each == "spectral":
+                lowers = [value / math.sqrt(k) for value in lowers]
+        column = []
+        for st, sin_t, sin_trunc, value, lower in zip(sigma_rts, sins, truncs, values, lowers):
+            eta_val = eta(each, r, k, aset.sigma_r, st, d_norm)
             xi_val = _bound(eta_val, sin_t)
-            value = measured[each][i]
-            if freedom < 2:
-                lower = value
-            else:  # the Frobenius measured is a bracket of width 0
-                lower = measured["frobenius"][i]
-                if each == "spectral":
-                    lower /= math.sqrt(k)
-            reports.append(
-                BoundReport(
-                    kind=each,
-                    regime="full_rank" if r == k else "rank_deficient",
-                    r=r,
-                    k=k,
-                    sigma_r=aset.sigma_r * 2.0**e,
-                    sigma_r_tilde=sigma_rt * 2.0**e,
-                    d_norm=d_norm * 2.0**e,
-                    sin_theta=sin_t,
-                    sin_theta_truncated=sin_trunc,
-                    eta=eta_val,
-                    xi=xi_val,
-                    xi_sharpened=_bound(eta_val, sin_trunc) if r < k else None,
-                    measured=value,
-                    measured_lower=lower,
-                    measured_upper=value,
-                    slack=xi_val / value if value > 0.0 else math.inf,
-                    rank_tolerance=aset.rank_tolerance * 2.0**e,
-                )
-            )
-        results.append(tuple(reports) if many else reports[0])
+            column.append(BoundReport(
+                kind=each, regime=regime, r=r, k=k, sigma_r=sigma_r, sigma_r_tilde=st * scale,
+                d_norm=d_scaled, sin_theta=sin_t, sin_theta_truncated=sin_trunc, eta=eta_val,
+                xi=xi_val, xi_sharpened=_bound(eta_val, sin_trunc) if r < k else None,
+                measured=value, measured_lower=lower, measured_upper=value,
+                slack=xi_val / value if value > 0.0 else math.inf, rank_tolerance=rank_tol,
+            ))
+        columns.append(column)
+    results = list(zip(*columns)) if many else columns[0]
     return results[0] if single else results

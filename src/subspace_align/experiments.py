@@ -22,12 +22,14 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .alignment import align
-from .bounds import BoundReport, evaluate_instance
+from .bounds import evaluate_instance
 from .errors import InvalidInput, UnsupportedOrder, VerificationFailure
 from .kernels import (
     NORM_KINDS,
@@ -123,9 +125,23 @@ def config_from_dict(payload):
     return ExperimentConfig(**payload)
 
 
+class _Key(ISeedSequence):
+    """A seed sequence that only hands Philox its key ``[seed, stream_id]``:
+    ``Philox(key=...)`` would first read OS entropy into a SeedSequence that
+    the key then overrides."""
+
+    def __init__(self, seed, stream_id):
+        self.key = seed, stream_id
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
+        return np.array(self.key, dtype=np.uint64)
+
+
 def _stream(seed, stream_id):
-    key = np.array([np.uint64(seed), np.uint64(stream_id)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The generator of Philox stream ``(seed, stream_id)``, both in [0, 2**64)."""
+    return np.random.Generator(np.random.Philox(_Key(seed, stream_id)))
 
 
 def _delta(value):
@@ -234,9 +250,6 @@ class SweepRow:
     flag: str = ""
 
 
-#: The SweepRow fields that a BoundReport holds under the same name, kind among them.
-_FROM_REPORT = [f.name for f in fields(SweepRow) if f.name in BoundReport.__dataclass_fields__]
-
 _CLOSED_FACTORS = {"spectral": lambda k: 1.0, "frobenius": math.sqrt, "trace": float}
 
 
@@ -285,10 +298,10 @@ def run_sweep(config, out_dir=None):
             continue
         rows += [
             SweepRow(
-                delta,
-                sin_theta_closed=closed[rep.kind],
-                sin_theta_computed=rep.sin_theta,
-                **{name: getattr(rep, name) for name in _FROM_REPORT},
+                delta, rep.kind, closed[rep.kind], sin_theta_computed=rep.sin_theta,
+                measured=rep.measured, measured_lower=rep.measured_lower,
+                measured_upper=rep.measured_upper, xi=rep.xi, xi_sharpened=rep.xi_sharpened,
+                slack=rep.slack, sigma_r=rep.sigma_r, sigma_r_tilde=rep.sigma_r_tilde,
             )
             for rep in reports
         ]
@@ -314,7 +327,7 @@ def write_rows_csv(rows, fh):
     names = [f.name for f in fields(SweepRow)]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(names)
-    writer.writerows([getattr(row, name) for name in names] for row in rows)
+    writer.writerows(map(attrgetter(*names), rows))
 
 
 def _emit(config, rows, out_dir):

@@ -68,12 +68,7 @@ def _stack(b, name, shape=None):
     linear algebra broadcasts over a leading stack axis, and a single basis
     pays nothing for it."""
     b = _as_matrix(b, name, stack=True)
-    if b.ndim == 2:
-        _orthonormal(b.T @ b, name, *b.shape)
-    else:
-        grams = b.swapaxes(1, 2) @ b  # the Gram matrices of the stack in one call
-        for i in range(len(b)):  # by index: iterating over an ndarray costs several times more
-            _orthonormal(grams[i], name, *b.shape[1:])
+    _orthonormal(b.swapaxes(-1, -2) @ b, name, *b.shape[-2:])  # every Gram matrix in one call
     if shape is not None and b.shape[-2:] != shape:
         raise DimensionMismatch(f"basis shapes differ: {shape} vs {b.shape[-2:]}")
     return b
@@ -261,17 +256,18 @@ def svd(b, *, rtol=None):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     size = max(b.shape[-2:])
-    if b.ndim == 2:
-        return _factors(u, s, vt, size, rtol)
-    return [_factors(u[i], s[i], vt[i], size, rtol) for i in range(len(s))]
-
-
-def _factors(u, s, vt, size, rtol):
-    """SvdFactors of one thin SVD of a matrix with `size` rows or columns."""
-    sigma1 = float(s[0])
-    rank_tol = size * sigma1 * UNIT_ROUNDOFF if rtol is None else rtol * sigma1
-    rank = int(np.count_nonzero(s > rank_tol))
-    return SvdFactors(u=u, sigma=s, v=vt.T, numerical_rank=rank, rank_tolerance=rank_tol)
+    if b.ndim == 2:  # scalar arithmetic: cheaper than array operations on one matrix
+        sigma1 = float(s[0])
+        tol = size * sigma1 * UNIT_ROUNDOFF if rtol is None else rtol * sigma1
+        return SvdFactors(u, s, vt.T, int(np.count_nonzero(s > tol)), tol)
+    sigma1 = s[:, 0]
+    tols = size * sigma1 * UNIT_ROUNDOFF if rtol is None else rtol * sigma1
+    ranks = np.add.reduce(s > tols[:, None], axis=-1)
+    v = vt.swapaxes(1, 2)
+    return [
+        SvdFactors(u[i], s[i], v[i], rank, tol)
+        for i, (rank, tol) in enumerate(zip(ranks.tolist(), tols.tolist()))
+    ]
 
 
 def _svdvals(b):
@@ -322,7 +318,8 @@ def matrix_norm(b, kind):
     `b` may be an (s, p, q) stack, a 3-d array or a list of matrices: the
     result is then a length-s array whose entry i is what matrix i alone
     gives, each matrix scaled by the rule on its own.  The spectral and trace
-    norms of a stack take one LAPACK call."""
+    norms of a stack take one LAPACK call, its Frobenius norms one
+    ``np.vecdot``."""
     _check_kind(kind)
     if kind == "frobenius":
         b = _shaped(b, "b", stack=True)
@@ -331,7 +328,19 @@ def matrix_norm(b, kind):
             raise InvalidInput("b contains non-finite entries")
         if b.ndim == 2:
             return _unscaled(_frobenius, b, tops[0])
-        return np.array([_unscaled(_frobenius, b[i], top) for i, top in enumerate(tops)])
+        # C-contiguous members, which ravel("K") ravels in C order, take one
+        # vecdot; a member outside the _SAFE range, or of other strides, is
+        # redone on its own
+        if b[0].flags.c_contiguous:
+            rows = b.reshape(len(b), -1)
+            with np.errstate(over="ignore", under="ignore"):
+                out = np.sqrt(np.vecdot(rows, rows))
+            redo = _unsafe(np.array(tops))
+        else:
+            out, redo = np.empty(len(b)), range(len(b))
+        for i in redo:
+            out[i] = _unscaled(_frobenius, b[i], tops[i])
+        return out
     s = singular_values(b)
     if s.ndim == 2:
         return s[:, 0].copy() if kind == "spectral" else s.sum(axis=1)
@@ -349,18 +358,25 @@ def check_orthonormal(x, name="x"):
     return x
 
 
-def _orthonormal(gram, name, n, k):
-    """check_orthonormal's verdict on an n-by-k basis from its Gram matrix."""
+def _orthonormal(grams, name, n, k):
+    """check_orthonormal's verdict on n-by-k bases from their fresh Gram
+    matrices, one or a stack of them, which it overwrites: the first basis
+    that fails raises its InvalidBasis."""
     if k > n:
         raise InvalidBasis(f"{name} has more columns ({k}) than rows ({n})")
     tol = 1e-12 * n
-    # np.linalg.norm's own Frobenius formula, without its dispatch
-    g = (gram - np.eye(k)).ravel()
-    defect = math.sqrt(g.dot(g))
-    if defect > tol:
-        raise InvalidBasis(
-            f"{name} is not orthonormal: ||x.T x - I||_F = {defect:.3e} > {tol:.3e}"
-        )
+    g = grams.reshape(-1, k * k)
+    diagonals = g[:, :: k + 1]
+    np.subtract(diagonals, 1.0, out=diagonals)  # g - I without building I
+    # np.linalg.norm's own Frobenius formula: vecdot sums each row as ndarray.dot
+    # does, and ndarray.dot costs less on a single row
+    squares = [g[0].dot(g[0])] if grams.ndim == 2 else np.vecdot(g, g).tolist()
+    for square in squares:
+        defect = math.sqrt(square)
+        if defect > tol:  # a NaN defect passes
+            raise InvalidBasis(
+                f"{name} is not orthonormal: ||x.T x - I||_F = {defect:.3e} > {tol:.3e}"
+            )
 
 
 def orthonormal_completion(x):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from subspace_align import align, matrix_norm
+from subspace_align import InvalidBasis, align, check_orthonormal, matrix_norm
 from subspace_align.kernels import random_orthonormal
 
 #: Rank tolerance (relative to sigma_1) used when a test needs the exact-rank
@@ -82,6 +82,44 @@ def subspace_pair(rng, n, k, eps=None):
     x = random_orthonormal(n, k, rng)
     y, _ = np.linalg.qr(x + eps * rng.standard_normal((n, k)))
     return x, y
+
+
+def at_the_limit(rng, n, k, r):
+    """A rank-r pinning matrix d and two n-by-k bases, k >= 2, a few ulps
+    apart at the orthonormality limit, ``1e-12 * n`` on ``||x.T x - I||_F``.
+
+    Both are ``I + t s`` on the k rows where d holds ``q diag(l) q.T`` and zero
+    elsewhere, with s symmetric of zero diagonal; the bisection on t leaves
+    ``check_orthonormal`` accepting the first and rejecting the second at
+    adjacent floats t.  Their products with d, ``(I + t s) q diag(l) q.T``,
+    are symmetric PSD to within about 1e-11 ``||d||_2``, so both are pinned.
+    """
+    rows = rng.permutation(n)[:k]
+    q = random_orthonormal(k, k, rng)
+    d = np.zeros((n, k))
+    d[rows] = (q * np.concatenate([rng.uniform(0.3, 3.0, r), np.zeros(k - r)])) @ q.T
+    s = rng.standard_normal((k, k))
+    s += s.T
+    np.fill_diagonal(s, 0.0)
+    s /= np.linalg.norm(s)  # ||x.T x - I||_F is about 2t
+
+    def basis(t):
+        x = np.zeros((n, k))
+        x[rows] = np.eye(k) + t * s
+        return x
+
+    def accepted(t):
+        try:
+            check_orthonormal(basis(t))
+        except InvalidBasis:
+            return False
+        return True
+
+    lo, hi = 0.0, 1e-12 * n
+    assert accepted(lo) and not accepted(hi)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    return d, basis(lo), basis(hi)
 
 
 def aligned_instance(rng, k_range=(3, 8), n_max=64, drops=(0, 1, 2)):

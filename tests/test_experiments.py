@@ -1,4 +1,5 @@
 import collections
+import csv
 import dataclasses
 import io
 import json
@@ -6,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from subspace_align import (
     ExperimentConfig,
@@ -26,6 +29,8 @@ from subspace_align import (
 from subspace_align.experiments import (
     SWEEP_RANK_RTOL,
     SweepRow,
+    _Key,
+    _stream,
     config_from_dict,
     row_passes,
     write_rows_csv,
@@ -40,6 +45,43 @@ def _pinned_point(config, index):
     d = pinning_matrix(config.n, config.k, config.rank_deficiency)
     _, x_tilde_diamond, _, _ = make_pair(config, config.deltas[index], index=index)
     return align(x_tilde_diamond, d, rtol=SWEEP_RANK_RTOL)[0]
+
+
+_CELL_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310, 1e-12])
+_CELL_TEXT = st.text(st.sampled_from(["a", " ", ",", '"', "\n", "\r"]), max_size=6)
+_SWEEP_ROWS = st.builds(SweepRow, **{
+    **{f.name: _CELL_FLOATS for f in dataclasses.fields(SweepRow)},
+    "kind": st.sampled_from(NORM_KINDS) | _CELL_TEXT,
+    "xi_sharpened": st.none() | _CELL_FLOATS,
+    "flag": _CELL_TEXT,
+})
+
+#: Stream seeds and ids: the ends of the 64-bit range and its middle, or any value.
+_WORDS = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@given(seed=_WORDS, stream_id=_WORDS)
+@example(seed=0, stream_id=0)
+@example(seed=2**64 - 1, stream_id=2**63)
+def test_stream_is_the_philox_stream_keyed_seed_and_id(seed, stream_id):
+    # the sweeps' draws must not move if numpy derives Philox keys another way
+    ours = _stream(seed, stream_id)
+    keyed = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+    assert repr(ours.bit_generator.state) == repr(keyed.bit_generator.state)
+    assert ours.standard_normal(9).tobytes() == keyed.standard_normal(9).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_words, dtype", [(1, np.uint64), (3, np.uint64), (2, np.uint32), (4, np.uint32)]
+)
+def test_the_key_seed_sequence_serves_only_a_philox_key(n_words, dtype):
+    key = _Key(2**64 - 1, 7)
+    assert key.generate_state(2, np.uint64).tolist() == [2**64 - 1, 7]
+    with pytest.raises(ValueError):
+        key.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        key.generate_state(2)  # uint32 words, the default
 
 
 class TestConfig:
@@ -468,6 +510,21 @@ class TestRunSweep:
             "0.1,spectral,5e-324,-0.0,inf,-inf,nan,nan,,nan,nan,nan,\n"
             '1e-12,trace,3e-12,nan,nan,nan,nan,nan,0.25,nan,nan,nan,"InvalidInput: a, ""b""\nc"\n'
         )
+
+    @given(rows=st.lists(_SWEEP_ROWS, max_size=4))
+    @example(rows=[])
+    def test_csv_bytes_are_the_csv_modules(self, rows):
+        # csv.writer is the reference: it quotes a cell holding a comma, a
+        # quote or a newline, not one holding only a carriage return, and
+        # writes None as an empty cell
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows([getattr(row, name) for name in names] for row in rows)
+        buffer = io.StringIO(newline="")
+        write_rows_csv(rows, buffer)
+        assert buffer.getvalue() == expected.getvalue()
 
     def test_csv_floats_round_trip(self, tmp_path):
         config = ExperimentConfig(**SMALL, seed=4)

@@ -32,7 +32,7 @@ from subspace_align import (
 )
 from subspace_align.kernels import haar_orthogonal, random_orthonormal
 
-from support import RANK_RTOL, rank_matrix, subspace_pair
+from support import RANK_RTOL, at_the_limit, rank_matrix, subspace_pair
 
 _SEEDS = st.integers(0, 2**64 - 1)
 
@@ -118,14 +118,52 @@ def test_measured_within_xi(shape, seed):
         assert report.measured <= report.xi + 1e-10
 
 
-@given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 4))
-@example(shape=(4, 4, 4), seed=0, m=2)
-@example(shape=(5, 3, 2), seed=1, m=3)
-@example(shape=(11, 6, 3), seed=2, m=4)
-def test_a_stack_equals_its_bases_one_at_a_time(shape, seed, m):
+#: Members at the orthonormality limit to add to a stack, each ``False`` (a
+#: few ulps inside ``1e-12 * n``) or ``True`` (a few ulps outside it).
+_LIMITS = st.lists(st.booleans(), max_size=2)
+
+
+def _limit_members(rng, limits, n, k, r):
+    """The pinning matrix and the bases of :func:`at_the_limit` that `limits`
+    asks for; (None, []) at k == 1, whose Gram matrix is a scalar near 1, too
+    coarse to place a defect by the ulp."""
+    if not limits or k < 2:
+        return None, []
+    d, inside, outside = at_the_limit(rng, n, k, r)
+    return d, [outside if limit else inside for limit in limits]
+
+
+def _inserted(rng, stack, members):
+    """`stack` with each of `members` inserted at a random place."""
+    for member in members:
+        stack.insert(int(rng.integers(0, len(stack) + 1)), member)
+    return stack
+
+
+def _same_verdicts(stacked, alone, members):
+    """The value of the call `stacked`, or None after checking that it raises
+    the error of the first member that `alone` rejects."""
+    for member in members:
+        error = _error(lambda: alone(member))
+        if error:
+            assert _error(stacked) == error
+            return None
+    return stacked()
+
+
+@given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 4), limits=_LIMITS)
+@example(shape=(4, 4, 4), seed=0, m=2, limits=[])
+@example(shape=(5, 3, 2), seed=1, m=3, limits=[])
+@example(shape=(11, 6, 3), seed=2, m=4, limits=[])
+@example(shape=(7, 3, 2), seed=3, m=1, limits=[False])
+@example(shape=(6, 4, 4), seed=4, m=2, limits=[False, True])
+def test_a_stack_equals_its_bases_one_at_a_time(shape, seed, m, limits):
+    # a member at the orthonormality limit gets the verdict of its own call
     n, k, r = shape
     rng = _rng(seed)
     d = rank_matrix(rng, n, k, r)
+    limit_d, members = _limit_members(rng, limits, n, k, r)
+    d = d if limit_d is None else limit_d
     x_any = random_orthonormal(n, k, rng)
     x, sx = align(x_any, d, rtol=RANK_RTOL)
     stack = []
@@ -135,9 +173,15 @@ def test_a_stack_equals_its_bases_one_at_a_time(shape, seed, m):
         assume(sy.r == r and sy.sigma_r >= 1e-6)
         stack.append(y)
     assume(sx.r == r and sx.sigma_r >= 1e-6)
-    reports = evaluate_instance(x, np.array(stack), d, NORM_KINDS, rtol=RANK_RTOL)
-    angles = canonical_angles(x, stack)
-    assert len(reports) == len(angles) == m
+    stack = _inserted(rng, stack, members)
+    reports = _same_verdicts(
+        lambda: evaluate_instance(x, np.array(stack), d, NORM_KINDS, rtol=RANK_RTOL),
+        lambda y: evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL), stack)
+    angles = _same_verdicts(lambda: canonical_angles(x, stack),
+                            lambda y: canonical_angles(x, y), stack)
+    if reports is None:
+        return
+    assert len(reports) == len(angles) == len(stack)
     for y, stacked, spectrum in zip(stack, reports, angles):
         assert stacked == evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL)
         alone = canonical_angles(x, y)
@@ -297,14 +341,17 @@ def test_stacked_singular_values_and_norms_equal_each_matrix_alone(seed, m, p, q
     # zero matrices come up among the ranks; a member scaled by 2**+-600 lies
     # outside the _SAFE range and is rescaled on its own
     bs = [np.ldexp(b, e) for b, e in zip(_stacked_rank_matrices(_rng(seed), m, p, q), exponents)]
-    for stack in (bs, np.array(bs)):
+    # a member of a Fortran-ordered stack is neither C- nor F-contiguous, and
+    # the Frobenius norm of a matrix alone sums its entries in memory order
+    for stack in (bs, np.array(bs), np.asfortranarray(bs)):
         values = singular_values(stack)
         assert values.shape == (m, min(p, q))
         assert values.tobytes() == np.array([singular_values(b) for b in bs]).tobytes()
         for kind in NORM_KINDS:
             norms = matrix_norm(stack, kind)
             assert norms.shape == (m,)
-            assert norms.tobytes() == np.array([matrix_norm(b, kind) for b in bs]).tobytes(), kind
+            alone = np.array([matrix_norm(b, kind) for b in stack])
+            assert norms.tobytes() == alone.tobytes(), kind
 
 
 @given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 4))
@@ -341,13 +388,17 @@ def test_stacked_draws_equal_each_generator_alone(seed, m, n, k):
         assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
 
 
-@given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 5), rtol=st.sampled_from([None, RANK_RTOL]))
-@example(shape=(4, 4, 4), seed=0, m=1, rtol=None)
-@example(shape=(7, 3, 2), seed=1, m=4, rtol=RANK_RTOL)
-def test_a_stacked_align_equals_each_basis_alone(shape, seed, m, rtol):
+@given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 5), rtol=st.sampled_from([None, RANK_RTOL]),
+       limits=_LIMITS)
+@example(shape=(4, 4, 4), seed=0, m=1, rtol=None, limits=[])
+@example(shape=(7, 3, 2), seed=1, m=4, rtol=RANK_RTOL, limits=[])
+@example(shape=(5, 2, 1), seed=2, m=2, rtol=RANK_RTOL, limits=[False])
+@example(shape=(9, 5, 3), seed=3, m=1, rtol=None, limits=[True, False])
+def test_a_stacked_align_equals_each_basis_alone(shape, seed, m, rtol, limits):
     n, k, r = shape
     rng = _rng(seed)
     d = rank_matrix(rng, n, k, r)
+    _, members = _limit_members(rng, limits, n, k, r)
     bases = []
     for low in rng.integers(0, 2, m):
         x_any = random_orthonormal(n, k, rng)
@@ -355,8 +406,12 @@ def test_a_stacked_align_equals_each_basis_alone(shape, seed, m, rtol):
             v = np.linalg.svd(d)[0][:, -1:]
             x_any = np.linalg.qr(np.hstack([v, x_any[:, 1:] - v @ (v.T @ x_any[:, 1:])]))[0]
         bases.append(x_any)
-    pinned = align(bases, d, rtol=rtol)
-    assert len(pinned) == m
+    bases = _inserted(rng, bases, members)
+    pinned = _same_verdicts(lambda: align(bases, d, rtol=rtol),
+                            lambda x_any: align(x_any, d, rtol=rtol), bases)
+    if pinned is None:
+        return
+    assert len(pinned) == len(bases)
     for x_any, (x, aset) in zip(bases, pinned):
         x_alone, alone = align(x_any, d, rtol=rtol)
         assert x.tobytes() == x_alone.tobytes()
