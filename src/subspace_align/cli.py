@@ -136,7 +136,18 @@ def _cmd_experiment(args):
     return 0
 
 
+_PARSER = None  # argparse keeps no state between parse_args calls
+
+
 def build_parser():
+    """The process's one argument parser, built on the first call."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build()
+    return _PARSER
+
+
+def _build():
     parser = argparse.ArgumentParser(
         prog="subspace-align",
         description="Pinned orthonormal bases, canonical angles, and perturbation bounds.",

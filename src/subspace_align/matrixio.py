@@ -10,6 +10,8 @@ with no digit-group underscore (``1_0``).
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -21,55 +23,59 @@ __all__ = ["format_matrix", "parse_matrix", "save_matrix", "load_matrix"]
 def format_matrix(a):
     """Render a matrix in the text format, ending with a newline."""
     a = _as_matrix(a, "matrix")
-    row = " ".join(["%.17g"] * a.shape[1])
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    lines += [row % tuple(values) for values in a.tolist()]
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%.17g"] * a.shape[1])  # one format string for the whole file
+    return "\n".join(["%d %d" % a.shape] + [row] * len(a)) % tuple(a.ravel().tolist()) + "\n"
 
 
 def parse_matrix(text):
     """Parse the text format into a float64 array."""
     if not text.isascii():  # int() and float() read other scripts' digits and spaces
         raise InvalidInput(f"not an ASCII matrix file: {_non_ascii_line(text)}")
-    rows = cols = None
-    tokens = []  # every value token, converted in one pass at the end
-    data = []  # (line number, line) of each data row
-    for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if rows is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidInput(f"line {lineno}: expected header 'rows cols'")
-            try:
-                if "_" in line:  # int() would read "1_0" as 10
-                    raise ValueError("digit-group underscore")
-                rows, cols = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise InvalidInput(f"line {lineno}: bad header {line!r}") from exc
-            if rows < 1 or cols < 1:
-                raise InvalidInput(f"line {lineno}: dimensions must be positive")
-            continue
-        parts = line.split()
-        if len(parts) != cols:
-            _floats(tokens, data)  # a bad number on an earlier row comes first
-            raise InvalidInput(
-                f"line {lineno}: expected {cols} values, got {len(parts)}"
-            )
-        tokens += parts
-        data.append((lineno, line))
-        if len(data) > rows:
-            _floats(tokens, data)
-            raise InvalidInput(f"line {lineno}: more than {rows} data rows")
-    if rows is None:
+    lines = [(i, s) for i, raw in enumerate(_lines(text), 1) if (s := raw.strip()) and s[0] != "#"]
+    if not lines:
         raise InvalidInput("no header line found")
-    a = np.array(_floats(tokens, data), dtype=np.float64)
-    if len(data) != rows:
-        raise InvalidInput(f"expected {rows} data rows, got {len(data)}")
+    (lineno, line), data = lines[0], lines[1:]
+    parts = line.split()
+    if len(parts) != 2:
+        raise InvalidInput(f"line {lineno}: expected header 'rows cols'")
+    try:
+        if "_" in line:  # int() would read "1_0" as 10
+            raise ValueError("digit-group underscore")
+        rows, cols = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise InvalidInput(f"line {lineno}: bad header {line!r}") from exc
+    if rows < 1 or cols < 1:
+        raise InvalidInput(f"line {lineno}: dimensions must be positive")
+    a = None
+    if len(data) == rows:  # never zero lines: loadtxt warns on those
+        # float()'s tokens and bits but not "1_0"; comments=None keeps "1 # x" bad
+        with suppress(ValueError):
+            a = np.loadtxt([row for _, row in data], np.float64, comments=None, ndmin=2)
+    if a is None or a.shape != (rows, cols):
+        a = _rows(data, rows, cols)  # the same rules, line by line, to name the fault
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix contains non-finite entries")
-    return a.reshape(rows, cols)
+    return a
+
+
+def _rows(data, rows, cols):
+    """The data rows by the format's rules, line by line; InvalidInput names the first fault."""
+    values = []
+    for count, (lineno, line) in enumerate(data, start=1):
+        parts = line.split()
+        if len(parts) != cols:
+            raise InvalidInput(f"line {lineno}: expected {cols} values, got {len(parts)}")
+        try:
+            if "_" in line:  # float() reads "1_0" as 10
+                raise ValueError("digit-group underscore")
+            values += map(float, parts)
+        except ValueError as exc:
+            raise InvalidInput(f"line {lineno}: bad number in {line!r}") from exc
+        if count > rows:
+            raise InvalidInput(f"line {lineno}: more than {rows} data rows")
+    if len(data) != rows:
+        raise InvalidInput(f"expected {rows} data rows, got {len(data)}")
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
 
 
 def _lines(text):
@@ -85,23 +91,6 @@ def _non_ascii_line(text):
     for lineno, raw in enumerate(_lines(text), start=1):
         if not raw.isascii():
             return f"line {lineno}: non-ASCII character in {raw!r}"
-
-
-def _floats(tokens, data):
-    """The tokens as floats; on a bad one, InvalidInput naming its line."""
-    try:
-        if any("_" in line for _, line in data):  # float() reads "1_0" as 10
-            raise ValueError("digit-group underscore")
-        return list(map(float, tokens))
-    except ValueError:
-        for lineno, line in data:
-            try:
-                if "_" in line:
-                    raise ValueError("digit-group underscore")
-                list(map(float, line.split()))
-            except ValueError as exc:
-                raise InvalidInput(f"line {lineno}: bad number in {line!r}") from exc
-        raise
 
 
 def save_matrix(path, a):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from subspace_align import InvalidBasis, align, check_orthonormal, matrix_norm
+from subspace_align import InvalidBasis, InvalidInput, align, check_orthonormal, matrix_norm
 from subspace_align.kernels import random_orthonormal
 
 #: Rank tolerance (relative to sigma_1) used when a test needs the exact-rank
@@ -215,3 +215,82 @@ def brute_min_distance(aset, target, kind="frobenius", n_grid=0, n_samples=0, rn
         ws = haar_stack(free, n_samples, rng)
         best = min(best, _chunked_min_distance(aset, target, ws, kind))
     return best
+
+
+def reference_parse_matrix(text):
+    """`matrixio.parse_matrix` as it read files before it used `np.loadtxt`:
+    ``int()`` and ``float()`` over a Python walk of the lines.  The reader must
+    match it value for value and message for message."""
+    if not text.isascii():  # int() and float() read other scripts' digits and spaces
+        raise InvalidInput(f"not an ASCII matrix file: {_reference_non_ascii_line(text)}")
+    rows = cols = None
+    tokens = []  # every value token, converted in one pass at the end
+    data = []  # (line number, line) of each data row
+    for lineno, raw in enumerate(_reference_lines(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if rows is None:
+            parts = line.split()
+            if len(parts) != 2:
+                raise InvalidInput(f"line {lineno}: expected header 'rows cols'")
+            try:
+                if "_" in line:  # int() would read "1_0" as 10
+                    raise ValueError("digit-group underscore")
+                rows, cols = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise InvalidInput(f"line {lineno}: bad header {line!r}") from exc
+            if rows < 1 or cols < 1:
+                raise InvalidInput(f"line {lineno}: dimensions must be positive")
+            continue
+        parts = line.split()
+        if len(parts) != cols:
+            _reference_floats(tokens, data)  # a bad number on an earlier row comes first
+            raise InvalidInput(
+                f"line {lineno}: expected {cols} values, got {len(parts)}"
+            )
+        tokens += parts
+        data.append((lineno, line))
+        if len(data) > rows:
+            _reference_floats(tokens, data)
+            raise InvalidInput(f"line {lineno}: more than {rows} data rows")
+    if rows is None:
+        raise InvalidInput("no header line found")
+    a = np.array(_reference_floats(tokens, data), dtype=np.float64)
+    if len(data) != rows:
+        raise InvalidInput(f"expected {rows} data rows, got {len(data)}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInput("matrix contains non-finite entries")
+    return a.reshape(rows, cols)
+
+
+def _reference_lines(text):
+    """The lines of `text`, each ended only by LF, CR LF or CR.
+
+    str.splitlines also ends a line at \\v, \\f and \\x1c to \\x1e.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _reference_non_ascii_line(text):
+    """``line N: ...`` naming the first line of `text` that is not ASCII."""
+    for lineno, raw in enumerate(_reference_lines(text), start=1):
+        if not raw.isascii():
+            return f"line {lineno}: non-ASCII character in {raw!r}"
+
+
+def _reference_floats(tokens, data):
+    """The tokens as floats; on a bad one, InvalidInput naming its line."""
+    try:
+        if any("_" in line for _, line in data):  # float() reads "1_0" as 10
+            raise ValueError("digit-group underscore")
+        return list(map(float, tokens))
+    except ValueError:
+        for lineno, line in data:
+            try:
+                if "_" in line:
+                    raise ValueError("digit-group underscore")
+                list(map(float, line.split()))
+            except ValueError as exc:
+                raise InvalidInput(f"line {lineno}: bad number in {line!r}") from exc
+        raise

@@ -17,6 +17,7 @@ from subspace_align import (
     pinning_matrix,
     save_matrix,
 )
+from subspace_align import cli
 from subspace_align.kernels import random_orthonormal
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -313,3 +314,34 @@ def test_matrix_file_error_names_the_file(tmp_path, command, bad):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {path}: line 3: bad number"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _main_in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse exits on an error and after --help
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, rng, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    x = tmp_path / "x.txt"
+    save_matrix(x, random_orthonormal(6, 2, rng))
+    save_matrix(tmp_path / "y.txt", random_orthonormal(6, 2, rng))
+    calls = (
+        ["angles", "--x", str(x)],  # --y missing: usage and exit code 2
+        ["angles", "--x", str(x), "--y", str(tmp_path / "y.txt")],
+        ["experiment", "--help"],
+    )
+    shared = [_main_in_process(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli._build())
+        fresh.append(_main_in_process(argv, capsys))
+    assert shared == fresh
+    (code, out, err), (ok, csv, _), (helped, usage, _) = shared
+    assert code == 2 and out == "" and err.startswith("usage: subspace-align angles")
+    assert ok == 0 and csv.startswith("index,sine,cosine\n")
+    assert helped == 0 and usage.startswith("usage: subspace-align experiment")

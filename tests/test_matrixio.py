@@ -1,8 +1,10 @@
 import re
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +15,8 @@ from subspace_align import (
     parse_matrix,
     save_matrix,
 )
+
+from support import reference_parse_matrix
 
 
 def test_round_trip_exact(tmp_path, rng):
@@ -94,9 +98,13 @@ _MALFORMED = {
     "\uff11 \uff11\n2\n": "line 1: non-ASCII character",
     "1 2\n1\xa02\n": "line 2: non-ASCII character",
     "1 1\n# caf\xe9\n1\n": "line 2: non-ASCII character",
-    # a row ends only at LF, CR LF or CR; \v, \f and \x1c-\x1e are whitespace
+    # a row ends only at LF, CR LF or CR; \t, \v, \f and \x1c-\x1f are whitespace
     "2 2\n1 2\v3 4\n": "line 2: expected 2 values, got 4",
     "1 1\n\f\nx\n": "line 3: bad number",
+    # a comment is a whole line: after a value, "#" is one more token
+    "1 2\n1 #2\n": "line 2: bad number",
+    "1 1\n1 #2\n": "line 2: expected 1 values, got 2",
+    "1 1\n1\x00\n": "line 2: bad number",
 }
 
 
@@ -118,7 +126,7 @@ def test_non_ascii_file_rejected_by_name(tmp_path):
         load_matrix(path)
 
 
-@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\v", "\f"])
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f", "\v", "\f", "\t"])
 def test_only_line_ends_end_a_row(sep):
     # str.splitlines ends a line at each of these; the format does not
     assert parse_matrix(f"1 4\n1 2{sep}3 4\n").tolist() == [[1.0, 2.0, 3.0, 4.0]]
@@ -130,3 +138,57 @@ def test_file_errors_name_the_file(tmp_path):
     message = f"{path}: line 3: bad number in 'fish'"
     with pytest.raises(InvalidInput, match="^" + re.escape(message)):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("shape", [(2048, 8), (1, 8), (2048, 1)])
+def test_format_matrix_at_full_size(shape, rng):
+    # format_matrix fills one format string of rows * cols fields
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    lines = [f"{shape[0]} {shape[1]}"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in a.tolist()]
+    assert format_matrix(a) == "\n".join(lines) + "\n"
+
+
+_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+_VALID = _VALUES.map(repr) | _VALUES.map("%.17g".__mod__)
+_EDGE = st.sampled_from(["nan", "-inf", "1e500", "1e-400", "1_0", "0x10", "1e", "+.5", "\x00", "#", "#2"])
+_TOKENS = st.sampled_from([_VALID] * 7 + [_EDGE]).flatmap(lambda tokens: tokens)
+_SEPARATORS = st.text(st.sampled_from(" \t\v\f\x1c\x1d\x1e\x1f"), min_size=1, max_size=2)
+_ENDS = st.just("") | _SEPARATORS
+_TAILS = st.sampled_from([""] * 6 + [" # x", "#"])  # not a comment after a value
+_NOISE = st.lists(st.sampled_from(["", " \t", "\x1f", "# c", "  # 1_0 x"]), max_size=1)
+
+
+@st.composite
+def _matrix_texts(draw):
+    """Matrix texts, mostly well formed: every row and value count, token,
+    separator, comment and line end can go wrong or vary."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    off = st.sampled_from([0] * 6 + [-1, 1])  # a wrong count one time in four
+    lines = draw(_NOISE) + [f"{rows} {cols}"]
+    for _ in range(max(rows + draw(off), 0)):
+        line = draw(_ENDS)
+        for i in range(max(cols + draw(off), 0)):
+            line += (draw(_SEPARATORS) if i else "") + draw(_TOKENS)
+        lines += draw(_NOISE) + [line + draw(_ENDS) + draw(_TAILS)]
+    lines += draw(_NOISE)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+
+
+@given(text=_matrix_texts())
+@settings(max_examples=400)
+def test_parse_matrix_matches_the_line_by_line_reader(text):
+    try:
+        expected = reference_parse_matrix(text)
+    except InvalidInput as exc:
+        expected = exc
+    # through numpy's reader, and through the line walk alone
+    for reader in (nullcontext(), mock.patch.object(np, "loadtxt", side_effect=ValueError)):
+        with reader:
+            if isinstance(expected, InvalidInput):
+                with pytest.raises(InvalidInput) as got:
+                    parse_matrix(text)
+                assert str(got.value) == str(expected)
+            else:
+                got = parse_matrix(text)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
