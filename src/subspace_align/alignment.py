@@ -23,6 +23,7 @@ from .kernels import (
     _pinning,
     _real,
     _stack,
+    _stream,
     _uint64,
     haar_orthogonal,
     matrix_norm,
@@ -272,8 +273,7 @@ def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, seed=0):
     samples = _integer(samples, "samples")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
-    key = np.uint64(_uint64(seed, "seed"))
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = _stream(_uint64(seed, "seed"), 0)
     worst = 0.0
     used = 0
     for _ in range(samples):

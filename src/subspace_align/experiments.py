@@ -26,7 +26,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .alignment import align
 from .bounds import evaluate_instance
@@ -36,6 +35,7 @@ from .kernels import (
     _checked,
     _gauge,
     _integer,
+    _stream,
     _uint64,
     haar_orthogonal,
     hadamard,
@@ -123,25 +123,6 @@ def config_from_dict(payload):
     if unknown:
         raise InvalidInput(f"unknown config fields: {sorted(unknown)}")
     return ExperimentConfig(**payload)
-
-
-class _Key(ISeedSequence):
-    """A seed sequence that only hands Philox its key ``[seed, stream_id]``:
-    ``Philox(key=...)`` would first read OS entropy into a SeedSequence that
-    the key then overrides."""
-
-    def __init__(self, seed, stream_id):
-        self.key = seed, stream_id
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
-        return np.array(self.key, dtype=np.uint64)
-
-
-def _stream(seed, stream_id):
-    """The generator of Philox stream ``(seed, stream_id)``, both in [0, 2**64)."""
-    return np.random.Generator(np.random.Philox(_Key(seed, stream_id)))
 
 
 def _delta(value):

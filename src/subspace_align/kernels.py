@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     DimensionMismatch,
@@ -132,28 +133,32 @@ def _exponent(top):
     return math.frexp(top)[1] - 1 if top else 0
 
 
-#: A norm or singular value whose matrix has its largest entry in
-#: [1 / _SAFE, _SAFE] is computed from the matrix as it stands, so it keeps its
-#: bits.  Outside that range the matrix is first scaled by the exact power of
-#: two that brings its largest entry into [1, 2), as `_pinning` does for `d`:
+#: A norm or the singular values of a matrix whose top value (its largest
+#: entry, or sigma_1 for the singular values, which needs no pass over it) lies
+#: in [1 / _SAFE, _SAFE] are computed from the matrix as it stands, so they keep
+#: their bits.  Outside that range the matrix is first scaled by the exact power
+#: of two that brings its largest entry into [1, 2), as `_pinning` does for `d`:
 #: a Frobenius sum of squares would overflow or lose digits to underflow, and
 #: LAPACK's SVD would rescale by a ratio that is not a power of two (beyond
 #: about 2**+-458).  Either way the result scales exactly with powers of two.
 _SAFE = 2.0**400
 
 
-def _unscaled(norm, b, top):
-    """``norm(b)``, for a norm of degree one given ``top = max|b|``, by the
-    `_SAFE` rule."""
-    if not top or 1.0 / _SAFE <= top <= _SAFE:
-        return norm(b)
-    e = _exponent(top)
-    return norm(np.ldexp(b, -e)) * 2.0**e
+def _outside(top):
+    """Whether a top value is nonzero and outside [1 / _SAFE, _SAFE]."""
+    return top and not 1.0 / _SAFE <= top <= _SAFE
 
 
-def _unsafe(tops):
-    """Indices of the nonzero entries of a 1-d `tops` outside the `_SAFE` range."""
-    return [i for i, top in enumerate(tops.tolist()) if top and not 1.0 / _SAFE <= top <= _SAFE]
+def _rescale(f, b, out, tops):
+    """Redo, in place, each entry ``out[i] = f(b[i])`` of a stack whose top value
+    ``tops[i]`` is `_outside` the safe range, from ``b[i]`` scaled into range;
+    return `out`.  One matrix is the stack ``(b,)``; a caller tests `_outside`
+    first where f of an out-of-range matrix as it stands would overflow."""
+    for i, top in enumerate(tops):
+        if _outside(top):
+            e = _exponent(float(np.abs(b[i]).max()))
+            out[i] = f(np.ldexp(b[i], -e)) * 2.0**e
+    return out
 
 
 def _uint64(value, name):
@@ -180,7 +185,10 @@ def _gauge(values, kind):
     if kind == "spectral":
         return float(values.max(initial=0.0))
     if kind == "frobenius":
-        return _unscaled(_root_sum_of_squares, values, float(values.max(initial=0.0)))
+        top = float(values.max(initial=0.0))
+        if _outside(top):
+            return _rescale(_root_sum_of_squares, (values,), [None], (top,))[0]
+        return _root_sum_of_squares(values)
     return float(values.sum())
 
 
@@ -191,10 +199,9 @@ def _row_gauges(values, kind):
         return values.max(axis=1, initial=0.0)
     if kind == "trace":
         return values.sum(axis=1)
-    out = np.sqrt((values * values).sum(axis=1))
-    for i in _unsafe(values.max(axis=1, initial=0.0)):
-        out[i] = _gauge(values[i], kind)
-    return out
+    with np.errstate(over="ignore", under="ignore"):  # rows out of range are redone
+        out = np.sqrt((values * values).sum(axis=1))
+    return _rescale(_root_sum_of_squares, values, out, values.max(axis=1, initial=0.0).tolist())
 
 
 def _root_sum_of_squares(values):
@@ -202,9 +209,14 @@ def _root_sum_of_squares(values):
 
 
 def _frobenius(b):
-    """np.linalg.norm's own Frobenius formula, without its dispatch."""
-    v = b.ravel("K")
-    return math.sqrt(v.dot(v))
+    """np.linalg.norm's own Frobenius formula, without its dispatch, on the entries
+    in C order whatever the layout; a stack's vecdot sums each row as dot does."""
+    b = np.ascontiguousarray(b)
+    if b.ndim == 2:
+        v = b.ravel()
+        return math.sqrt(v.dot(v))
+    rows = b.reshape(len(b), -1)
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 @dataclass(frozen=True)
@@ -282,21 +294,13 @@ def singular_values(b):
 
     `b` may be an (s, p, q) stack, a 3-d array or a list of matrices: one
     LAPACK call then gives an (s, min(p, q)) array whose row i is what
-    matrix i alone gives, each matrix scaled by the rule on its own.
-
-    sigma_1 lies within a factor ``sqrt(min(m, n))`` of ``max|b|``, so a
-    sigma_1 inside the safe range shows that `b` needed no scaling, without a
-    pass over `b`."""
+    matrix i alone gives, each matrix scaled by the rule on its own."""
     b = _as_matrix(b, "b", stack=True)
     s = _svdvals(b)
     if b.ndim == 3:
-        for i in _unsafe(s[:, 0]):
-            s[i] = _unscaled(_svdvals, b[i], float(np.abs(b[i]).max()))
-        return s
+        return _rescale(_svdvals, b, s, s[:, 0].tolist())
     top = float(s[0])
-    if top and not 1.0 / _SAFE <= top <= _SAFE:
-        s = _unscaled(_svdvals, b, float(np.abs(b).max()))
-    return s
+    return _rescale(_svdvals, (b,), [s], (top,))[0] if _outside(top) else s
 
 
 def truncated_norm(b, r, kind):
@@ -319,28 +323,25 @@ def matrix_norm(b, kind):
     result is then a length-s array whose entry i is what matrix i alone
     gives, each matrix scaled by the rule on its own.  The spectral and trace
     norms of a stack take one LAPACK call, its Frobenius norms one
-    ``np.vecdot``."""
+    ``np.vecdot``.  A Frobenius norm sums the squares of the entries in C
+    (row-major) order whatever the memory layout of `b`: a C-ordered, a
+    Fortran-ordered and a strided array of one matrix give the same bits."""
     _check_kind(kind)
     if kind == "frobenius":
         b = _shaped(b, "b", stack=True)
-        tops = [float(np.abs(b).max())] if b.ndim == 2 else np.abs(b).max(axis=(1, 2)).tolist()
-        if not all(map(math.isfinite, tops)):
-            raise InvalidInput("b contains non-finite entries")
         if b.ndim == 2:
-            return _unscaled(_frobenius, b, tops[0])
-        # C-contiguous members, which ravel("K") ravels in C order, take one
-        # vecdot; a member outside the _SAFE range, or of other strides, is
-        # redone on its own
-        if b[0].flags.c_contiguous:
-            rows = b.reshape(len(b), -1)
-            with np.errstate(over="ignore", under="ignore"):
-                out = np.sqrt(np.vecdot(rows, rows))
-            redo = _unsafe(np.array(tops))
+            top = float(np.abs(b).max())
+            if not _outside(top):
+                return _frobenius(b)
+            if math.isfinite(top):
+                return _rescale(_frobenius, (b,), [None], (top,))[0]
         else:
-            out, redo = np.empty(len(b)), range(len(b))
-        for i in redo:
-            out[i] = _unscaled(_frobenius, b[i], tops[i])
-        return out
+            tops = np.abs(b).max(axis=(1, 2)).tolist()
+            if all(map(math.isfinite, tops)):
+                with np.errstate(over="ignore", under="ignore"):  # members out of range are redone
+                    out = _frobenius(b)
+                return _rescale(_frobenius, b, out, tops)
+        raise InvalidInput("b contains non-finite entries")
     s = singular_values(b)
     if s.ndim == 2:
         return s[:, 0].copy() if kind == "spectral" else s.sum(axis=1)
@@ -446,16 +447,6 @@ def _seed_order(n):
     return m if m in _SEEDS else None
 
 
-def _parity_signs(count):
-    """``(-1)**popcount(v)`` for v in range(count); numpy's own popcount
-    needs numpy 2, so the bits of v are XORed one at a time."""
-    v = np.arange(count, dtype=np.int64)
-    parity = np.zeros(count, dtype=np.int64)
-    for bit in range((count - 1).bit_length()):
-        parity ^= (v >> bit) & 1
-    return 1 - 2 * parity
-
-
 def is_hadamard_order(n):
     """True when :func:`hadamard` can build a matrix of order `n`."""
     try:
@@ -487,10 +478,30 @@ def hadamard(n, columns=None):
     if not 1 <= c <= n:
         raise InvalidInput(f"columns must lie in [1, {n}], got {c}")
     blocks = -(-c // seed)  # column blocks of width s that the c columns touch
-    signs = _parity_signs(blocks)[np.arange(n // seed)[:, None] & np.arange(blocks)]
+    parity = np.bitwise_count(np.arange(blocks)) & 1  # of each v < blocks, and i1 & j1 is one
+    signs = np.where(parity, -1, 1)[np.arange(n // seed)[:, None] & np.arange(blocks)]
     # the Kronecker product signs (x) H_s, laid out as (i1, i2, j1, j2)
     h = signs[:, None, :, None] * _SEEDS[seed][None, :, None, :]
     return h.reshape(n, blocks * seed)[:, :c]
+
+
+class _Key(ISeedSequence):
+    """A seed sequence that only hands Philox its key ``[seed, stream_id]``:
+    ``Philox(key=...)`` would first read OS entropy into a SeedSequence that
+    the key then overrides."""
+
+    def __init__(self, seed, stream_id):
+        self.key = seed, stream_id
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {dtype}")
+        return np.array(self.key, dtype=np.uint64)
+
+
+def _stream(seed, stream_id):
+    """The generator of Philox stream ``(seed, stream_id)``, both in [0, 2**64)."""
+    return np.random.Generator(np.random.Philox(_Key(seed, stream_id)))
 
 
 def haar_orthogonal(size, rng):

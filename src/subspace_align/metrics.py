@@ -14,6 +14,7 @@ from .kernels import (
     _check_kind,
     _gauge,
     _integer,
+    _shaped,
     _stack,
     check_orthonormal,
     orthonormal_completion,
@@ -72,13 +73,17 @@ def canonical_angles(x, y):
     stack validates and completes `x` once and takes each of the two SVDs in
     one call.
     """
-    x = check_orthonormal(x, name="x")
-    ys = _stack(y, "y", x.shape)
+    x = _shaped(x, "x", stack=False)
     n, k = x.shape
+    if n > k:
+        xp = orthonormal_completion(x)  # checks x, under the same name and message
+    else:
+        check_orthonormal(x, name="x")
+    ys = _stack(y, "y", x.shape)
     cosines = np.clip(np.linalg.svd(x.T @ ys, compute_uv=False), 0.0, 1.0)
     sines = np.zeros(cosines.shape)
     if n > k:
-        sv = np.linalg.svd(orthonormal_completion(x).T @ ys, compute_uv=False)
+        sv = np.linalg.svd(xp.T @ ys, compute_uv=False)
         # ascending, padded with the zero sines forced when 2k > n
         sines[..., k - sv.shape[-1] :] = np.clip(sv[..., ::-1], 0.0, 1.0)
     if ys.ndim == 2:

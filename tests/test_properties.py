@@ -341,17 +341,22 @@ def test_stacked_singular_values_and_norms_equal_each_matrix_alone(seed, m, p, q
     # zero matrices come up among the ranks; a member scaled by 2**+-600 lies
     # outside the _SAFE range and is rescaled on its own
     bs = [np.ldexp(b, e) for b, e in zip(_stacked_rank_matrices(_rng(seed), m, p, q), exponents)]
-    # a member of a Fortran-ordered stack is neither C- nor F-contiguous, and
-    # the Frobenius norm of a matrix alone sums its entries in memory order
-    for stack in (bs, np.array(bs), np.asfortranarray(bs)):
+    alone = {kind: np.array([matrix_norm(b, kind) for b in bs]) for kind in NORM_KINDS}
+    # every memory layout gives the bits of the C-ordered matrix, alone or
+    # stacked: a member of a Fortran-ordered stack is neither C- nor
+    # F-contiguous, and a column slice of a wider array is strided
+    wide = np.repeat(np.array(bs), 2, axis=-1)
+    for stack in (bs, np.array(bs), np.asfortranarray(bs), [np.asfortranarray(b) for b in bs],
+                  wide[..., ::2], [each[:, ::2] for each in wide]):
         values = singular_values(stack)
         assert values.shape == (m, min(p, q))
         assert values.tobytes() == np.array([singular_values(b) for b in bs]).tobytes()
         for kind in NORM_KINDS:
             norms = matrix_norm(stack, kind)
             assert norms.shape == (m,)
-            alone = np.array([matrix_norm(b, kind) for b in stack])
-            assert norms.tobytes() == alone.tobytes(), kind
+            assert norms.tobytes() == alone[kind].tobytes(), kind
+            each = np.array([matrix_norm(b, kind) for b in stack])
+            assert each.tobytes() == alone[kind].tobytes(), kind
 
 
 @given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 4))

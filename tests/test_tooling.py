@@ -121,6 +121,60 @@ def test_src_runs_no_hidden_svd():
     assert not found, f"use kernels.svd or kernels.matrix_norm instead: {found}"
 
 
+#: numpy.random classes that build a random stream; kernels._stream is the
+#: package's one constructor of them
+STREAM_BUILDERS = {"Philox", "Generator"}
+
+
+def _stream_builds(tree):
+    """Lines of calls that build a numpy.random Philox or Generator."""
+    imported, modules = set(), set()  # local names of the classes, of numpy.random
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            imported.update(a.asname or a.name for a in node.names if a.name in STREAM_BUILDERS)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            modules.update(a.asname or a.name for a in node.names if a.name == "random")
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "numpy.random" and a.asname)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            found.append(node.lineno)
+        elif isinstance(func, ast.Attribute) and func.attr in STREAM_BUILDERS:
+            owner = func.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "random") or (
+                isinstance(owner, ast.Name) and owner.id in modules
+            ):
+                found.append(node.lineno)
+    return found
+
+
+def test_only_kernels_builds_random_streams():
+    # a stream built elsewhere may read OS entropy or key its words another way
+    code = (
+        "import numpy as np\n"
+        "import numpy.random as npr\n"
+        "from numpy import random\n"
+        "from numpy.random import Philox as P, Generator\n"
+        "np.random.default_rng(0)\n"
+        "np.random.Generator(np.random.Philox(key=1))\n"
+        "npr.Philox(1)\n"
+        "random.Generator(bits)\n"
+        "Generator(P(2))\n"
+    )
+    assert sorted(_stream_builds(ast.parse(code))) == [6, 6, 7, 8, 9, 9]
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "kernels.py":
+            lines = _stream_builds(ast.parse(path.read_text(), filename=str(path)))
+            if lines:
+                found[path.name] = lines
+    assert not found, f"use kernels._stream instead: {found}"
+
+
 def test_export_contract():
     # the package re-exports these modules' __all__ by star import, where a
     # name listed twice would silently shadow the first binding
