@@ -124,9 +124,8 @@ class AlignedBasisSet:
         f = self.freedom
         if w.shape[-2:] != (f, f) or w.ndim not in (2, 3):
             raise DimensionMismatch(f"w must be {f}x{f}, got {w.shape}")
-        gram = w.swapaxes(-1, -2) @ w - np.eye(f)
-        for each in gram if w.ndim == 3 else [gram]:
-            defect = float(np.linalg.norm(each))
+        gram = (w.swapaxes(-1, -2) @ w - np.eye(f)).reshape(w.shape[:-2] + (f * f,))
+        for defect in np.ravel(np.linalg.norm(gram, axis=-1)).tolist():  # one call per stack
             if not defect <= 1e-10:  # NaN fails too
                 raise InvalidInput(f"w is not orthogonal: ||w.T w - I||_F = {defect:.3e}")
         return self.base + self.freedom_left @ w @ self.freedom_right.T

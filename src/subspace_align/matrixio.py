@@ -31,10 +31,12 @@ def parse_matrix(text):
     """Parse the text format into a float64 array."""
     if not text.isascii():  # int() and float() read other scripts' digits and spaces
         raise InvalidInput(f"not an ASCII matrix file: {_non_ascii_line(text)}")
-    lines = [(i, s) for i, raw in enumerate(_lines(text), 1) if (s := raw.strip()) and s[0] != "#"]
-    if not lines:
+    lines = _lines(text)
+    for lineno, line in enumerate(map(str.strip, lines), 1):
+        if line and line[0] != "#":
+            break
+    else:
         raise InvalidInput("no header line found")
-    (lineno, line), data = lines[0], lines[1:]
     parts = line.split()
     if len(parts) != 2:
         raise InvalidInput(f"line {lineno}: expected header 'rows cols'")
@@ -46,13 +48,18 @@ def parse_matrix(text):
         raise InvalidInput(f"line {lineno}: bad header {line!r}") from exc
     if rows < 1 or cols < 1:
         raise InvalidInput(f"line {lineno}: dimensions must be positive")
+    rest = lines[lineno:]
+    # loadtxt skips blank lines itself; comment lines go only if there are any
+    data = [raw for raw in rest if raw.lstrip()[:1] != "#"] if "#" in text else rest
     a = None
-    if len(data) == rows:  # never zero lines: loadtxt warns on those
+    if any(map(str.strip, data)):  # loadtxt warns on input with no data rows
         # float()'s tokens and bits but not "1_0"; comments=None keeps "1 # x" bad
         with suppress(ValueError):
-            a = np.loadtxt([row for _, row in data], np.float64, comments=None, ndmin=2)
+            a = np.loadtxt(data, np.float64, comments=None, ndmin=2)
     if a is None or a.shape != (rows, cols):
-        a = _rows(data, rows, cols)  # the same rules, line by line, to name the fault
+        numbered = enumerate(map(str.strip, rest), lineno + 1)
+        # the same rules, line by line, to name the fault
+        a = _rows([(i, s) for i, s in numbered if s and s[0] != "#"], rows, cols)
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix contains non-finite entries")
     return a
@@ -83,7 +90,9 @@ def _lines(text):
 
     str.splitlines also ends a line at \\v, \\f and \\x1c to \\x1e.
     """
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _non_ascii_line(text):

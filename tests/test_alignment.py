@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,30 @@ class TestMember:
         w[0, 0] = np.nan
         with pytest.raises(InvalidInput, match="^w is not orthogonal"):
             aset.member(w)
+
+    def test_stack_raises_for_its_first_failing_w(self, rng):
+        d = rank_matrix(rng, 10, 4, 2)
+        _, aset = align(random_orthonormal(10, 4, rng), d, rtol=RANK_RTOL)
+        good = haar_orthogonal(2, rng)
+        bad = np.array([[1.0, 0.0], [0.0, 1.0 + 3e-10]])
+        nan = np.full((2, 2), np.nan)
+        # one nonzero entry: every summation order gives this defect
+        defect = np.linalg.norm(bad.T @ bad - np.eye(2))
+        message = re.escape(f"w is not orthogonal: ||w.T w - I||_F = {defect:.3e}") + "$"
+        for stack in ([bad], [good, bad], [good, bad, nan], [bad, nan]):
+            with pytest.raises(InvalidInput, match=message):
+                aset.member(np.array(stack))
+        with pytest.raises(InvalidInput, match="= nan$"):
+            aset.member(np.array([good, nan, bad]))
+        # a full w.T w - I may sum in another order than a lone norm call:
+        # the printed defect agrees to the rounding of its four digits
+        noisy = good + 1e-6 * rng.standard_normal((2, 2))
+        with pytest.raises(InvalidInput) as got:
+            aset.member(np.array([good, noisy]))
+        printed = float(str(got.value).rsplit("= ", 1)[1])
+        assert printed == pytest.approx(np.linalg.norm(noisy.T @ noisy - np.eye(2)), rel=5e-4)
+        members = aset.member(np.array([good, -good]))
+        assert np.array_equal(members[1], aset.member(-good))
 
 
 class TestOptimalRepresentative:

@@ -490,6 +490,22 @@ class TestEvaluateInstance:
             with pytest.raises(InvalidInput):
                 evaluate_instance(x, y, d, kinds, rtol=RANK_RTOL)
 
+    def test_tall_stack_reports_equal_single_calls(self, rng):
+        # OpenBLAS picks its kernels by size, and the property tests stay small
+        n, k, r = 520, 8, 6
+        d = rank_matrix(rng, n, k, r)
+        x_any = random_orthonormal(n, k, rng)
+        x = align(x_any, d, rtol=RANK_RTOL)[0]
+        stack = [
+            align(np.linalg.qr(x_any + 10.0**-e * rng.standard_normal((n, k)))[0], d, rtol=RANK_RTOL)[0]
+            for e in (2, 4, 6)
+        ]
+        reports = evaluate_instance(x, np.array(stack), d, NORM_KINDS, rtol=RANK_RTOL)
+        assert len(reports) == len(stack)
+        for y, stacked in zip(stack, reports):
+            # repr writes every float exactly, signed zeros included
+            assert repr(stacked) == repr(evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL))
+
     @pytest.mark.parametrize("drop", [0, 1, 2])
     def test_measured_is_the_smallest_matrix_norm(self, rng, drop):
         # one SVD per candidate serves both the spectral and the trace norm

@@ -105,6 +105,8 @@ _MALFORMED = {
     "1 2\n1 #2\n": "line 2: bad number",
     "1 1\n1 #2\n": "line 2: expected 1 values, got 2",
     "1 1\n1\x00\n": "line 2: bad number",
+    # whitespace-only lines are no data; numpy's reader would warn on them
+    "2 2\n\n \n\t\n": "expected 2 data rows, got 0",
 }
 
 
@@ -130,6 +132,26 @@ def test_non_ascii_file_rejected_by_name(tmp_path):
 def test_only_line_ends_end_a_row(sep):
     # str.splitlines ends a line at each of these; the format does not
     assert parse_matrix(f"1 4\n1 2{sep}3 4\n").tolist() == [[1.0, 2.0, 3.0, 4.0]]
+
+
+#: lines that hold no data row: blank, whitespace only, or comments
+_NOISE_LINES = ["", " ", "\t", "\v", "\x1c", "# c", "  # 1_0 x"]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("noise", [False, True])
+def test_line_ends_blank_and_comment_lines_keep_the_bits(end, noise, rng):
+    a = rng.standard_normal((6, 3)) * 10.0 ** rng.integers(-300, 300, size=(6, 3))
+    header, *rows = format_matrix(a).split("\n")[:-1]
+    lines = [header]
+    for row in rows:
+        lines += [row] + (_NOISE_LINES if noise else [])
+    text = end.join(lines) + end
+    # through numpy's reader, and through the line walk alone
+    for reader in (nullcontext(), mock.patch.object(np, "loadtxt", side_effect=ValueError)):
+        with reader:
+            got = parse_matrix(text)
+        assert got.shape == a.shape and got.tobytes() == a.tobytes()
 
 
 def test_file_errors_name_the_file(tmp_path):

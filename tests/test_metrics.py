@@ -14,7 +14,12 @@ from subspace_align import (
     subspace_distance,
     truncated_sin_theta_norm,
 )
-from subspace_align.kernels import haar_orthogonal, matrix_norm, random_orthonormal
+from subspace_align.kernels import (
+    haar_orthogonal,
+    matrix_norm,
+    orthonormal_completion,
+    random_orthonormal,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -105,6 +110,22 @@ class TestCanonicalAngles:
             canonical_angles(x, [random_orthonormal(7, 2, rng)] * 2)
         with pytest.raises(InvalidBasis):
             canonical_angles(x, [x, 2.0 * x])
+
+    @pytest.mark.parametrize("n, k, m", [(520, 8, 3), (1100, 4, 2)])
+    def test_tall_stack_gets_each_bases_own_bits(self, rng, n, k, m):
+        # OpenBLAS picks its kernels by size, and the property tests stay small
+        x = random_orthonormal(n, k, rng)
+        stack = [np.linalg.qr(x + 10.0**-e * rng.standard_normal((n, k)))[0] for e in range(m)]
+        xp = orthonormal_completion(x)
+        spectra = canonical_angles(x, stack)
+        assert len(spectra) == m
+        for y, stacked in zip(stack, spectra):
+            alone = canonical_angles(x, y)
+            assert stacked.sines.tobytes() == alone.sines.tobytes()
+            assert stacked.cosines.tobytes() == alone.cosines.tobytes()
+            # the complement product keeps the bits of xp.T @ y
+            sines = np.clip(np.linalg.svd(xp.T @ y, compute_uv=False)[::-1], 0.0, 1.0)
+            assert alone.sines.tobytes() == sines.tobytes()
 
 
 class TestSinThetaNorms:
