@@ -82,7 +82,7 @@ def polar(b, *, rtol=None):
     r = f.numerical_rank
     q = f.u[:, :r] @ f.v[:, :r].T
     h = (f.v * f.sigma) @ f.v.T
-    h = (h + h.T) / 2.0
+    h = h / 2.0 + h.T / 2.0  # halves first: h + h.T overflows above DBL_MAX / 2
     sigma_r = float(f.sigma[r - 1]) if r > 0 else 0.0
     return CanonicalPolar(q=q, h=h, r=r, sigma_r=sigma_r)
 
@@ -240,6 +240,10 @@ _INNER_SAMPLES = 64
 def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, seed=0):
     """Estimate ``max over set_b of (min over set_a)`` of the member distance.
 
+    A finite family (freedom 0 or 1) is one stacked ``member`` call, and the
+    four differences one ``matrix_norm`` call.  Above that, each outer sample
+    draws its inner candidates in one stacked call and takes their norms in one.
+
     Parameters
     ----------
     set_a, set_b : AlignedBasisSet
@@ -262,28 +266,24 @@ def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, seed=0):
     free = set_a.freedom
     if free <= 1:
         # every member, twice over at freedom 0 where both ws are 0x0
-        ws = (np.eye(free), -np.eye(free))
-        value = max(
-            min(matrix_norm(set_b.member(wb) - set_a.member(wa), kind) for wa in ws)
-            for wb in ws
-        )
+        ws = np.stack([np.eye(free), -np.eye(free)])
+        ya, yb = set_a.member(ws), set_b.member(ws)
+        norms = matrix_norm((yb[:, None] - ya).reshape(-1, *ya.shape[1:]), kind)
+        value = float(norms.reshape(2, 2).min(axis=1).max())  # max over b of min over a
         return HausdorffEstimate(value=value, exact=True, kind=kind, samples_used=0)
 
     samples = _integer(samples, "samples")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
     rng = _stream(_uint64(seed, "seed"), 0)
+    draws = 1 if kind == "frobenius" else 1 + _INNER_SAMPLES  # the outer, then the inner
     worst = 0.0
-    used = 0
     for _ in range(samples):
         yb = set_b.member(haar_orthogonal(free, rng))
-        used += 1
         y_opt, _ = optimal_representative(set_a, yb)
         best = matrix_norm(yb - y_opt, kind)
-        if kind != "frobenius":
-            for _ in range(_INNER_SAMPLES):
-                ya = set_a.member(haar_orthogonal(free, rng))
-                used += 1
-                best = min(best, matrix_norm(yb - ya, kind))
+        if draws > 1:  # the inner draws follow the outer one, as one draw at a time
+            ya = set_a.member(haar_orthogonal(free, [rng] * (draws - 1)))
+            best = min(best, float(matrix_norm(yb - ya, kind).min()))
         worst = max(worst, best)
-    return HausdorffEstimate(value=worst, exact=False, kind=kind, samples_used=used)
+    return HausdorffEstimate(value=worst, exact=False, kind=kind, samples_used=samples * draws)

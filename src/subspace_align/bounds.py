@@ -29,8 +29,11 @@ from .kernels import (
     _as_matrix,
     _check_kind,
     _checked,
+    _exponent,
+    _frobenius,
     _gauge,
     _integer,
+    _outside,
     _pinning,
     _stack,
     check_orthonormal,
@@ -193,13 +196,20 @@ def polar_factor_bound(b, b_tilde, kind, *, rtol=None):
     ``2 / (sigma_r + sigma_r~)``; otherwise it gains ``2 / max(sigma_r,
     sigma_r~)``.  The improved Frobenius coefficient drops that extra term;
     the improved spectral coefficient is
-    ``sqrt(4 / (sigma_r + sigma_r~)**2 + 2 / max(...)**2)``.
+    ``sqrt(4 / (sigma_r + sigma_r~)**2 + 2 / max(...)**2)``.  No output
+    changes with a common scale of the pair, so a pair whose largest entry
+    lies outside [2**-400, 2**400] is first scaled by the power of two that
+    puts it in [1, 2); a zero difference bounds to 0.
     """
     _check_kind(kind)
     b = _as_matrix(b, "b")
     bt = _as_matrix(b_tilde, "b_tilde")
     if b.shape != bt.shape:
         raise DimensionMismatch(f"shapes differ: {b.shape} vs {bt.shape}")
+    top = max(float(np.abs(b).max()), float(np.abs(bt).max()))
+    if _outside(top):
+        e = _exponent(top)
+        b, bt = np.ldexp(b, -e), np.ldexp(bt, -e)
     pb = polar(b, rtol=rtol)
     pt = polar(bt, rtol=rtol)
     if pb.r != pt.r:
@@ -214,18 +224,18 @@ def polar_factor_bound(b, b_tilde, kind, *, rtol=None):
     if r == n == m:
         return PolarFactorBounds(
             measured=measured,
-            bound_generic=2.0 / (s_r + st_r) * diff_norm,
+            bound_generic=_bound(2.0 / (s_r + st_r), diff_norm),
             bound_improved=None,
         )
-    generic = (2.0 / (s_r + st_r) + 2.0 / max(s_r, st_r)) * diff_norm
+    generic = _bound(2.0 / (s_r + st_r) + 2.0 / max(s_r, st_r), diff_norm)
     if kind == "frobenius":
-        improved = 2.0 / (s_r + st_r) * diff_norm
+        improved = _bound(2.0 / (s_r + st_r), diff_norm)
     elif kind == "spectral":
         # squared after an exact power-of-two scale, so no square leaves the float range
         e = math.frexp(max(s_r, st_r))[1]
         both = math.ldexp(s_r, -e) + math.ldexp(st_r, -e)
         largest = math.ldexp(max(s_r, st_r), -e)
-        improved = math.sqrt(4.0 / both**2 + 2.0 / largest**2) * 2.0**-e * diff_norm
+        improved = _bound(math.sqrt(4.0 / both**2 + 2.0 / largest**2) * 2.0**-e, diff_norm)
     else:
         improved = None
     return PolarFactorBounds(
@@ -271,8 +281,7 @@ def _psd_defects(gs, d_norm):
     product i, built only for a product that fails; one eigvalsh call."""
     tol = 1e-10 * d_norm
     floors = np.linalg.eigvalsh((gs + gs.swapaxes(1, 2)) / 2.0)[:, 0]
-    skew = (gs - gs.swapaxes(1, 2)).reshape(len(gs), -1)
-    asym = np.sqrt(np.vecdot(skew, skew))  # np.linalg.norm's own Frobenius formula, per row
+    asym = _frobenius(gs - gs.swapaxes(1, 2))
 
     def why(i, label):
         if asym[i] > tol:

@@ -6,7 +6,6 @@ __all__ = [
     "DimensionMismatch",
     "ShapeError",
     "InvalidBasis",
-    "EmptyComplement",
     "UnsupportedOrder",
     "RankMismatch",
     "NotAligned",
@@ -34,10 +33,6 @@ class ShapeError(InvalidInput):
 
 class InvalidBasis(InvalidInput):
     """A matrix expected to have orthonormal columns does not."""
-
-
-class EmptyComplement(InvalidInput):
-    """A square orthonormal basis has no orthogonal complement."""
 
 
 class UnsupportedOrder(InvalidInput):

@@ -21,7 +21,6 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import (
     DimensionMismatch,
-    EmptyComplement,
     InvalidBasis,
     InvalidInput,
     NumericalFailure,
@@ -253,9 +252,10 @@ def svd(b, *, rtol=None):
 
     Notes
     -----
-    Without `rtol`, the tolerance is ``max(m, n) * sigma_1 * u``, with ``u``
-    the binary64 unit roundoff.  The rank counts the singular values strictly
-    above the tolerance, so one exactly at the tolerance counts as zero.
+    Without `rtol`, the tolerance is ``sigma_1 * (max(m, n) * u)``, finite
+    for every finite sigma_1, with ``u`` the binary64 unit roundoff.  The rank
+    counts the singular values strictly above the tolerance, so one exactly
+    at the tolerance counts as zero.
 
     No sign convention is imposed on ``u`` and ``v``.  Downstream quantities
     (polar factors, pinned bases) are invariant under paired sign flips, and
@@ -270,10 +270,10 @@ def svd(b, *, rtol=None):
     size = max(b.shape[-2:])
     if b.ndim == 2:  # scalar arithmetic: cheaper than array operations on one matrix
         sigma1 = float(s[0])
-        tol = size * sigma1 * UNIT_ROUNDOFF if rtol is None else rtol * sigma1
+        tol = sigma1 * (size * UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
         return SvdFactors(u, s, vt.T, int(np.count_nonzero(s > tol)), tol)
     sigma1 = s[:, 0]
-    tols = size * sigma1 * UNIT_ROUNDOFF if rtol is None else rtol * sigma1
+    tols = sigma1 * (size * UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
     ranks = np.add.reduce(s > tols[:, None], axis=-1)
     v = vt.swapaxes(1, 2)
     return [
@@ -342,10 +342,7 @@ def matrix_norm(b, kind):
                     out = _frobenius(b)
                 return _rescale(_frobenius, b, out, tops)
         raise InvalidInput("b contains non-finite entries")
-    s = singular_values(b)
-    if s.ndim == 2:
-        return s[:, 0].copy() if kind == "spectral" else s.sum(axis=1)
-    return float(s[0]) if kind == "spectral" else float(np.sum(s))
+    return _gauge(singular_values(b), kind)
 
 
 def check_orthonormal(x, name="x"):
@@ -383,10 +380,10 @@ def _orthonormal(grams, name, n, k):
 def orthonormal_completion(x):
     """Orthonormal basis of the orthogonal complement of ``range(x)``.
 
-    For an n-by-k input with orthonormal columns and k < n, returns an
-    n-by-(n-k) matrix ``xp`` such that ``[x, xp]`` is orthogonal to within
-    ``1e-12 * n``.  The completion is not unique; only that residual contract
-    is promised.
+    For an n-by-k input with orthonormal columns, returns an n-by-(n-k)
+    matrix ``xp`` such that ``[x, xp]`` is orthogonal to within ``1e-12 * n``;
+    a square `x` (k == n) has the zero complement, and its ``xp`` is n-by-0.
+    The completion is not unique; only that residual contract is promised.
 
     ``xp`` is ``Q[:, k:]`` for the Householder QR of `x`, taken from the
     compact WY form ``Q = I - V T V.T`` (Schreiber and Van Loan, 1989) as
@@ -397,8 +394,6 @@ def orthonormal_completion(x):
     """
     x = check_orthonormal(x)
     n, k = x.shape
-    if n == k:
-        raise EmptyComplement("a square orthonormal basis has no complement")
     h, tau = np.linalg.qr(x, mode="raw")
     eye = np.eye(k)
     below = eye.cumsum(0) - eye  # the strictly lower triangle
@@ -533,7 +528,7 @@ def random_orthonormal(n, k, rng):
     For a list or tuple of generators, an (m, n, k) stack: each generator
     draws its own Gaussian matrix as it would alone, and one stacked QR and
     sign fix follow, so each matrix is bit for bit the one its generator
-    alone gives.
+    alone gives, and a generator listed several times draws in list order.
     """
     n, k = _integer(n, "n"), _integer(k, "k")
     if not 1 <= k <= n:

@@ -68,10 +68,10 @@ def canonical_angles(x, y):
     -----
     Cosines are the singular values of ``x.T @ y``; sines are the singular
     values of ``xp.T @ y`` where ``xp`` completes `x` to an orthogonal matrix,
-    padded with zeros when the subspace dimension exceeds the codimension.
-    The result depends only on the two subspaces, not the basis choices.  A
-    stack validates and completes `x` once and takes each of the two SVDs in
-    one call.
+    padded with zeros when the subspace dimension exceeds the codimension:
+    all k of them at n == k, where ``xp`` is n-by-0.  The result depends only
+    on the two subspaces, not the basis choices.  A stack validates and
+    completes `x` once and takes each of the two SVDs in one call.
 
     The complement product is formed as ``(y.T @ xp).T``: with a thin k,
     BLAS's kernel for a transposed (n-k)-by-n left operand runs about 2.5x
@@ -80,18 +80,13 @@ def canonical_angles(x, y):
     gave the same bits from n=8 to 8192, stacks included.
     """
     x = _shaped(x, "x", stack=False)
-    n, k = x.shape
-    if n > k:
-        xp = orthonormal_completion(x)  # checks x, under the same name and message
-    else:
-        check_orthonormal(x, name="x")
+    xp = orthonormal_completion(x)  # checks x, under the same name and message
     ys = _stack(y, "y", x.shape)
     cosines = np.clip(np.linalg.svd(x.T @ ys, compute_uv=False), 0.0, 1.0)
     sines = np.zeros(cosines.shape)
-    if n > k:
-        sv = np.linalg.svd((ys.swapaxes(-1, -2) @ xp).swapaxes(-1, -2), compute_uv=False)
-        # ascending, padded with the zero sines forced when 2k > n
-        sines[..., k - sv.shape[-1] :] = np.clip(sv[..., ::-1], 0.0, 1.0)
+    sv = np.linalg.svd((ys.swapaxes(-1, -2) @ xp).swapaxes(-1, -2), compute_uv=False)
+    # ascending, padded with the zero sines forced when 2k > n (all k at n == k)
+    sines[..., x.shape[1] - sv.shape[-1] :] = np.clip(sv[..., ::-1], 0.0, 1.0)
     if ys.ndim == 2:
         return AngleSpectrum(cosines=cosines, sines=sines)
     return [AngleSpectrum(cosines=cosines[i], sines=sines[i]) for i in range(len(ys))]

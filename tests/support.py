@@ -9,8 +9,16 @@ import math
 
 import numpy as np
 
-from subspace_align import InvalidBasis, InvalidInput, align, check_orthonormal, matrix_norm
-from subspace_align.kernels import random_orthonormal
+from subspace_align import (
+    InvalidBasis,
+    InvalidInput,
+    align,
+    check_orthonormal,
+    matrix_norm,
+    optimal_representative,
+)
+from subspace_align.alignment import _INNER_SAMPLES
+from subspace_align.kernels import _stream, haar_orthogonal, random_orthonormal
 
 #: Rank tolerance (relative to sigma_1) used when a test needs the exact-rank
 #: regime: far above the rounding floor of computed products, far below any
@@ -215,6 +223,28 @@ def brute_min_distance(aset, target, kind="frobenius", n_grid=0, n_samples=0, rn
         ws = haar_stack(free, n_samples, rng)
         best = min(best, _chunked_min_distance(aset, target, ws, kind))
     return best
+
+
+def reference_hausdorff(set_a, set_b, kind, samples, seed):
+    """The sampled regime of ``hausdorff_distance_estimate`` one Haar draw at
+    a time, as ``(value, samples_used)``: each outer member of `set_b` against
+    the exact Frobenius minimizer in `set_a`, and for the spectral and trace
+    norms against ``_INNER_SAMPLES`` further draws, each its own norm call."""
+    rng = _stream(seed, 0)
+    free = set_a.freedom
+    worst, used = 0.0, 0
+    for _ in range(samples):
+        yb = set_b.member(haar_orthogonal(free, rng))
+        used += 1
+        y_opt, _ = optimal_representative(set_a, yb)
+        best = matrix_norm(yb - y_opt, kind)
+        if kind != "frobenius":
+            for _ in range(_INNER_SAMPLES):
+                ya = set_a.member(haar_orthogonal(free, rng))
+                used += 1
+                best = min(best, matrix_norm(yb - ya, kind))
+        worst = max(worst, best)
+    return worst, used
 
 
 def reference_parse_matrix(text):

@@ -25,7 +25,13 @@ from subspace_align import (
 )
 from subspace_align.kernels import haar_orthogonal, random_orthonormal, svd
 
-from support import RANK_RTOL, brute_min_distance, rank_matrix
+from support import (
+    RANK_RTOL,
+    brute_min_distance,
+    rank_matrix,
+    reference_hausdorff,
+    subspace_pair,
+)
 
 
 class TestPolar:
@@ -49,6 +55,12 @@ class TestPolar:
         b = (u0 * [2.0, 1.0]) @ v0.T
         p = polar(b)
         assert np.linalg.norm(p.q - u0 @ v0.T) <= 1e-12
+
+    def test_top_of_the_float_range(self):
+        # h + h.T overflows here; the default rank tolerance must not either
+        p = polar(np.eye(100) * 1.7e308)
+        assert p.r == 100
+        assert np.array_equal(np.abs(p.h), np.eye(100) * 1.7e308)
 
     def test_wide_input_rejected(self, rng):
         with pytest.raises(ShapeError):
@@ -367,6 +379,22 @@ class TestHausdorff:
             )
             assert est.exact
             assert est.value == expected
+
+    @pytest.mark.parametrize("free", [2, 3])
+    def test_sampled_regime_matches_the_per_draw_loop(self, rng, free):
+        # one stacked draw and one norm call per sample keep every bit
+        n, k = 12, 5
+        d = rank_matrix(rng, n, k, k - free)
+        x_any, y_any = subspace_pair(rng, n, k, eps=1e-2)
+        _, set_a = align(x_any, d, rtol=RANK_RTOL)
+        _, set_b = align(y_any, d, rtol=RANK_RTOL)
+        assert set_a.freedom == set_b.freedom == free
+        for kind in NORM_KINDS:
+            for seed in (0, 11):
+                est = hausdorff_distance_estimate(set_a, set_b, kind, samples=5, seed=seed)
+                value, used = reference_hausdorff(set_a, set_b, kind, 5, seed)
+                assert est.value.hex() == value.hex()
+                assert est.samples_used == used
 
     def test_rank_mismatch_rejected(self, rng):
         set_a, _, _, _, _ = self._pair_of_sets(rng, 1)

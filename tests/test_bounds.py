@@ -413,6 +413,18 @@ class TestPolarFactorBound:
         with pytest.raises(RankMismatch):
             polar_factor_bound(b, bt, "frobenius", rtol=RANK_RTOL)
 
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_pairs_at_the_bottom_of_the_float_range(self, rng, kind):
+        # sigma_r of these pairs is subnormal, and 2 / sigma_r overflows
+        b, bt = equal_rank_pair(rng, 7, 4, 2)
+        same = polar_factor_bound(b * 1e-308, b * 1e-308, kind)
+        assert same.bound_generic == 0.0
+        assert same.bound_improved == (None if kind == "trace" else 0.0)
+        pb = polar_factor_bound(b * 1e-308, bt * 1e-308, kind)
+        assert pb.measured <= pb.bound_generic < math.inf
+        if kind != "trace":
+            assert pb.measured <= pb.bound_improved < math.inf
+
 
 class TestEvaluateInstance:
     def test_identical_bases(self, rng):

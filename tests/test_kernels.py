@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subspace_align import (
-    EmptyComplement,
     ExperimentConfig,
     InvalidBasis,
     InvalidInput,
@@ -230,9 +229,12 @@ class TestOrthonormalCompletion:
         sines = canonical_angles(x, xt).sines
         assert np.max(np.abs(sines - delta)) <= 1e-9 * (1.0 + delta)
 
-    def test_square_basis_rejected(self, rng):
-        with pytest.raises(EmptyComplement):
-            orthonormal_completion(haar_orthogonal(4, rng))
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_square_basis_has_empty_completion(self, rng, n):
+        # the orthogonal complement of R^n is {0}, whose basis is n-by-0
+        comp = orthonormal_completion(haar_orthogonal(n, rng))
+        assert comp.shape == (n, 0)
+        assert comp.flags.c_contiguous
 
     def test_non_orthonormal_rejected(self, rng):
         with pytest.raises(InvalidBasis):

@@ -62,6 +62,19 @@ class TestCanonicalAngles:
         assert angles.k == 3
         assert np.all(angles.sines[:2] <= 1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_square_bases_take_the_general_path(self, rng, n):
+        # at n == k the n-by-0 completion gives no sine values: all k are padding
+        x = haar_orthogonal(n, rng)
+        stack = haar_orthogonal(n, [rng] * 3)
+        for y, angles in [(stack[0], canonical_angles(x, stack[0]))] + list(
+            zip(stack, canonical_angles(x, stack))
+        ):
+            assert angles.k == n
+            assert angles.sines.tobytes() == np.zeros(n).tobytes()
+            cosines = np.clip(np.linalg.svd(x.T @ y, compute_uv=False), 0.0, 1.0)
+            assert angles.cosines.tobytes() == cosines.tobytes()
+
     def test_symmetry(self, rng):
         for _ in range(50):
             n = int(rng.integers(3, 51))

@@ -5,7 +5,9 @@ Every example is drawn from a seed, so the derandomized profile of
 ``n == k``, ``2k > n`` and ``k = 1``, and the rank over freedoms 0 to 3.
 """
 
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +28,16 @@ from subspace_align import (
     matrix_norm,
     optimal_representative,
     parse_matrix,
+    polar,
+    polar_factor_bound,
     save_matrix,
     singular_values,
     svd,
+    wedin_bound,
 )
 from subspace_align.kernels import haar_orthogonal, random_orthonormal
 
-from support import RANK_RTOL, at_the_limit, rank_matrix, subspace_pair
+from support import RANK_RTOL, at_the_limit, equal_rank_pair, rank_matrix, subspace_pair
 
 _SEEDS = st.integers(0, 2**64 - 1)
 
@@ -279,6 +284,44 @@ def test_scaling_d_by_a_power_of_two_is_exact(shape, seed, e):
             assert getattr(rep, name) == getattr(ref, name), name
         for name in _SCALED:
             assert getattr(rep, name) == getattr(ref, name) * 2.0**e, name
+
+
+@st.composite
+def _tall_ranks(draw):
+    """(m, n, r): a tall or square m-by-n shape and a rank r in [1, n]."""
+    n = draw(st.integers(1, 6))
+    return draw(st.integers(n, n + 4)), n, draw(st.integers(1, n))
+
+
+@given(shape=_tall_ranks(), seed=_SEEDS, e=st.integers(-1000, 1021))
+@example(shape=(100, 100, 100), seed=0, e=1020)
+@example(shape=(6, 4, 2), seed=1, e=1021)
+@example(shape=(7, 3, 3), seed=2, e=-1000)
+def test_scaling_a_pair_by_a_power_of_two_keeps_ranks_and_bounds(shape, seed, e):
+    m, n, r = shape
+    b, bt = equal_rank_pair(_rng(seed), m, n, r)
+    scaled = np.ldexp(b, e), np.ldexp(bt, e)
+    tiny = np.finfo(np.float64).tiny
+    for a, c in zip((b, bt), scaled):
+        sigma1 = float(np.linalg.svd(a, compute_uv=False)[0]) * 2.0**e
+        assume(np.isfinite(sigma1) and np.isfinite(c).all() and np.abs(c[c != 0]).min() >= tiny)
+    ranks = [svd(a).numerical_rank for a in (b, bt)]
+    assert [svd(c).numerical_rank for c in scaled] == ranks
+    assert [f.numerical_rank for f in svd(np.stack(scaled))] == ranks
+    for c, rank in zip(scaled, ranks):
+        p = polar(c)
+        assert p.r == rank
+        assert np.isfinite(p.h).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in NORM_KINDS:
+            w, ref = wedin_bound(*scaled, r, kind), wedin_bound(b, bt, r, kind)
+            for name in ("bound_truncated", "bound_full"):
+                assert math.isclose(getattr(w, name), getattr(ref, name), rel_tol=1e-9), name
+            pb, ref = polar_factor_bound(*scaled, kind), polar_factor_bound(b, bt, kind)
+            assert math.isclose(pb.bound_generic, ref.bound_generic, rel_tol=1e-9)
+            if ref.bound_improved is not None:
+                assert math.isclose(pb.bound_improved, ref.bound_improved, rel_tol=1e-9)
 
 
 _FLOAT_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308)

@@ -219,3 +219,27 @@ def test_figures_reach_every_traced_function(tmp_path, capsys):
         undo()
     _, calls = tracer.aggregate(1)
     assert spans.unreached(calls, "figures") == []
+
+
+def _raised_names(tree):
+    """Names of the classes that ``raise`` statements in `tree` raise, called
+    or not."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised():
+    # a public error class that nothing raises is dead API that callers may
+    # still try to catch; the base class is for catching only
+    from subspace_align import errors
+
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        raised |= _raised_names(ast.parse(path.read_text(), filename=str(path)))
+    unraised = set(errors.__all__) - {"SubspaceAlignError"} - raised
+    assert not unraised, f"never raised in src: {sorted(unraised)}"
