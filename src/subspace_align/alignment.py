@@ -20,6 +20,7 @@ from .kernels import (
     _as_matrix,
     _check_kind,
     _integer,
+    _lapack,
     _pinning,
     _real,
     _stack,
@@ -209,7 +210,7 @@ def optimal_representative(aset, x_tilde):
         raise DimensionMismatch(
             f"x_tilde must be {aset.base.shape}, got {xts.shape[-2:]}"
         )
-    u, _, vt = np.linalg.svd(aset.freedom_left.T @ xts @ aset.freedom_right)
+    u, _, vt = _lapack("svd", aset.freedom_left.T @ xts @ aset.freedom_right)
     w_opt = u @ vt
     return aset.member(w_opt), w_opt
 

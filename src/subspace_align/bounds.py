@@ -33,6 +33,7 @@ from .kernels import (
     _frobenius,
     _gauge,
     _integer,
+    _lapack,
     _outside,
     _pinning,
     _stack,
@@ -195,11 +196,12 @@ def polar_factor_bound(b, b_tilde, kind, *, rtol=None):
     For square full-rank pairs the generic coefficient is
     ``2 / (sigma_r + sigma_r~)``; otherwise it gains ``2 / max(sigma_r,
     sigma_r~)``.  The improved Frobenius coefficient drops that extra term;
-    the improved spectral coefficient is
-    ``sqrt(4 / (sigma_r + sigma_r~)**2 + 2 / max(...)**2)``.  No output
-    changes with a common scale of the pair, so a pair whose largest entry
-    lies outside [2**-400, 2**400] is first scaled by the power of two that
-    puts it in [1, 2); a zero difference bounds to 0.
+    the improved spectral coefficient is ``sqrt(4 / (sigma_r + sigma_r~)**2 +
+    2 / max(...)**2)``.  Each bound divides ``||b~ - b||`` by the singular
+    values first: a coefficient overflows at a subnormal ``sigma_r``.  No
+    output changes with a common scale of the pair, so a pair whose largest
+    entry lies outside [2**-400, 2**400] is first scaled by the power of two
+    that puts it in [1, 2); a zero difference bounds to 0.
     """
     _check_kind(kind)
     b = _as_matrix(b, "b")
@@ -217,30 +219,15 @@ def polar_factor_bound(b, b_tilde, kind, *, rtol=None):
     r = pb.r
     if r < 1:
         raise InvalidInput("both matrices are numerically zero")
-    n, m = b.shape
-    s_r, st_r = pb.sigma_r, pt.sigma_r
     diff_norm = matrix_norm(bt - b, kind)
     measured = matrix_norm(pt.q - pb.q, kind)
-    if r == n == m:
-        return PolarFactorBounds(
-            measured=measured,
-            bound_generic=_bound(2.0 / (s_r + st_r), diff_norm),
-            bound_improved=None,
-        )
-    generic = _bound(2.0 / (s_r + st_r) + 2.0 / max(s_r, st_r), diff_norm)
-    if kind == "frobenius":
-        improved = _bound(2.0 / (s_r + st_r), diff_norm)
-    elif kind == "spectral":
-        # squared after an exact power-of-two scale, so no square leaves the float range
-        e = math.frexp(max(s_r, st_r))[1]
-        both = math.ldexp(s_r, -e) + math.ldexp(st_r, -e)
-        largest = math.ldexp(max(s_r, st_r), -e)
-        improved = _bound(math.sqrt(4.0 / both**2 + 2.0 / largest**2) * 2.0**-e, diff_norm)
-    else:
-        improved = None
-    return PolarFactorBounds(
-        measured=measured, bound_generic=generic, bound_improved=improved
-    )
+    near = diff_norm / (pb.sigma_r + pt.sigma_r)
+    far = diff_norm / max(pb.sigma_r, pt.sigma_r)
+    if r == b.shape[0] == b.shape[1]:
+        return PolarFactorBounds(measured=measured, bound_generic=2.0 * near, bound_improved=None)
+    improved = {"frobenius": 2.0 * near, "spectral": math.hypot(2.0 * near, _SQRT2 * far)}
+    return PolarFactorBounds(measured=measured, bound_generic=2.0 * near + 2.0 * far,
+                             bound_improved=improved.get(kind))
 
 
 @dataclass(frozen=True)
@@ -280,7 +267,7 @@ def _psd_defects(gs, d_norm):
     1e-10 * ||d||_2, as a list of bools, and ``why(i, label)``, the message of
     product i, built only for a product that fails; one eigvalsh call."""
     tol = 1e-10 * d_norm
-    floors = np.linalg.eigvalsh((gs + gs.swapaxes(1, 2)) / 2.0)[:, 0]
+    floors = _lapack("eigvalsh", (gs + gs.swapaxes(1, 2)) / 2.0)[:, 0]
     asym = _frobenius(gs - gs.swapaxes(1, 2))
 
     def why(i, label):
@@ -395,7 +382,8 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     sigma_rts = [float(ft.sigma[r - 1]) for ft in factors]
     columns = []
     for each in kinds:
-        sins, truncs = _per_basis(_gauge(sines, each)), _per_basis(_gauge(sines[..., -r:], each))
+        sins = _per_basis(_gauge(sines, each))  # the r largest at r == k are all of them
+        truncs = sins if r == k else _per_basis(_gauge(sines[..., -r:], each))
         values = lowers = measured[each]
         if freedom > 1:  # the Frobenius measured is a bracket of width 0
             lowers = measured["frobenius"]

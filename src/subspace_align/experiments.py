@@ -35,6 +35,7 @@ from .kernels import (
     _checked,
     _gauge,
     _integer,
+    _lapack,
     _stream,
     _uint64,
     haar_orthogonal,
@@ -377,7 +378,7 @@ def verify_closed_form(config, delta, index=0):
     c = hadamard(n, 2 * k)
     if not np.array_equal(c.T @ c, n * np.eye(2 * k, dtype=np.int64)):
         raise VerificationFailure(f"the first {2 * k} Hadamard columns are not orthogonal")
-    sines = np.linalg.svd(delta * q2, compute_uv=False)
+    sines = _lapack("svd", delta * q2, compute_uv=False)
 
     assembled_angles = canonical_angles(x_diamond, x_tilde_diamond)
     closed, computed, assembled = {}, {}, {}

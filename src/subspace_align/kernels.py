@@ -1,11 +1,12 @@
 """Dense-matrix primitives shared by the whole package: SVD with an explicit
-numerical-rank decision, truncated unitarily invariant norms, orthonormal
-completion (from compact-WY Householder factors, in O(n (n-k) k) work with
-one n-by-(n-k) buffer), Hadamard matrices or their leading columns (built
-from a closed form, in time and memory proportional to the entries
-returned), and deterministic random-matrix generators.  The SVD, the
-singular values, the norms and the random generators also take a stack of
-matrices or of generators, and factor it in one LAPACK call.
+numerical-rank decision, unitarily invariant norms, orthonormal completion
+(from compact-WY Householder factors, in O(n (n-k) k) work with one
+n-by-(n-k) buffer), Hadamard matrices or their leading columns (built from a
+closed form, in time and memory proportional to the entries returned), and
+deterministic random-matrix generators.  The SVD, the singular values, the
+norms and the random generators also take a stack of matrices or of
+generators, and factor it in one LAPACK call.  Every SVD and eigenvalue
+call of the package runs through `_lapack`, which raises NumericalFailure.
 
 All functions are pure; returned arrays are freshly allocated and never
 aliased to the inputs.
@@ -33,7 +34,6 @@ __all__ = [
     "SvdFactors",
     "svd",
     "singular_values",
-    "truncated_norm",
     "matrix_norm",
     "check_orthonormal",
     "orthonormal_completion",
@@ -67,8 +67,7 @@ def _stack(b, name, shape=None):
     The stacked forms of the package run the same numpy calls on either: the
     linear algebra broadcasts over a leading stack axis, and a single basis
     pays nothing for it."""
-    b = _as_matrix(b, name, stack=True)
-    _orthonormal(b.swapaxes(-1, -2) @ b, name, *b.shape[-2:])  # every Gram matrix in one call
+    b = _orthonormal(_shaped(b, name, stack=True), name)  # every Gram matrix in one call
     if shape is not None and b.shape[-2:] != shape:
         raise DimensionMismatch(f"basis shapes differ: {shape} vs {b.shape[-2:]}")
     return b
@@ -150,13 +149,14 @@ def _outside(top):
 
 def _rescale(f, b, out, tops):
     """Redo, in place, each entry ``out[i] = f(b[i])`` of a stack whose top value
-    ``tops[i]`` is `_outside` the safe range, from ``b[i]`` scaled into range;
-    return `out`.  One matrix is the stack ``(b,)``; a caller tests `_outside`
-    first where f of an out-of-range matrix as it stands would overflow."""
+    ``tops[i]`` is `_outside` the safe range, from ``b[i]`` scaled into range,
+    silently inf past DBL_MAX; return `out`.  One matrix is the stack ``(b,)``; a
+    caller tests `_outside` first where f of an out-of-range matrix overflows."""
     for i, top in enumerate(tops):
         if _outside(top):
             e = _exponent(float(np.abs(b[i]).max()))
-            out[i] = f(np.ldexp(b[i], -e)) * 2.0**e
+            with np.errstate(over="ignore"):
+                out[i] = f(np.ldexp(b[i], -e)) * 2.0**e
     return out
 
 
@@ -175,36 +175,31 @@ def _check_kind(kind):
 
 
 def _gauge(values, kind):
-    """Norm of a diagonal matrix given as a 1-d array of its nonnegative
-    entries, a float; for a 2-d array, the norm of each row, a 1-d array with
-    the bits each row alone gives."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 2:
-        return _row_gauges(values, kind)
+    """Norm of each diagonal matrix whose nonnegative entries lie along the last
+    axis of a float64 `values`, a float for 1-d and an array for 2-d: the max,
+    the sum or the root sum of squares of each row, with the bits of the row
+    alone, as a reduction along a contiguous last axis sums each row.  A row
+    whose top entry is out of the `_SAFE` range is summed scaled by `_rescale`
+    (a trace past DBL_MAX is inf); rows in range enter no np.errstate."""
     if kind == "spectral":
-        return float(values.max(initial=0.0))
-    if kind == "frobenius":
-        top = float(values.max(initial=0.0))
-        if _outside(top):
-            return _rescale(_root_sum_of_squares, (values,), [None], (top,))[0]
-        return _root_sum_of_squares(values)
-    return float(values.sum())
+        out = np.maximum.reduce(values, axis=-1, initial=0.0)
+        return float(out) if values.ndim == 1 else out
+    one = values.ndim == 1  # on one short row a list max costs less than a reduction
+    tops = [max(values.tolist() or [0.0])] if one else values.max(axis=1, initial=0.0).tolist()
+    if not any(map(_outside, tops)):
+        out = _sums(values, kind)
+        return float(out) if one else out
+    rows = values.reshape(-1, values.shape[-1])
+    with np.errstate(over="ignore", under="ignore"):  # the rows out of range are redone
+        out = _rescale(lambda row: float(_sums(row, kind)), rows, _sums(rows, kind), tops)
+    return float(out[0]) if one else out
 
 
-def _row_gauges(values, kind):
-    """`_gauge` of each row of a 2-d `values`: a reduction along a contiguous
-    last axis sums each row as the same reduction sums it alone."""
-    if kind == "spectral":
-        return values.max(axis=1, initial=0.0)
+def _sums(values, kind):
+    """The trace or Frobenius `_gauge` of each row of `values` as it stands."""
     if kind == "trace":
-        return values.sum(axis=1)
-    with np.errstate(over="ignore", under="ignore"):  # rows out of range are redone
-        out = np.sqrt((values * values).sum(axis=1))
-    return _rescale(_root_sum_of_squares, values, out, values.max(axis=1, initial=0.0).tolist())
-
-
-def _root_sum_of_squares(values):
-    return math.sqrt((values * values).sum())
+        return np.add.reduce(values, axis=-1)
+    return np.sqrt(np.add.reduce(values * values, axis=-1))
 
 
 def _frobenius(b):
@@ -263,10 +258,7 @@ def svd(b, *, rtol=None):
     """
     b = _as_matrix(b, "b", stack=True)
     rtol = None if rtol is None else _checked(rtol, "rtol", zero_ok=True)
-    try:
-        u, s, vt = np.linalg.svd(b, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    u, s, vt = _lapack("svd", b, full_matrices=False)
     size = max(b.shape[-2:])
     if b.ndim == 2:  # scalar arithmetic: cheaper than array operations on one matrix
         sigma1 = float(s[0])
@@ -282,11 +274,14 @@ def svd(b, *, rtol=None):
     ]
 
 
-def _svdvals(b):
+def _lapack(name, a, **kwargs):
+    """``numpy.linalg.<name>(a, **kwargs)``, an SVD or eigensolver that can fail to
+    converge, its LinAlgError raised as NumericalFailure; looked up at each
+    call, so a wrapper bound on ``numpy.linalg`` sees every call."""
     try:
-        return np.linalg.svd(b, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+        return getattr(np.linalg, name)(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"numpy.linalg.{name} failed: {exc}") from exc
 
 
 def singular_values(b):
@@ -296,28 +291,16 @@ def singular_values(b):
     LAPACK call then gives an (s, min(p, q)) array whose row i is what
     matrix i alone gives, each matrix scaled by the rule on its own."""
     b = _as_matrix(b, "b", stack=True)
-    s = _svdvals(b)
-    if b.ndim == 3:
-        return _rescale(_svdvals, b, s, s[:, 0].tolist())
+    s = _lapack("svd", b, compute_uv=False)
+    if b.ndim == 3:  # a scaled matrix is in range: singular_values returns its s directly
+        return _rescale(singular_values, b, s, s[:, 0].tolist())
     top = float(s[0])
-    return _rescale(_svdvals, (b,), [s], (top,))[0] if _outside(top) else s
-
-
-def truncated_norm(b, r, kind):
-    """Norm of the best rank-`r` approximation of `b`.
-
-    Only the ``min(r, min(m, n))`` largest singular values contribute, so the
-    result equals the full norm whenever `r` is at least the rank of `b`.
-    """
-    _check_kind(kind)
-    if _integer(r, "r") < 1:
-        raise InvalidInput("truncation rank r must be at least 1")
-    return _gauge(singular_values(_as_matrix(b, "b"))[:r], kind)
+    return _rescale(singular_values, (b,), [s], (top,))[0] if _outside(top) else s
 
 
 def matrix_norm(b, kind):
     """Spectral, Frobenius, or trace (nuclear) norm of a dense matrix, by the
-    `_SAFE` rule, a float.
+    `_SAFE` rule, a float; silently inf past DBL_MAX.
 
     `b` may be an (s, p, q) stack, a 3-d array or a list of matrices: the
     result is then a length-s array whose entry i is what matrix i alone
@@ -327,22 +310,18 @@ def matrix_norm(b, kind):
     (row-major) order whatever the memory layout of `b`: a C-ordered, a
     Fortran-ordered and a strided array of one matrix give the same bits."""
     _check_kind(kind)
-    if kind == "frobenius":
-        b = _shaped(b, "b", stack=True)
-        if b.ndim == 2:
-            top = float(np.abs(b).max())
-            if not _outside(top):
-                return _frobenius(b)
-            if math.isfinite(top):
-                return _rescale(_frobenius, (b,), [None], (top,))[0]
-        else:
-            tops = np.abs(b).max(axis=(1, 2)).tolist()
-            if all(map(math.isfinite, tops)):
-                with np.errstate(over="ignore", under="ignore"):  # members out of range are redone
-                    out = _frobenius(b)
-                return _rescale(_frobenius, b, out, tops)
+    if kind != "frobenius":
+        return _gauge(singular_values(b), kind)
+    b = _shaped(b, "b", stack=True)
+    tops = [float(np.abs(b).max())] if b.ndim == 2 else np.abs(b).max(axis=(1, 2)).tolist()
+    if not all(map(math.isfinite, tops)):
         raise InvalidInput("b contains non-finite entries")
-    return _gauge(singular_values(b), kind)
+    if not any(map(_outside, tops)):
+        return _frobenius(b)
+    members = b.reshape(-1, *b.shape[-2:])
+    with np.errstate(over="ignore", under="ignore"):  # the members out of range are redone
+        out = _rescale(_frobenius, members, _frobenius(members), tops)
+    return out if b.ndim == 3 else float(out[0])
 
 
 def check_orthonormal(x, name="x"):
@@ -351,30 +330,41 @@ def check_orthonormal(x, name="x"):
     The tolerance on ``||x.T x - I||_F`` is ``1e-12 * n`` for an n-row
     input.  Raises InvalidBasis on failure.
     """
-    x = _as_matrix(x, name)
-    _orthonormal(x.T @ x, name, *x.shape)
-    return x
+    return _orthonormal(_shaped(x, name, stack=False), name)
 
 
-def _orthonormal(grams, name, n, k):
-    """check_orthonormal's verdict on n-by-k bases from their fresh Gram
-    matrices, one or a stack of them, which it overwrites: the first basis
-    that fails raises its InvalidBasis."""
+def _orthonormal(b, name):
+    """`b`, n-by-k bases from `_shaped`, one or a stack, once check_orthonormal
+    passes them: InvalidInput for a non-finite entry, else the first failing
+    basis raises InvalidBasis.  Only entries past 2**200, which can overflow
+    the Gram matrices to an inf or NaN defect, enter np.errstate."""
+    top = float(np.abs(b).max())
+    if not math.isfinite(top):  # NaN or inf exactly when an entry is
+        raise InvalidInput(f"{name} contains non-finite entries")
+    n, k = b.shape[-2:]
     if k > n:
         raise InvalidBasis(f"{name} has more columns ({k}) than rows ({n})")
+    if top * top > _SAFE:
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = _gram_defects(b, k)
+    else:
+        squares = _gram_defects(b, k)
     tol = 1e-12 * n
-    g = grams.reshape(-1, k * k)
-    diagonals = g[:, :: k + 1]
-    np.subtract(diagonals, 1.0, out=diagonals)  # g - I without building I
-    # np.linalg.norm's own Frobenius formula: vecdot sums each row as ndarray.dot
-    # does, and ndarray.dot costs less on a single row
-    squares = [g[0].dot(g[0])] if grams.ndim == 2 else np.vecdot(g, g).tolist()
-    for square in squares:
-        defect = math.sqrt(square)
-        if defect > tol:  # a NaN defect passes
+    for defect in map(math.sqrt, squares):
+        if not defect <= tol:  # a NaN defect fails too
             raise InvalidBasis(
                 f"{name} is not orthonormal: ||x.T x - I||_F = {defect:.3e} > {tol:.3e}"
             )
+    return b
+
+
+def _gram_defects(b, k):
+    """``||x.T x - I||_F**2`` of each basis x of `b`, by np.linalg.norm's own Frobenius
+    formula: vecdot sums each row as ndarray.dot, which costs less on one row."""
+    g = (b.mT @ b).reshape(-1, k * k)
+    diagonals = g[:, :: k + 1]
+    np.subtract(diagonals, 1.0, out=diagonals)  # g - I without building I
+    return [g[0].dot(g[0])] if b.ndim == 2 else np.vecdot(g, g).tolist()
 
 
 def orthonormal_completion(x):
@@ -515,10 +505,13 @@ def haar_orthogonal(size, rng):
 
 
 def _many(rng):
-    """Whether `rng` is a list or tuple of generators; InvalidInput if empty."""
+    """Whether `rng` is a list or tuple of generators; InvalidInput if it is
+    empty, or if it or one of its members is not a numpy.random.Generator."""
     many = isinstance(rng, (list, tuple))
     if many and not rng:
         raise InvalidInput("rng is an empty sequence")
+    if not all(isinstance(each, np.random.Generator) for each in (rng if many else [rng])):
+        raise InvalidInput("rng must be a numpy.random.Generator or a list or tuple of them")
     return many
 
 
@@ -534,7 +527,9 @@ def random_orthonormal(n, k, rng):
     if not 1 <= k <= n:
         raise InvalidInput(f"need 1 <= k <= n, got n={n}, k={k}")
     if _many(rng):
-        g = np.stack([each.standard_normal((n, k)) for each in rng])
+        g = np.empty((len(rng), n, k))
+        for each, draw in zip(rng, g):
+            each.standard_normal(out=draw)
     else:
         g = rng.standard_normal((n, k))
     q, r = np.linalg.qr(g)

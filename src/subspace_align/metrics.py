@@ -8,12 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch
 from .kernels import (
     NORM_KINDS,
     _check_kind,
     _gauge,
-    _integer,
+    _lapack,
     _shaped,
     _stack,
     check_orthonormal,
@@ -25,8 +25,6 @@ __all__ = [
     "AngleSpectrum",
     "canonical_angles",
     "sin_theta_norm",
-    "truncated_sin_theta_norm",
-    "subspace_distance",
     "align_rotation",
 ]
 
@@ -82,9 +80,9 @@ def canonical_angles(x, y):
     x = _shaped(x, "x", stack=False)
     xp = orthonormal_completion(x)  # checks x, under the same name and message
     ys = _stack(y, "y", x.shape)
-    cosines = np.clip(np.linalg.svd(x.T @ ys, compute_uv=False), 0.0, 1.0)
+    cosines = np.clip(_lapack("svd", x.T @ ys, compute_uv=False), 0.0, 1.0)
     sines = np.zeros(cosines.shape)
-    sv = np.linalg.svd((ys.swapaxes(-1, -2) @ xp).swapaxes(-1, -2), compute_uv=False)
+    sv = _lapack("svd", (ys.swapaxes(-1, -2) @ xp).swapaxes(-1, -2), compute_uv=False)
     # ascending, padded with the zero sines forced when 2k > n (all k at n == k)
     sines[..., x.shape[1] - sv.shape[-1] :] = np.clip(sv[..., ::-1], 0.0, 1.0)
     if ys.ndim == 2:
@@ -95,20 +93,7 @@ def canonical_angles(x, y):
 def sin_theta_norm(angles, kind):
     """Norm of the diagonal matrix of canonical-angle sines."""
     _check_kind(kind)
-    return _gauge(angles.sines, kind)
-
-
-def truncated_sin_theta_norm(angles, r, kind):
-    """Norm of the `r` largest canonical-angle sines only."""
-    _check_kind(kind)
-    if _integer(r, "r") < 1:
-        raise InvalidInput("truncation rank r must be at least 1")
-    return _gauge(angles.sines[-r:], kind)
-
-
-def subspace_distance(x, y, kind="frobenius"):
-    """Sin-theta distance between the column spaces of `x` and `y`."""
-    return sin_theta_norm(canonical_angles(x, y), kind)
+    return _gauge(np.asarray(angles.sines, dtype=np.float64), kind)
 
 
 def align_rotation(x, y):
@@ -129,7 +114,7 @@ def align_rotation(x, y):
     y = check_orthonormal(y, name="y")
     if x.shape != y.shape:
         raise DimensionMismatch(f"basis shapes differ: {x.shape} vs {y.shape}")
-    u, _, vt = np.linalg.svd(y.T @ x)
+    u, _, vt = _lapack("svd", y.T @ x)
     q = u @ vt
     s = singular_values(x - y @ q)
     residuals = {kind: _gauge(s, kind) for kind in NORM_KINDS}

@@ -29,6 +29,7 @@ from subspace_align import (
     xi,
     xi_sharpened,
 )
+from subspace_align.experiments import SWEEP_RANK_RTOL
 from subspace_align.kernels import random_orthonormal
 
 from support import (
@@ -426,7 +427,40 @@ class TestPolarFactorBound:
             assert pb.measured <= pb.bound_improved < math.inf
 
 
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_subnormal_sigma_r_in_an_in_range_pair(self, kind):
+        # the pair needs no rescale, but 2 / sigma_r overflows; the bounds are
+        # 5/3 generic, 2/3 improved Frobenius and sqrt(4/9 + 1/2) improved
+        # spectral, to the spacing of subnormals near 1e-320 (about 5e-4 relative)
+        b = [[1.0, 0.0], [0.0, 1e-320], [0.0, 0.0]]
+        bt = [[1.0, 0.0], [0.0, 2e-320], [0.0, 0.0]]
+        pb = polar_factor_bound(b, bt, kind, rtol=0.0)
+        assert pb.measured <= pb.bound_generic < math.inf
+        assert pb.bound_generic == pytest.approx(5.0 / 3.0, rel=1e-3)
+        improved = {"spectral": math.sqrt(4.0 / 9.0 + 0.5), "frobenius": 2.0 / 3.0}
+        if kind == "trace":
+            assert pb.bound_improved is None
+        else:
+            assert pb.measured <= pb.bound_improved < math.inf
+            assert pb.bound_improved == pytest.approx(improved[kind], rel=1e-3)
+
+
 class TestEvaluateInstance:
+    @pytest.mark.parametrize("zero_last", (0, 2))
+    def test_truncated_sines_closed_form(self, zero_last):
+        # five equal sines delta; the norm of the r largest is delta,
+        # sqrt(r) * delta and r * delta, the untruncated norm at r == k
+        config = ExperimentConfig()
+        d = pinning_matrix(config.n, config.k, zero_last)
+        xd, xtd, _, _ = make_pair(config, 1e-3)
+        x, _ = align(xd, d, rtol=SWEEP_RANK_RTOL)
+        xt, _ = align(xtd, d, rtol=SWEEP_RANK_RTOL)
+        r = config.k - zero_last
+        expected = {"spectral": 1e-3, "frobenius": math.sqrt(r) * 1e-3, "trace": r * 1e-3}
+        for rep in evaluate_instance(x, xt, d, NORM_KINDS, rtol=SWEEP_RANK_RTOL):
+            assert rep.r == r
+            assert rep.sin_theta_truncated == pytest.approx(expected[rep.kind], rel=1e-9)
+
     def test_identical_bases(self, rng):
         d = rank_matrix(rng, 10, 4, 4)
         x, _ = align(random_orthonormal(10, 4, rng), d, rtol=RANK_RTOL)

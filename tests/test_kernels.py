@@ -1,3 +1,7 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,8 +11,10 @@ from subspace_align import (
     ExperimentConfig,
     InvalidBasis,
     InvalidInput,
+    NumericalFailure,
     UnsupportedOrder,
     align,
+    align_rotation,
     canonical_angles,
     check_orthonormal,
     default_delta_grid,
@@ -20,6 +26,7 @@ from subspace_align import (
     is_hadamard_order,
     make_pair,
     matrix_norm,
+    optimal_representative,
     orthonormal_completion,
     pinning_matrix,
     polar,
@@ -27,13 +34,11 @@ from subspace_align import (
     random_orthonormal,
     singular_values,
     svd,
-    truncated_norm,
-    truncated_sin_theta_norm,
     verify_closed_form,
     wedin_bound,
     xi_sharpened,
 )
-from subspace_align.kernels import UNIT_ROUNDOFF
+from subspace_align.kernels import UNIT_ROUNDOFF, _gauge
 
 from support import haar_stack
 
@@ -113,36 +118,6 @@ class TestSvd:
             align(np.eye(3)[:, :2], np.ones((3, 2)), rtol=float("nan"))
 
 
-class TestTruncatedNorm:
-    def test_trace_of_two_largest(self):
-        assert truncated_norm(np.diag([3.0, 2.0, 1.0]), 2, "trace") == pytest.approx(5.0)
-
-    def test_r_beyond_rank_is_full_norm(self):
-        b = np.diag([3.0, 2.0, 1.0])
-        assert truncated_norm(b, 5, "frobenius") == pytest.approx(np.sqrt(14.0))
-
-    def test_spectral_truncation_is_noop(self, rng):
-        b = rng.standard_normal((6, 4))
-        full = singular_values(b)[0]
-        assert truncated_norm(b, 2, "spectral") == pytest.approx(full, rel=1e-14)
-
-    def test_monotone_in_r_and_constant_beyond_rank(self, rng):
-        for _ in range(10):
-            b = rng.standard_normal((8, 5))
-            f = svd(b)
-            values = [truncated_norm(b, r, "trace") for r in range(1, 8)]
-            assert all(a <= b_ + 1e-12 for a, b_ in zip(values, values[1:]))
-            plateau = values[f.numerical_rank - 1]
-            for v in values[f.numerical_rank - 1 :]:
-                assert v == pytest.approx(plateau, rel=1e-12)
-
-    def test_r_zero_rejected(self):
-        with pytest.raises(InvalidInput):
-            truncated_norm(np.eye(2), 0, "trace")
-        with pytest.raises(InvalidInput):
-            truncated_norm(np.eye(2), 1, "nuclear")
-
-
 def test_matrix_norm_matches_singular_values(rng):
     b = rng.standard_normal((7, 3))
     s = singular_values(b)
@@ -165,7 +140,9 @@ def test_norms_scale_exactly_with_powers_of_two(b, e, r):
     scaled = np.ldexp(b, e)
     for kind in ("spectral", "frobenius", "trace"):
         assert matrix_norm(scaled, kind) == matrix_norm(b, kind) * 2.0**e, kind
-        assert truncated_norm(scaled, r, kind) == truncated_norm(b, r, kind) * 2.0**e, kind
+        # the norm of the r largest singular values, as the bounds take it
+        truncated = _gauge(singular_values(b)[:r], kind)
+        assert _gauge(singular_values(scaled)[:r], kind) == truncated * 2.0**e, kind
 
 
 class TestOrthonormalCompletion:
@@ -345,6 +322,14 @@ class TestGenerators:
         with pytest.raises(InvalidInput, match=r"^b must be 2-dimensional, got ndim=4$"):
             svd(np.ones((1, 1, 3, 2)))
 
+    def test_non_generator_rng_rejected(self, rng):
+        message = r"^rng must be a numpy\.random\.Generator or a list or tuple of them$"
+        for draw in (lambda g: haar_orthogonal(3, g), lambda g: random_orthonormal(4, 2, g),
+                     lambda g: haar_orthogonal(0, g)):
+            for bad in (42, None, [rng, 42], (np.random.default_rng(0).bit_generator,)):
+                with pytest.raises(InvalidInput, match=message):
+                    draw(bad)
+
     def test_check_orthonormal_rejects(self, rng):
         with pytest.raises(InvalidBasis):
             check_orthonormal(rng.standard_normal((6, 3)))
@@ -357,11 +342,71 @@ def _all_bases_of_a_plane():
     return align(np.eye(3)[:, :2], np.zeros((3, 2)))[1]
 
 
-def _angles():
-    return canonical_angles(np.eye(4)[:, :2], np.eye(4)[:, 1:3])
-
-
 _SMALL_CONFIG = ExperimentConfig(n=8, k=2, deltas=(0.1,))
+
+
+def _closest_member_call():
+    x = np.eye(4, 2)
+    _, aset = align(x, np.diag([1.0, 0.0])[[0, 1, 1, 1]])  # rank 1 of 2: freedom 1
+    return lambda: optimal_representative(aset, x)
+
+
+def _pinned_pair_call():
+    d = pinning_matrix(8, 2)
+    x, _ = align(np.eye(8, 2), d)
+    return lambda: evaluate_instance(x, x, d, "trace")
+
+
+#: Each entry sets up a call, before the numpy.linalg routine it names fails,
+#: that then reaches that routine.
+_LAPACK_CALLS = {
+    "canonical_angles": ("svd", lambda: lambda: canonical_angles(np.eye(4, 2), np.eye(4, 2))),
+    "optimal_representative": ("svd", _closest_member_call),
+    "align_rotation": ("svd", lambda: lambda: align_rotation(np.eye(4, 2), np.eye(4, 2))),
+    "verify_closed_form": ("svd", lambda: lambda: verify_closed_form(_SMALL_CONFIG, 0.1)),
+    "evaluate_instance": ("eigvalsh", _pinned_pair_call),
+}
+
+
+@pytest.mark.parametrize("case", list(_LAPACK_CALLS))
+def test_lapack_failure_is_numerical_failure(case, monkeypatch):
+    routine, setup = _LAPACK_CALLS[case]
+    call = setup()
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    with pytest.raises(NumericalFailure, match=f"^numpy.linalg.{routine} failed: "):
+        call()
+
+
+_HUGE = np.eye(4, 2) * 1e200  # its Gram matrix overflows
+
+#: Each call on input past the float range must give its typed result, an
+#: InvalidBasis naming the basis or an inf norm, with no warning ahead of it.
+_OUT_OF_RANGE_CALLS = {
+    "check_orthonormal": lambda: check_orthonormal(_HUGE),
+    "align": lambda: align(_HUGE, np.eye(4, 2)),
+    "canonical_angles": lambda: canonical_angles(_HUGE, np.eye(4, 2)),
+    "canonical_angles-stack": lambda: canonical_angles(np.eye(4, 2), [np.eye(4, 2), _HUGE]),
+    "orthonormal_completion": lambda: orthonormal_completion(_HUGE),
+    "align_rotation": lambda: align_rotation(_HUGE, np.eye(4, 2)),
+    "matrix_norm-trace": lambda: matrix_norm(np.eye(4, 2) * 1.7e308, "trace"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE_CALLS))
+def test_out_of_range_input_gets_its_typed_result_without_a_warning(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = _OUT_OF_RANGE_CALLS[case]()
+        except InvalidBasis as exc:
+            assert re.match(r"^(x|x_any|y) is not orthonormal: \|\|x\.T x - I\|\|_F = inf > ",
+                            str(exc)), exc
+        else:
+            assert case == "matrix_norm-trace" and result == math.inf
 
 
 def _plane_estimate(seed):
@@ -386,11 +431,6 @@ _NON_INTEGER_CALLS = {
     "eta-k": ("k", lambda: eta("spectral", 2, 3.5, 0.5, 0.5, 1.0)),
     "eta-bool": ("r", lambda: eta("spectral", True, 3, 0.5, 0.5, 1.0)),
     "xi_sharpened": ("k", lambda: xi_sharpened("trace", 2, 3.0, 0.5, 0.5, 1.0, 0.1)),
-    "truncated_norm": ("r", lambda: truncated_norm(np.eye(3), 1.9, "spectral")),
-    "truncated_sin_theta_norm": (
-        "r",
-        lambda: truncated_sin_theta_norm(_angles(), 1.9, "trace"),
-    ),
     "wedin_bound": ("r", lambda: wedin_bound(np.eye(3), np.eye(3), 3.0, "spectral")),
     "hausdorff_distance_estimate": (
         "samples",

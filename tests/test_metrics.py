@@ -11,8 +11,6 @@ from subspace_align import (
     canonical_angles,
     make_pair,
     sin_theta_norm,
-    subspace_distance,
-    truncated_sin_theta_norm,
 )
 from subspace_align.kernels import (
     haar_orthogonal,
@@ -165,29 +163,6 @@ class TestSinThetaNorms:
         assert sin_theta_norm(angles, "frobenius") == pytest.approx(1.0, abs=1e-14)
         assert sin_theta_norm(angles, "trace") == pytest.approx(1.4, abs=1e-14)
 
-    def test_truncated(self):
-        x, y = two_angle_pair(0.6, 0.8)
-        angles = canonical_angles(x, y)
-        assert truncated_sin_theta_norm(angles, 1, "trace") == pytest.approx(0.8, abs=1e-14)
-        for kind in NORM_KINDS:
-            assert truncated_sin_theta_norm(angles, 7, kind) == pytest.approx(
-                sin_theta_norm(angles, kind)
-            )
-
-    def test_truncated_equal_angles(self):
-        config = ExperimentConfig()
-        x, y, _, _ = make_pair(config, 1e-3)
-        angles = canonical_angles(x, y)
-        # five equal sines: the three largest sum to 3e-3
-        assert truncated_sin_theta_norm(angles, 3, "trace") == pytest.approx(
-            3e-3, rel=1e-9
-        )
-
-    def test_truncated_rank_zero_rejected(self):
-        x, y = two_angle_pair(0.6, 0.8)
-        with pytest.raises(InvalidInput):
-            truncated_sin_theta_norm(canonical_angles(x, y), 0, "trace")
-
     def test_triangle_inequality(self, rng):
         for _ in range(1000):
             n = int(rng.integers(3, 13))
@@ -196,9 +171,9 @@ class TestSinThetaNorms:
             y = random_orthonormal(n, k, rng)
             z = random_orthonormal(n, k, rng)
             for kind in NORM_KINDS:
-                dxz = subspace_distance(x, z, kind)
-                dxy = subspace_distance(x, y, kind)
-                dyz = subspace_distance(y, z, kind)
+                dxz = sin_theta_norm(canonical_angles(x, z), kind)
+                dxy = sin_theta_norm(canonical_angles(x, y), kind)
+                dyz = sin_theta_norm(canonical_angles(y, z), kind)
                 assert dxz <= dxy + dyz + 1e-10
 
 
