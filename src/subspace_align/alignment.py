@@ -26,6 +26,7 @@ from .kernels import (
     _stack,
     _stream,
     _uint64,
+    check_orthonormal,
     haar_orthogonal,
     matrix_norm,
     svd,
@@ -138,8 +139,7 @@ def align(x_any, d, *, rtol=None):
     Parameters
     ----------
     x_any : (n, k) array_like
-        Any orthonormal basis of the subspace.  May be an (m, n, k) stack, a
-        3-d array or a list of bases, pinned against the same `d`.
+        Any orthonormal basis of the subspace.
     d : (n, k) array_like
         Pinning matrix; `x` is the same at every scale of `d` (AlignedBasisSet).
     rtol : float, optional
@@ -156,10 +156,6 @@ def align(x_any, d, *, rtol=None):
     aset : AlignedBasisSet
         The full family of PSD-pinned bases; `x` is ``aset.member(I)``.
 
-    For a stack, a list with the ``(x, aset)`` each basis alone gives: `d` is
-    validated and scaled once, and the products ``x_any.T @ d`` are formed
-    and factored in one call each.
-
     Notes
     -----
     When ``rank(x_any.T @ d) == k`` the aligned basis is unique and `x` does
@@ -167,17 +163,9 @@ def align(x_any, d, *, rtol=None):
     ``x_any.T @ d``, or ``rtol >= 1``) every orthonormal basis qualifies:
     ``base`` is the zero matrix and the freedom spans the whole basis.
     """
-    xs = _stack(x_any, "x_any")
-    d, e = _pinning(d, *xs.shape[-2:])
-    factors = svd(xs.swapaxes(-1, -2) @ d, rtol=rtol)
-    if xs.ndim == 2:
-        return _pinned(xs, factors, e)
-    return [_pinned(xs[i], f, e) for i, f in enumerate(factors)]
-
-
-def _pinned(x_any, f, e):
-    """align's ``(x, aset)`` for one basis, from the SVD `f` of its product
-    with ``d * 2**-e``."""
+    x_any = check_orthonormal(x_any, "x_any")
+    d, e = _pinning(d, *x_any.shape)
+    f = svd(x_any.T @ d, rtol=rtol)
     r = f.numerical_rank
     return x_any @ (f.u @ f.v.T), AlignedBasisSet(
         base=(x_any @ f.u[:, :r]) @ f.v[:, :r].T,
@@ -187,6 +175,15 @@ def _pinned(x_any, f, e):
         sigma_r=float(f.sigma[r - 1]) * 2.0**e if r > 0 else 0.0,
         rank_tolerance=f.rank_tolerance * 2.0**e,
     )
+
+
+def _pin(xs, d):
+    """align's ``x`` of each basis of `xs`, an (m, n, k) stack of checked bases:
+    one SVD of the products with `d`, no rank decision and no family, for the
+    pinned basis does not depend on the rank."""
+    d, _ = _pinning(d, *xs.shape[-2:])
+    u, _, vt = _lapack("svd", xs.mT @ d, full_matrices=False)
+    return xs @ (u @ vt)
 
 
 def optimal_representative(aset, x_tilde):

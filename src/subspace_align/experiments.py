@@ -27,11 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import align
+from .alignment import _pin
 from .bounds import evaluate_instance
 from .errors import InvalidInput, UnsupportedOrder, VerificationFailure
 from .kernels import (
     NORM_KINDS,
+    _addressable,
     _checked,
     _gauge,
     _integer,
@@ -194,6 +195,7 @@ def pinning_matrix(n, k, zero_last=0):
     zero_last = _integer(zero_last, "zero_last")
     if not 0 <= zero_last <= k:
         raise InvalidInput(f"zero_last must lie in [0, {k}], got {zero_last}")
+    _addressable(n, k)
     d = np.zeros((n, k))
     d[:k, :k] = np.eye(k)
     rows = np.arange(k + 1, n + 1, dtype=np.float64)
@@ -243,9 +245,9 @@ def run_sweep(config, out_dir=None):
     """Evaluate the bound across the delta grid.
 
     One :func:`make_pair` call builds the pairs of all grid points, and one
-    :func:`align` call pins their second bases against the configured pinning
-    matrix, together with the first basis, which is the same at every point.
-    One :func:`evaluate_instance` call on all points then verifies the
+    stacked pin gives their second bases, and the first basis, which is the
+    same at every point, the :func:`align` basis against the configured pinning
+    matrix.  One :func:`evaluate_instance` call on all points then verifies the
     equal-rank hypothesis and reports measured error, bound and slack per
     norm; if it fails, each point is evaluated alone, a failure flags every
     row of that point with its own message, and the sweep goes on.
@@ -261,8 +263,8 @@ def run_sweep(config, out_dir=None):
     d = pinning_matrix(config.n, config.k, config.rank_deficiency)
     pairs = make_pair(config, config.deltas)
     # x_diamond depends on neither delta nor index: it is pinned once, first
-    bases = [pairs[0][0]] + [x_tilde_diamond for _, x_tilde_diamond, _, _ in pairs]
-    x, *xts = (pinned for pinned, _ in align(bases, d, rtol=SWEEP_RANK_RTOL))
+    pinned = _pin(np.stack([pairs[0][0], *(pair[1] for pair in pairs)]), d)
+    x, xts = pinned[0], pinned[1:]
     try:
         results = evaluate_instance(x, xts, d, config.norms, rtol=SWEEP_RANK_RTOL)
     except InvalidInput:  # point by point, so each failing point keeps its own message

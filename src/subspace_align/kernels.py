@@ -15,7 +15,8 @@ aliased to the inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -160,6 +161,13 @@ def _rescale(f, b, out, tops):
     return out
 
 
+def _addressable(*shape):
+    """InvalidInput unless numpy can address an 8-byte array of `shape`, whose
+    bytes must fit an intp (sys.maxsize), checked before anything is allocated."""
+    if math.prod(shape) > sys.maxsize // 8:
+        raise InvalidInput(f"a {'x'.join(map(str, shape))} array cannot be addressed")
+
+
 def _uint64(value, name):
     """`value` as a Python int in [0, 2**64), the range of a Philox key word;
     InvalidInput otherwise, never a truncation or a bare OverflowError."""
@@ -247,8 +255,11 @@ def svd(b, *, rtol=None):
 
     Notes
     -----
-    Without `rtol`, the tolerance is ``sigma_1 * (max(m, n) * u)``, finite
-    for every finite sigma_1, with ``u`` the binary64 unit roundoff.  The rank
+    Without `rtol`, the tolerance is ``sigma_1 * (max(m, n) * u)``, with
+    ``u`` the binary64 unit roundoff.  A matrix whose sigma_1 lies outside
+    the `_SAFE` range is factored, and its rank decided, scaled by the power
+    of two that brings its largest entry into [1, 2); sigma and the
+    tolerance are scaled back, silently inf past DBL_MAX.  The rank
     counts the singular values strictly above the tolerance, so one exactly
     at the tolerance counts as zero.
 
@@ -262,9 +273,16 @@ def svd(b, *, rtol=None):
     size = max(b.shape[-2:])
     if b.ndim == 2:  # scalar arithmetic: cheaper than array operations on one matrix
         sigma1 = float(s[0])
+        if _outside(sigma1):  # decided and factored on b scaled into range
+            e = _exponent(float(np.abs(b).max()))
+            f = svd(np.ldexp(b, -e), rtol=rtol)
+            with np.errstate(over="ignore"):  # silently inf past DBL_MAX
+                return replace(f, sigma=f.sigma * 2.0**e, rank_tolerance=f.rank_tolerance * 2.0**e)
         tol = sigma1 * (size * UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
         return SvdFactors(u, s, vt.T, int(np.count_nonzero(s > tol)), tol)
     sigma1 = s[:, 0]
+    if any(map(_outside, sigma1.tolist())):  # each matrix alone, scaled on its own
+        return [svd(each, rtol=rtol) for each in b]
     tols = sigma1 * (size * UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
     ranks = np.add.reduce(s > tols[:, None], axis=-1)
     v = vt.swapaxes(1, 2)
@@ -463,6 +481,7 @@ def hadamard(n, columns=None):
     if not 1 <= c <= n:
         raise InvalidInput(f"columns must lie in [1, {n}], got {c}")
     blocks = -(-c // seed)  # column blocks of width s that the c columns touch
+    _addressable(n, blocks * seed)
     parity = np.bitwise_count(np.arange(blocks)) & 1  # of each v < blocks, and i1 & j1 is one
     signs = np.where(parity, -1, 1)[np.arange(n // seed)[:, None] & np.arange(blocks)]
     # the Kronecker product signs (x) H_s, laid out as (i1, i2, j1, j2)
@@ -526,12 +545,15 @@ def random_orthonormal(n, k, rng):
     n, k = _integer(n, "n"), _integer(k, "k")
     if not 1 <= k <= n:
         raise InvalidInput(f"need 1 <= k <= n, got n={n}, k={k}")
-    if _many(rng):
-        g = np.empty((len(rng), n, k))
+    many = _many(rng)
+    shape = (len(rng), n, k) if many else (n, k)
+    _addressable(*shape)
+    if many:
+        g = np.empty(shape)
         for each, draw in zip(rng, g):
             each.standard_normal(out=draw)
     else:
-        g = rng.standard_normal((n, k))
+        g = rng.standard_normal(shape)
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0

@@ -14,8 +14,11 @@ from subspace_align import (
     InvalidInput,
     align,
     check_orthonormal,
+    eta,
     matrix_norm,
     optimal_representative,
+    xi,
+    xi_sharpened,
 )
 from subspace_align.alignment import _INNER_SAMPLES
 from subspace_align.kernels import _stream, haar_orthogonal, random_orthonormal
@@ -57,6 +60,22 @@ def reference_xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, sin_theta):
     with np.errstate(all="ignore"):
         coefficient = reference_eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm)
         return float(np.asarray(coefficient) * np.asarray(sin_theta, dtype=np.float64))
+
+
+def assert_self_consistent(rep):
+    """`rep`'s ``eta``, ``xi`` and ``xi_sharpened`` are, bit for bit, what `eta`,
+    `xi` and `xi_sharpened` give on the report's own fields: a coefficient that
+    `evaluate_instance` misstates fails here even where ``measured <= xi`` holds."""
+    args = (rep.kind, rep.r, rep.k, rep.sigma_r, rep.sigma_r_tilde, rep.d_norm)
+    sharpened = xi_sharpened(*args, rep.sin_theta_truncated) if rep.r < rep.k else None
+    expected = (eta(*args), xi(*args, rep.sin_theta), sharpened)
+    got = (rep.eta, rep.xi, rep.xi_sharpened)
+    assert list(map(_bits, got)) == list(map(_bits, expected)), (rep, expected)
+
+
+def _bits(value):
+    """The bytes of a float, None for None."""
+    return None if value is None else np.float64(value).tobytes()
 
 
 def rank_matrix(rng, m, n, r, smin=0.3, smax=3.0):

@@ -41,6 +41,7 @@ from subspace_align.kernels import haar_orthogonal, random_orthonormal
 
 from support import (
     RANK_RTOL,
+    assert_self_consistent,
     brute_min_distance,
     draw_aligned_instance,
     equal_rank_pair,
@@ -109,6 +110,7 @@ def test_criterion_02_bound_never_violated():
                     f"violation: kind={rep.kind} r={r} k={k} "
                     f"measured={rep.measured!r} xi={rep.xi!r}"
                 )
+                assert_self_consistent(rep)
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"took {elapsed:.2f}s"
 

@@ -205,6 +205,13 @@ class TestAlign:
         with pytest.raises(DimensionMismatch):
             align(x, rng.standard_normal((5, 2)))
 
+    def test_one_basis_per_call(self, rng):
+        x = random_orthonormal(6, 2, rng)
+        d = rank_matrix(rng, 6, 2, 2)
+        for stack in ([x, x], np.array([x, x]), np.array([x])):
+            with pytest.raises(InvalidInput, match=r"^x_any must be 2-dimensional, got ndim=3$"):
+                align(stack, d)
+
 
 class TestMember:
     def test_full_rank_empty_freedom(self, rng):

@@ -34,6 +34,7 @@ from subspace_align.kernels import random_orthonormal
 
 from support import (
     RANK_RTOL,
+    assert_self_consistent,
     draw_aligned_instance,
     equal_rank_pair,
     rank_matrix,
@@ -243,6 +244,32 @@ class TestXi:
         assert rep.xi == pytest.approx(
             xi("spectral", 5, 5, sx.sigma_r, st.sigma_r, d_norm, sin_t), rel=1e-15
         )
+
+    @pytest.mark.parametrize("zero_last", [1, 2])
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_rank_deficient_hadamard_instance_formula(self, kind, zero_last):
+        # the paper's rank-deficient coefficients, written out: a = ||d||_2 /
+        # (sigma_r + sigma_r~) and b = ||d||_2 / max(sigma_r, sigma_r~)
+        config = ExperimentConfig()
+        d = pinning_matrix(config.n, config.k, zero_last)
+        xd, xtd, _, _ = make_pair(config, 1e-6)
+        x, sx = align(xd, d, rtol=RANK_RTOL)
+        xt, st = align(xtd, d, rtol=RANK_RTOL)
+        rep = evaluate_instance(x, xt, d, kind, rtol=RANK_RTOL)
+        r = config.k - zero_last
+        assert rep.r == sx.r == st.r == r
+        d_norm = np.linalg.norm(d, 2)
+        a = d_norm / (sx.sigma_r + st.sigma_r)
+        b = d_norm / max(sx.sigma_r, st.sigma_r)
+        coefficient = {
+            "spectral": SQRT2 + math.sqrt(8.0 * a**2 + 4.0 * b**2) + 4.0 * b,
+            "frobenius": SQRT2 * (1.0 + 2.0 * a) + 4.0 * b,
+            "trace": SQRT2 * (1.0 + 2.0 * a) + (2.0 * SQRT2 + 4.0) * b,
+        }[kind]
+        sines = np.sort(canonical_angles(x, xt).sines)
+        gauge = {"spectral": np.max, "frobenius": np.linalg.norm, "trace": np.sum}[kind]
+        assert rep.xi == pytest.approx(coefficient * gauge(sines), rel=1e-12)
+        assert rep.xi_sharpened == pytest.approx(coefficient * gauge(sines[-r:]), rel=1e-12)
 
     def test_negative_sin_rejected(self):
         with pytest.raises(InvalidInput):
@@ -581,6 +608,7 @@ class TestEvaluateInstance:
                 assert rep.r == ref.r == r
                 assert rep.eta == pytest.approx(ref.eta, rel=1e-9)
                 assert rep.measured == pytest.approx(ref.measured, rel=1e-9, abs=1e-12)
+                assert_self_consistent(rep)
 
     def test_d_norm_beyond_the_float_range_reads_inf(self, rng):
         # ||d||_2 = sqrt(5) * 1e308 overflows, d * 2**-1023 does not: every

@@ -35,6 +35,8 @@ from subspace_align.experiments import (
 )
 from subspace_align.kernels import _Key, _stream, svd
 
+from support import assert_self_consistent
+
 SMALL = dict(n=32, k=3, deltas=tuple(float(v) for v in np.logspace(-8, -2, 8)))
 
 
@@ -459,6 +461,28 @@ class TestRunSweep:
                 for name, value in expected.items():
                     assert getattr(row, name) == value, (name, index)
         assert next(rows, None) is None
+
+    @pytest.mark.parametrize("figure", [1, 2, 3])
+    def test_every_figure_report_is_self_consistent(self, monkeypatch, figure):
+        # the reports behind the paper figure: eta, xi and xi_sharpened are
+        # each what the bound functions give on the report's own fields
+        import subspace_align.experiments as exp
+
+        reports = []
+
+        def evaluate(*args, **kwargs):
+            result = real(*args, **kwargs)
+            reports.extend(rep for point in result for rep in point)
+            return result
+
+        real = exp.evaluate_instance
+        monkeypatch.setattr(exp, "evaluate_instance", evaluate)
+        config = ExperimentConfig(rank_deficiency=figure - 1)
+        rows = run_sweep(config)
+        assert len(reports) == len(rows) == len(config.deltas) * len(config.norms)
+        for rep, row in zip(reports, rows):
+            assert_self_consistent(rep)
+            assert (row.xi, row.xi_sharpened) == (rep.xi, rep.xi_sharpened)
 
     def test_determinism(self):
         config = ExperimentConfig(**SMALL, seed=9)

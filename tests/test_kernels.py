@@ -100,6 +100,24 @@ class TestSvd:
             residual = np.linalg.norm(f.u @ np.diag(f.sigma) @ f.v.T - b)
             assert residual <= 1e-12 * max(m, n) * f.sigma[0]
 
+    def test_outside_the_safe_range(self):
+        # sigma_1 of this rank-1 matrix is past DBL_MAX: the rank and the
+        # factors come from the matrix scaled into range, sigma_1 reads inf,
+        # and no warning escapes (warnings are errors in this suite)
+        ones = np.ones((3, 2))
+        f = svd(ones * 1.7e308)
+        assert f.numerical_rank == 1 and f.sigma[0] == math.inf
+        assert np.abs(polar(ones * 1.7e308).q - polar(ones).q).max() <= 1e-15
+        # a stack scales each member on its own
+        for member, alone in zip(svd([ones * 1.7e308, ones]), (f, svd(ones))):
+            assert member.numerical_rank == alone.numerical_rank
+            assert member.u.tobytes() == alone.u.tobytes()
+        # an exact power-of-two scale keeps the rank and the factors' bits
+        tiny, unit = svd(ones * 2.0**-1000), svd(ones)
+        assert tiny.numerical_rank == unit.numerical_rank == 1
+        assert tiny.u.tobytes() == unit.u.tobytes() and tiny.v.tobytes() == unit.v.tobytes()
+        assert tiny.sigma.tobytes() == (unit.sigma * 2.0**-1000).tobytes()
+
     def test_errors(self):
         with pytest.raises(InvalidInput):
             svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -317,7 +335,7 @@ class TestGenerators:
         assert random_orthonormal(5, 2, [rng, rng, rng]).shape == (3, 5, 2)
         with pytest.raises(InvalidInput, match=r"^b is an empty stack$"):
             svd(np.zeros((0, 3, 2)))
-        with pytest.raises(InvalidInput, match=r"^x_any is an empty stack$"):
+        with pytest.raises(InvalidInput, match=r"^x_any must be 2-dimensional, got ndim=3$"):
             align(np.zeros((0, 3, 2)), np.ones((3, 2)))
         with pytest.raises(InvalidInput, match=r"^b must be 2-dimensional, got ndim=4$"):
             svd(np.ones((1, 1, 3, 2)))
@@ -452,6 +470,26 @@ def test_non_integer_sizes_ranks_and_counts_rejected(case):
     name, call = _NON_INTEGER_CALLS[case]
     with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
         call()
+
+
+#: Each call asks for a result of more entries than numpy can address, so it
+#: must be refused before anything is allocated.  Sizes that numpy can address
+#: but the machine cannot hold are not called: they would try to allocate.
+_UNADDRESSABLE_CALLS = {
+    "hadamard": lambda: hadamard(2**64),
+    "hadamard-columns": lambda: hadamard(2**62, 1),
+    "haar_orthogonal": lambda: haar_orthogonal(2**64, np.random.default_rng(0)),
+    "random_orthonormal": lambda: random_orthonormal(2**64, 1, np.random.default_rng(0)),
+    "random_orthonormal-stack": lambda: random_orthonormal(
+        2**57, 1, [np.random.default_rng(0)] * 8),  # addressable alone, not stacked
+    "pinning_matrix": lambda: pinning_matrix(2**64, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNADDRESSABLE_CALLS))
+def test_unaddressable_sizes_rejected(case):
+    with pytest.raises(InvalidInput, match=r"^a \d+(x\d+)+ array cannot be addressed$"):
+        _UNADDRESSABLE_CALLS[case]()
 
 
 _PLANE = np.eye(3)[:, :2]  # pinned by itself: the product is the identity
