@@ -29,13 +29,12 @@ from .kernels import (
     _as_matrix,
     _check_kind,
     _checked,
-    _exponent,
     _frobenius,
     _gauge,
     _integer,
     _lapack,
-    _outside,
     _pinning,
+    _scaled,
     _stack,
     check_orthonormal,
     matrix_norm,
@@ -132,6 +131,12 @@ def xi_sharpened(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta
     return xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta)
 
 
+def _scaled_pair(b, bt):
+    """`b` and `bt` scaled by the one power of two `_scaled` takes for the two."""
+    pair, _ = _scaled(np.concatenate((b, bt)), 2)
+    return pair[: len(b)], pair[len(b) :]
+
+
 @dataclass(frozen=True)
 class WedinBounds:
     """Singular-subspace perturbation bounds for an equal-rank pair.
@@ -151,7 +156,9 @@ def wedin_bound(b, b_tilde, r, kind):
 
     Both matrices must have numerical rank `r` (RankMismatch otherwise).  The
     bounds divide the truncated and full norms of the difference by the
-    larger of the two r-th singular values.
+    larger of the two r-th singular values.  No output changes with a common
+    scale of the pair, so a pair whose largest entry lies outside [2**-400,
+    2**400] is first scaled by the power of two that puts it in [1, 2).
     """
     _check_kind(kind)
     if _integer(r, "r") < 1:
@@ -160,6 +167,7 @@ def wedin_bound(b, b_tilde, r, kind):
     bt = _as_matrix(b_tilde, "b_tilde")
     if b.shape != bt.shape:
         raise DimensionMismatch(f"shapes differ: {b.shape} vs {bt.shape}")
+    b, bt = _scaled_pair(b, bt)
     fb, ft = svd(b), svd(bt)
     if fb.numerical_rank != r or ft.numerical_rank != r:
         raise RankMismatch(
@@ -208,10 +216,7 @@ def polar_factor_bound(b, b_tilde, kind, *, rtol=None):
     bt = _as_matrix(b_tilde, "b_tilde")
     if b.shape != bt.shape:
         raise DimensionMismatch(f"shapes differ: {b.shape} vs {bt.shape}")
-    top = max(float(np.abs(b).max()), float(np.abs(bt).max()))
-    if _outside(top):
-        e = _exponent(top)
-        b, bt = np.ldexp(b, -e), np.ldexp(bt, -e)
+    b, bt = _scaled_pair(b, bt)
     pb = polar(b, rtol=rtol)
     pt = polar(bt, rtol=rtol)
     if pb.r != pt.r:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -74,10 +74,9 @@ def _stack(b, name, shape=None):
     return b
 
 
-def _as_matrix(b, name="matrix", stack=False):
-    """Coerce to a finite 2-d float64 array with at least one row and column;
-    with `stack`, a nonempty 3-d stack of such matrices passes as well."""
-    b = _shaped(b, name, stack)
+def _as_matrix(b, name="matrix"):
+    """Coerce to a finite 2-d float64 array with at least one row and column."""
+    b = _shaped(b, name, stack=False)
     if not np.isfinite(b).all():
         raise InvalidInput(f"{name} contains non-finite entries")
     return b
@@ -132,33 +131,51 @@ def _exponent(top):
     return math.frexp(top)[1] - 1 if top else 0
 
 
-#: A norm or the singular values of a matrix whose top value (its largest
-#: entry, or sigma_1 for the singular values, which needs no pass over it) lies
-#: in [1 / _SAFE, _SAFE] are computed from the matrix as it stands, so they keep
-#: their bits.  Outside that range the matrix is first scaled by the exact power
-#: of two that brings its largest entry into [1, 2), as `_pinning` does for `d`:
-#: a Frobenius sum of squares would overflow or lose digits to underflow, and
-#: LAPACK's SVD would rescale by a ratio that is not a power of two (beyond
-#: about 2**+-458).  Either way the result scales exactly with powers of two.
+#: The range rule of every kernel.  A member of the input, a matrix or a row of
+#: singular values, whose largest |entry| lies in [1 / _SAFE, _SAFE] is used as
+#: it stands, so its results keep their bits.  Outside that range `_scaled`
+#: first scales it by the exact power of two that puts that entry in [1, 2), as
+#: `_pinning` does for `d`, and `_restore` scales its result back: a Frobenius
+#: sum of squares would overflow or lose digits to underflow, and LAPACK's SVD
+#: would rescale by a ratio that is not a power of two (beyond about
+#: 2**+-458).  Either way the result scales exactly with powers of two.
 _SAFE = 2.0**400
 
 
-def _outside(top):
-    """Whether a top value is nonzero and outside [1 / _SAFE, _SAFE]."""
-    return top and not 1.0 / _SAFE <= top <= _SAFE
+def _scaled(b, dims, name="b"):
+    """``(b', e)``: `b` with each member whose largest |entry| lies outside the
+    `_SAFE` range scaled by ``2**-e``, e the exponent that puts that entry in
+    [1, 2).  A member is all of `b` if `b` has `dims` axes (2 for a matrix, 1 for
+    a spectrum), with e an int, else each slice along its first axis, with e an
+    int array.  With no member scaled, e is the int 0 and b' is `b` itself.
+    InvalidInput names `name` if an entry is not finite."""
+    if b.ndim == dims:  # scalar arithmetic: cheaper than array operations on one member
+        top = float(np.maximum.reduce(np.abs(b), axis=None, initial=0.0))
+        if not math.isfinite(top):  # NaN or inf exactly when an entry is
+            raise InvalidInput(f"{name} contains non-finite entries")
+        if not top or 1.0 / _SAFE <= top <= _SAFE:
+            return b, 0
+        e = _exponent(top)
+        return np.ldexp(b, -e), e
+    tops = np.maximum.reduce(np.abs(b), axis=tuple(range(1, b.ndim)), initial=0.0)
+    if not np.isfinite(tops).all():
+        raise InvalidInput(f"{name} contains non-finite entries")
+    outside = (tops > _SAFE) | ((tops < 1.0 / _SAFE) & (tops > 0.0))
+    if not outside.any():
+        return b, 0
+    e = np.where(outside, np.frexp(tops)[1] - 1, 0)
+    return np.ldexp(b, -e.reshape(-1, *[1] * (b.ndim - 1))), e
 
 
-def _rescale(f, b, out, tops):
-    """Redo, in place, each entry ``out[i] = f(b[i])`` of a stack whose top value
-    ``tops[i]`` is `_outside` the safe range, from ``b[i]`` scaled into range,
-    silently inf past DBL_MAX; return `out`.  One matrix is the stack ``(b,)``; a
-    caller tests `_outside` first where f of an out-of-range matrix overflows."""
-    for i, top in enumerate(tops):
-        if _outside(top):
-            e = _exponent(float(np.abs(b[i]).max()))
-            with np.errstate(over="ignore"):
-                out[i] = f(np.ldexp(b[i], -e)) * 2.0**e
-    return out
+def _restore(out, e):
+    """`out`, the results of `_scaled` members along its first axis, each times
+    ``2**e`` of its member: exact, and silently inf past DBL_MAX."""
+    if isinstance(e, int) and not e:
+        return out
+    with np.errstate(over="ignore"):
+        if isinstance(e, int):
+            return out * 2.0**e
+        return np.ldexp(out, e.reshape(-1, *[1] * (np.ndim(out) - 1)))
 
 
 def _addressable(*shape):
@@ -186,28 +203,15 @@ def _gauge(values, kind):
     """Norm of each diagonal matrix whose nonnegative entries lie along the last
     axis of a float64 `values`, a float for 1-d and an array for 2-d: the max,
     the sum or the root sum of squares of each row, with the bits of the row
-    alone, as a reduction along a contiguous last axis sums each row.  A row
-    whose top entry is out of the `_SAFE` range is summed scaled by `_rescale`
-    (a trace past DBL_MAX is inf); rows in range enter no np.errstate."""
+    alone, as a reduction along a contiguous last axis sums each row.  A sum
+    takes each row by the `_SAFE` rule (a trace past DBL_MAX is inf)."""
     if kind == "spectral":
         out = np.maximum.reduce(values, axis=-1, initial=0.0)
         return float(out) if values.ndim == 1 else out
-    one = values.ndim == 1  # on one short row a list max costs less than a reduction
-    tops = [max(values.tolist() or [0.0])] if one else values.max(axis=1, initial=0.0).tolist()
-    if not any(map(_outside, tops)):
-        out = _sums(values, kind)
-        return float(out) if one else out
-    rows = values.reshape(-1, values.shape[-1])
-    with np.errstate(over="ignore", under="ignore"):  # the rows out of range are redone
-        out = _rescale(lambda row: float(_sums(row, kind)), rows, _sums(rows, kind), tops)
-    return float(out[0]) if one else out
-
-
-def _sums(values, kind):
-    """The trace or Frobenius `_gauge` of each row of `values` as it stands."""
-    if kind == "trace":
-        return np.add.reduce(values, axis=-1)
-    return np.sqrt(np.add.reduce(values * values, axis=-1))
+    values, e = _scaled(values, 1, "values")
+    sums = np.add.reduce(values if kind == "trace" else values * values, axis=-1)
+    out = sums if kind == "trace" else np.sqrt(sums)
+    return _restore(float(out) if values.ndim == 1 else out, e)
 
 
 def _frobenius(b):
@@ -256,39 +260,33 @@ def svd(b, *, rtol=None):
     Notes
     -----
     Without `rtol`, the tolerance is ``sigma_1 * (max(m, n) * u)``, with
-    ``u`` the binary64 unit roundoff.  A matrix whose sigma_1 lies outside
-    the `_SAFE` range is factored, and its rank decided, scaled by the power
-    of two that brings its largest entry into [1, 2); sigma and the
-    tolerance are scaled back, silently inf past DBL_MAX.  The rank
-    counts the singular values strictly above the tolerance, so one exactly
-    at the tolerance counts as zero.
+    ``u`` the binary64 unit roundoff.  A matrix whose largest entry lies
+    outside the `_SAFE` range is factored, and its rank decided, scaled by
+    the power of two that brings that entry into [1, 2); sigma and the
+    tolerance are scaled back, silently inf past DBL_MAX.  The rank counts
+    the singular values strictly above the tolerance, so one exactly at the
+    tolerance counts as zero.
 
     No sign convention is imposed on ``u`` and ``v``.  Downstream quantities
     (polar factors, pinned bases) are invariant under paired sign flips, and
     callers must not rely on the signs of individual singular vectors.
     """
-    b = _as_matrix(b, "b", stack=True)
+    b, e = _scaled(_shaped(b, "b", stack=True), 2)
     rtol = None if rtol is None else _checked(rtol, "rtol", zero_ok=True)
     u, s, vt = _lapack("svd", b, full_matrices=False)
     size = max(b.shape[-2:])
     if b.ndim == 2:  # scalar arithmetic: cheaper than array operations on one matrix
         sigma1 = float(s[0])
-        if _outside(sigma1):  # decided and factored on b scaled into range
-            e = _exponent(float(np.abs(b).max()))
-            f = svd(np.ldexp(b, -e), rtol=rtol)
-            with np.errstate(over="ignore"):  # silently inf past DBL_MAX
-                return replace(f, sigma=f.sigma * 2.0**e, rank_tolerance=f.rank_tolerance * 2.0**e)
         tol = sigma1 * (size * UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
-        return SvdFactors(u, s, vt.T, int(np.count_nonzero(s > tol)), tol)
+        rank = int(np.count_nonzero(s > tol))
+        return SvdFactors(u, _restore(s, e), vt.T, rank, _restore(tol, e))
     sigma1 = s[:, 0]
-    if any(map(_outside, sigma1.tolist())):  # each matrix alone, scaled on its own
-        return [svd(each, rtol=rtol) for each in b]
     tols = sigma1 * (size * UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
     ranks = np.add.reduce(s > tols[:, None], axis=-1)
-    v = vt.swapaxes(1, 2)
+    s, v = _restore(s, e), vt.swapaxes(1, 2)
     return [
         SvdFactors(u[i], s[i], v[i], rank, tol)
-        for i, (rank, tol) in enumerate(zip(ranks.tolist(), tols.tolist()))
+        for i, (rank, tol) in enumerate(zip(ranks.tolist(), _restore(tols, e).tolist()))
     ]
 
 
@@ -303,17 +301,14 @@ def _lapack(name, a, **kwargs):
 
 
 def singular_values(b):
-    """Singular values of `b` in nonincreasing order, by the `_SAFE` rule.
+    """Singular values of `b` in nonincreasing order, by the `_SAFE` rule:
+    silently inf past DBL_MAX.
 
     `b` may be an (s, p, q) stack, a 3-d array or a list of matrices: one
     LAPACK call then gives an (s, min(p, q)) array whose row i is what
     matrix i alone gives, each matrix scaled by the rule on its own."""
-    b = _as_matrix(b, "b", stack=True)
-    s = _lapack("svd", b, compute_uv=False)
-    if b.ndim == 3:  # a scaled matrix is in range: singular_values returns its s directly
-        return _rescale(singular_values, b, s, s[:, 0].tolist())
-    top = float(s[0])
-    return _rescale(singular_values, (b,), [s], (top,))[0] if _outside(top) else s
+    b, e = _scaled(_shaped(b, "b", stack=True), 2)
+    return _restore(_lapack("svd", b, compute_uv=False), e)
 
 
 def matrix_norm(b, kind):
@@ -328,18 +323,10 @@ def matrix_norm(b, kind):
     (row-major) order whatever the memory layout of `b`: a C-ordered, a
     Fortran-ordered and a strided array of one matrix give the same bits."""
     _check_kind(kind)
-    if kind != "frobenius":
-        return _gauge(singular_values(b), kind)
-    b = _shaped(b, "b", stack=True)
-    tops = [float(np.abs(b).max())] if b.ndim == 2 else np.abs(b).max(axis=(1, 2)).tolist()
-    if not all(map(math.isfinite, tops)):
-        raise InvalidInput("b contains non-finite entries")
-    if not any(map(_outside, tops)):
-        return _frobenius(b)
-    members = b.reshape(-1, *b.shape[-2:])
-    with np.errstate(over="ignore", under="ignore"):  # the members out of range are redone
-        out = _rescale(_frobenius, members, _frobenius(members), tops)
-    return out if b.ndim == 3 else float(out[0])
+    b, e = _scaled(_shaped(b, "b", stack=True), 2)
+    if kind == "frobenius":
+        return _restore(_frobenius(b), e)
+    return _restore(_gauge(_lapack("svd", b, compute_uv=False), kind), e)
 
 
 def check_orthonormal(x, name="x"):

@@ -28,7 +28,9 @@ def format_matrix(a):
 
 
 def parse_matrix(text):
-    """Parse the text format into a float64 array."""
+    """Parse the text format, a str, into a float64 array."""
+    if not isinstance(text, str):
+        raise InvalidInput(f"matrix text must be a str, got {type(text).__name__}")
     if not text.isascii():  # int() and float() read other scripts' digits and spaces
         raise InvalidInput(f"not an ASCII matrix file: {_non_ascii_line(text)}")
     lines = _lines(text)

@@ -8,12 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 from .kernels import (
     NORM_KINDS,
     _check_kind,
     _gauge,
     _lapack,
+    _real,
     _shaped,
     _stack,
     check_orthonormal,
@@ -91,9 +92,13 @@ def canonical_angles(x, y):
 
 
 def sin_theta_norm(angles, kind):
-    """Norm of the diagonal matrix of canonical-angle sines."""
+    """Norm of the diagonal matrix of canonical-angle sines, an AngleSpectrum's
+    ``sines``: a 1-d array of finite values in [0, 1], InvalidInput otherwise."""
     _check_kind(kind)
-    return _gauge(np.asarray(angles.sines, dtype=np.float64), kind)
+    sines = _real(getattr(angles, "sines", None), "angles.sines")
+    if sines.ndim != 1 or not ((sines >= 0.0) & (sines <= 1.0)).all():  # NaN fails too
+        raise InvalidInput("angles.sines must be a 1-d array of values in [0, 1]")
+    return _gauge(sines, kind)
 
 
 def align_rotation(x, y):

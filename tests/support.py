@@ -78,6 +78,42 @@ def _bits(value):
     return None if value is None else np.float64(value).tobytes()
 
 
+#: Contract B: the degree d of 2**e that each output of a kernel gains when its
+#: matrix input (both matrices of a pair) is multiplied by 2**e.  Degree 0 is
+#: the same bits, degree 1 the bits of the output times 2**e.  An int is the
+#: degree of the whole result, every field of it; a dict gives it per field.
+SCALING = {
+    "svd": {"u": 0, "v": 0, "numerical_rank": 0, "sigma": 1, "rank_tolerance": 1},
+    "singular_values": 1,
+    "matrix_norm": 1,
+    "polar": {"q": 0, "r": 0, "h": 1, "sigma_r": 1},
+    "wedin_bound": 0,
+    "polar_factor_bound": 0,
+}
+
+
+def assert_scales(name, out, ref, e):
+    """`out`, kernel `name`'s result on an input scaled by 2**e, is bit for bit
+    what SCALING makes of `ref`, its result on the input as it stands."""
+    degrees = SCALING[name]
+    if not isinstance(degrees, dict):
+        fields = getattr(ref, "__dataclass_fields__", None)
+        degrees = dict.fromkeys(fields, degrees) if fields else {None: degrees}
+    for field, degree in degrees.items():
+        got, want = (out, ref) if field is None else (getattr(out, field), getattr(ref, field))
+        if want is not None and degree:
+            want = np.ldexp(want, e)
+        assert _array_bits(got) == _array_bits(want), (name, field, e, got, want)
+
+
+def _array_bits(value):
+    """The bytes and shape of a float64 array or scalar, None for None."""
+    if value is None:
+        return None
+    value = np.asarray(value, dtype=np.float64)
+    return value.shape, value.tobytes()
+
+
 def rank_matrix(rng, m, n, r, smin=0.3, smax=3.0):
     """m-by-n matrix with exact rank r and singular values in [smin, smax]."""
     u = random_orthonormal(m, r, rng)

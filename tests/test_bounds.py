@@ -382,6 +382,16 @@ class TestWedinBound:
                 if r == min(m, n):  # one spectrum, truncated to all of it
                     assert w.bound_truncated == w.bound_full
 
+    def test_difference_past_the_float_range(self):
+        # sigma_1 of the difference, sqrt(6) * 1.7e308, and of each matrix lie
+        # past DBL_MAX: the pair is scaled into range first, so the bounds are
+        # the ratio 1.7 of the two, not inf / inf
+        ones = np.ones((3, 2))
+        for kind in NORM_KINDS:
+            w = wedin_bound(ones * 1e308, ones * -0.7e308, 1, kind)
+            assert w.bound_truncated == w.bound_full == pytest.approx(1.7, rel=1e-15)
+            assert max(w.measured_left, w.measured_right) <= 1e-15
+
     def test_rank_mismatch_rejected(self, rng):
         b = rank_matrix(rng, 6, 4, 2)
         bt = rank_matrix(rng, 6, 4, 3)

@@ -116,6 +116,13 @@ def test_malformed_inputs_rejected(text):
         parse_matrix(text)
 
 
+@pytest.mark.parametrize("text", [b"1 1\n1\n", None, 1, ["1 1", "1"]])
+def test_non_text_rejected_by_type(text):
+    name = type(text).__name__
+    with pytest.raises(InvalidInput, match=f"^matrix text must be a str, got {name}$"):
+        parse_matrix(text)
+
+
 def test_underscores_allowed_in_comments():
     a = parse_matrix("# x_tilde, n_rows\n1 2\n# row_1\n1.5 2\n")
     assert a.tolist() == [[1.5, 2.0]]

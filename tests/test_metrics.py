@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subspace_align import (
+    AngleSpectrum,
     DimensionMismatch,
     ExperimentConfig,
     InvalidBasis,
@@ -140,6 +141,18 @@ class TestCanonicalAngles:
 
 
 class TestSinThetaNorms:
+    @pytest.mark.parametrize("sines", [[2.0], [-1.0], [np.nan, 0.5], [np.inf], [[0.1, 0.2]]])
+    def test_bad_spectrum_rejected(self, sines):
+        angles = AngleSpectrum(cosines=np.zeros(np.shape(sines)), sines=np.array(sines))
+        for kind in NORM_KINDS:
+            with pytest.raises(InvalidInput, match="^angles.sines must be a 1-d array"):
+                sin_theta_norm(angles, kind)
+
+    @pytest.mark.parametrize("angles", [None, (0.1, 0.2)])
+    def test_non_spectrum_rejected(self, angles):
+        with pytest.raises(InvalidInput, match="^angles.sines must be a real numeric array"):
+            sin_theta_norm(angles, "spectral")
+
     def test_zero_distance(self, rng):
         x = random_orthonormal(6, 2, rng)
         angles = canonical_angles(x, x @ haar_orthogonal(2, rng))

@@ -38,7 +38,15 @@ from subspace_align import (
 from subspace_align.alignment import _pin
 from subspace_align.kernels import haar_orthogonal, random_orthonormal
 
-from support import RANK_RTOL, at_the_limit, equal_rank_pair, rank_matrix, subspace_pair
+from support import (
+    RANK_RTOL,
+    SCALING,
+    assert_scales,
+    at_the_limit,
+    equal_rank_pair,
+    rank_matrix,
+    subspace_pair,
+)
 
 _SEEDS = st.integers(0, 2**64 - 1)
 
@@ -323,6 +331,49 @@ def test_scaling_a_pair_by_a_power_of_two_keeps_ranks_and_bounds(shape, seed, e)
             assert math.isclose(pb.bound_generic, ref.bound_generic, rel_tol=1e-9)
             if ref.bound_improved is not None:
                 assert math.isclose(pb.bound_improved, ref.bound_improved, rel_tol=1e-9)
+
+
+_INTEGER_STACKS = st.integers(1, 6).flatmap(lambda m: st.integers(1, 6).flatmap(lambda n: st.lists(
+    hnp.arrays(np.float64, (m, n), elements=st.integers(-10**6, 10**6)), min_size=1, max_size=4)))
+_ONES = np.ones((2, 2))
+
+
+@given(bs=_INTEGER_STACKS, es=st.lists(st.integers(-1000, 1000), min_size=4, max_size=4))
+# largest entry 2**400 < sigma_1 = 2**401: in range by the largest entry
+@example(bs=[_ONES], es=[400, 0, 0, 0])
+# largest entry 2**-401 < 2**-400 = sigma_1: out of range by the largest entry
+@example(bs=[_ONES], es=[-401, 0, 0, 0])
+# a stack mixing both windows with members in range
+@example(bs=[_ONES, _ONES, np.array([[1.0, 2.0], [3.0, 4.0]]), _ONES], es=[400, -401, 0, -3])
+@example(bs=[np.array([[3.0, 0.0, 1.0], [0.0, 0.0, 0.0]])] * 2, es=[1000, -1000, 1000, -1000])
+def test_kernels_scale_with_powers_of_two_as_the_table_says(bs, es):
+    # integer entries up to 2**20, so every b * 2**e is exact; a stack scales
+    # each member by its own 2**e, a pair both matrices by one 2**e
+    scaled = [np.ldexp(b, e) for b, e in zip(bs, es)]
+    kernels = {
+        "svd": [svd, lambda b: svd(b, rtol=0.5)],
+        "singular_values": [singular_values],
+        "matrix_norm": [lambda b, kind=kind: matrix_norm(b, kind) for kind in NORM_KINDS],
+        "polar": [lambda b: polar(b if len(b) >= len(b.T) else b.T)],
+    }
+    for name, calls in kernels.items():
+        for call in calls:
+            for b, c, e in zip(bs, scaled, es):
+                assert_scales(name, call(c), call(b), e)
+            if name != "polar":  # each member of a stack as alone
+                for out, b, e in zip(call(np.array(scaled)), bs, es):
+                    assert_scales(name, out, call(b), e)
+    pair, e = (bs[0], bs[-1]), es[0]
+    r = svd(bs[0]).numerical_rank
+    assume(r > 0 and svd(bs[-1]).numerical_rank == r)
+    for kind in NORM_KINDS:
+        ref = wedin_bound(*pair, r, kind)
+        assert_scales("wedin_bound", wedin_bound(*(np.ldexp(b, e) for b in pair), r, kind), ref, e)
+        if len(pair[0]) >= len(pair[0].T):
+            ref = polar_factor_bound(*pair, kind)
+            out = polar_factor_bound(*(np.ldexp(b, e) for b in pair), kind)
+            assert_scales("polar_factor_bound", out, ref, e)
+    assert set(kernels) | {"wedin_bound", "polar_factor_bound"} == set(SCALING)
 
 
 _FLOAT_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308)

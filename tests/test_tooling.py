@@ -159,6 +159,29 @@ def test_only_kernels_calls_numpy_linalg():
     assert set(found) <= allowed, f"use kernels._lapack instead: {found}"
 
 
+#: kernels' own names for its range rule, which each kernel applies before its
+#: call; a module that scales by hand would hold a second copy of the rule
+RANGE_RULE = {"_SAFE", "_outside", "_exponent"}
+
+
+def test_only_kernels_applies_the_range_rule():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "kernels.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            names = {
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if alias.name in RANGE_RULE
+            } | {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in RANGE_RULE}
+            if names:
+                found[path.name] = sorted(names)
+    assert not found, f"call kernels._scaled instead: {found}"
+
+
 def _readme_python_blocks():
     text = (ROOT / "README.md").read_text()
     return re.findall(r"^```python\n(.*?)^```", text, flags=re.DOTALL | re.MULTILINE)
