@@ -17,12 +17,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, RankMismatch, ShapeError
 from .kernels import (
-    _as_matrix,
     _check_kind,
     _integer,
     _lapack,
     _pinning,
     _real,
+    _scaled,
+    _shaped,
     _stack,
     _stream,
     _uint64,
@@ -76,11 +77,11 @@ def polar(b, *, rtol=None):
         m-by-m) partitioned at the numerical rank r, the factor is
         ``q = u[:, :r] @ v[:, :r].T`` and ``h = v @ diag(s) @ v.T``.
     """
-    b = _as_matrix(b, "b")
+    b = _shaped(b, "b", stack=False)
     n, m = b.shape
     if n < m:
         raise ShapeError(f"b must be tall or square, got {n}x{m}; transpose first")
-    f = svd(b, rtol=rtol)
+    f = svd(b, rtol=rtol)  # which checks that the entries are finite
     r = f.numerical_rank
     q = f.u[:, :r] @ f.v[:, :r].T
     h = (f.v * f.sigma) @ f.v.T
@@ -97,7 +98,7 @@ class AlignedBasisSet:
     ``w`` of size ``k - r``.  ``base`` depends only on the subspace, not on
     the particular basis it was computed from.  With ``r == k`` the freedom
     is empty and the set is the single matrix ``base``.  Only ``sigma_r`` and
-    ``rank_tolerance`` scale with ``d``.
+    ``rank_tolerance`` scale with ``d``, taken by the kernels' range rule.
     """
 
     base: np.ndarray
@@ -141,7 +142,8 @@ def align(x_any, d, *, rtol=None):
     x_any : (n, k) array_like
         Any orthonormal basis of the subspace.
     d : (n, k) array_like
-        Pinning matrix; `x` is the same at every scale of `d` (AlignedBasisSet).
+        Pinning matrix, taken by the kernels' range rule (README, "Scale of
+        `d`"); `x` is the same at every scale of `d` (AlignedBasisSet).
     rtol : float, optional
         Relative rank tolerance for ``x_any.T @ d``; the default policy
         assigns exact-rank inputs their exact rank, and callers needing a
@@ -182,7 +184,7 @@ def _pin(xs, d):
     one SVD of the products with `d`, no rank decision and no family, for the
     pinned basis does not depend on the rank."""
     d, _ = _pinning(d, *xs.shape[-2:])
-    u, _, vt = _lapack("svd", xs.mT @ d, full_matrices=False)
+    u, _, vt = _lapack("svd", _scaled(xs.mT @ d, 2)[0], full_matrices=False)  # as svd does
     return xs @ (u @ vt)
 
 

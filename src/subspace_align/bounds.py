@@ -19,14 +19,12 @@ import numpy as np
 
 from .alignment import align, optimal_representative, polar
 from .errors import (
-    DimensionMismatch,
     InvalidInput,
     NotAligned,
     NotApplicable,
     RankMismatch,
 )
 from .kernels import (
-    _as_matrix,
     _check_kind,
     _checked,
     _frobenius,
@@ -34,7 +32,7 @@ from .kernels import (
     _integer,
     _lapack,
     _pinning,
-    _scaled,
+    _scaled_pair,
     _stack,
     check_orthonormal,
     matrix_norm,
@@ -131,12 +129,6 @@ def xi_sharpened(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta
     return xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta)
 
 
-def _scaled_pair(b, bt):
-    """`b` and `bt` scaled by the one power of two `_scaled` takes for the two."""
-    pair, _ = _scaled(np.concatenate((b, bt)), 2)
-    return pair[: len(b)], pair[len(b) :]
-
-
 @dataclass(frozen=True)
 class WedinBounds:
     """Singular-subspace perturbation bounds for an equal-rank pair.
@@ -163,11 +155,7 @@ def wedin_bound(b, b_tilde, r, kind):
     _check_kind(kind)
     if _integer(r, "r") < 1:
         raise InvalidInput("rank r must be at least 1")
-    b = _as_matrix(b, "b")
-    bt = _as_matrix(b_tilde, "b_tilde")
-    if b.shape != bt.shape:
-        raise DimensionMismatch(f"shapes differ: {b.shape} vs {bt.shape}")
-    b, bt = _scaled_pair(b, bt)
+    b, bt = _scaled_pair(b, b_tilde)
     fb, ft = svd(b), svd(bt)
     if fb.numerical_rank != r or ft.numerical_rank != r:
         raise RankMismatch(
@@ -212,11 +200,7 @@ def polar_factor_bound(b, b_tilde, kind, *, rtol=None):
     that puts it in [1, 2); a zero difference bounds to 0.
     """
     _check_kind(kind)
-    b = _as_matrix(b, "b")
-    bt = _as_matrix(b_tilde, "b_tilde")
-    if b.shape != bt.shape:
-        raise DimensionMismatch(f"shapes differ: {b.shape} vs {bt.shape}")
-    b, bt = _scaled_pair(b, bt)
+    b, bt = _scaled_pair(b, b_tilde)
     pb = polar(b, rtol=rtol)
     pt = polar(bt, rtol=rtol)
     if pb.r != pt.r:
@@ -299,7 +283,7 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
         two products must share a numerical rank (RankMismatch otherwise).
         `x_tilde` may be an (m, n, k) stack, a 3-d array or a list of bases.
     d : (n, k) array_like
-        Pinning matrix; BoundReport names the fields that scale with it.
+        Pinning matrix, as in :func:`align`; BoundReport names what scales with it.
     kind : str, or tuple or list of str
         Norm kind for the distances and bound.  Several kinds share one pass
         over the norm-independent work (checks, factorizations, angles).

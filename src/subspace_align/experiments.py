@@ -352,7 +352,7 @@ class ClosedFormCheck:
     max_relative_error: float
 
 
-def verify_closed_form(config, delta, index=0):
+def verify_closed_form(config, delta):
     """Regression check of sine accuracy for the Hadamard pair construction.
 
     Two computations are checked against the closed forms ``(delta,
@@ -371,7 +371,7 @@ def verify_closed_form(config, delta, index=0):
     """
     n, k = config.n, config.k
     delta = _delta(delta)  # a scalar: a tuple would ask make_pair for many pairs
-    x_diamond, x_tilde_diamond, _, q2 = make_pair(config, delta, index=index)
+    x_diamond, x_tilde_diamond, _, q2 = make_pair(config, delta)
 
     # x_tilde_diamond = (cos * c[:, :k] @ q1 + delta * c[:, k:] @ q2) / sqrt(n).
     # With c.T @ c == n * I, a complement basis of x_diamond can start with

@@ -74,17 +74,9 @@ def _stack(b, name, shape=None):
     return b
 
 
-def _as_matrix(b, name="matrix"):
-    """Coerce to a finite 2-d float64 array with at least one row and column."""
-    b = _shaped(b, name, stack=False)
-    if not np.isfinite(b).all():
-        raise InvalidInput(f"{name} contains non-finite entries")
-    return b
-
-
 def _shaped(b, name, stack):
-    """`_as_matrix` but for its finiteness check, for a caller that makes that
-    check on ``max|b|``, which is NaN or inf exactly when an entry is."""
+    """`b` as a 2-d float64 array (or with `stack`, also a nonempty 3-d stack)
+    of at least one row and column; its entries are checked by `_top`."""
     b = _real(b, name)
     if b.ndim != 2 and not (stack and b.ndim == 3):
         raise InvalidInput(f"{name} must be 2-dimensional, got ndim={b.ndim}")
@@ -116,30 +108,40 @@ def _checked(value, name, zero_ok=False):
 
 
 def _pinning(d, n, k):
-    """``(d * 2**-e, e)`` for an n-by-k `d`, with ``max|d * 2**-e|`` in [1, 2) (e = 0,
-    and `d` itself, for a zero `d`): exact above the subnormal range, so every
-    decision made on it is the same at every scale of `d`."""
-    d = _as_matrix(d, "d")
+    """``(d', e)`` of `_scaled` for an n-by-k pinning matrix `d`: the range rule
+    of every kernel, so every decision made on `d'` is the same at every scale
+    of `d` while ``d * 2**e`` is exact."""
+    d, e = _scaled(_shaped(d, "d", stack=False), 2, "d")
     if d.shape != (n, k):
         raise DimensionMismatch(f"d must be {n}x{k}, got {d.shape[0]}x{d.shape[1]}")
-    e = _exponent(float(np.abs(d).max()))
-    return (np.ldexp(d, -e) if e else d), e
+    return d, e
+
+
+#: The range rule of every kernel, and of the pinning matrix `d`.  A member of
+#: the input, a matrix or a row of singular values, whose largest |entry| lies
+#: in [1 / _SAFE, _SAFE] is used as it stands, so its results keep their bits.
+#: Outside that range `_scaled` first scales it by the exact power of two that
+#: puts that entry in [1, 2), and `_restore` scales its result back: a
+#: Frobenius sum of squares would overflow or lose digits to underflow, and
+#: LAPACK's SVD would rescale by a ratio that is not a power of two (beyond
+#: about 2**+-458).  Either way the result scales exactly with powers of two.
+_SAFE = 2.0**400
+
+
+def _top(b, name, axis=None):
+    """``max|b|``, a float, or along `axis` an array: the one finiteness scan of
+    a matrix argument, for the max is NaN or inf exactly when an entry is, and
+    then InvalidInput names `name`."""
+    top = np.maximum.reduce(np.abs(b), axis=axis, initial=0.0)
+    if not math.isfinite(top if axis is None else top.max()):  # a scalar test is cheaper
+        raise InvalidInput(f"{name} contains non-finite entries")
+    return float(top) if axis is None else top
 
 
 def _exponent(top):
-    """The e with ``top * 2**-e`` in [1, 2) for a positive `top`, 0 for zero."""
-    return math.frexp(top)[1] - 1 if top else 0
-
-
-#: The range rule of every kernel.  A member of the input, a matrix or a row of
-#: singular values, whose largest |entry| lies in [1 / _SAFE, _SAFE] is used as
-#: it stands, so its results keep their bits.  Outside that range `_scaled`
-#: first scales it by the exact power of two that puts that entry in [1, 2), as
-#: `_pinning` does for `d`, and `_restore` scales its result back: a Frobenius
-#: sum of squares would overflow or lose digits to underflow, and LAPACK's SVD
-#: would rescale by a ratio that is not a power of two (beyond about
-#: 2**+-458).  Either way the result scales exactly with powers of two.
-_SAFE = 2.0**400
+    """The e of the range rule for a member whose largest |entry| is `top`: 0 in
+    [1 / _SAFE, _SAFE] and for zero, else the e with ``top * 2**-e`` in [1, 2)."""
+    return 0 if not top or 1.0 / _SAFE <= top <= _SAFE else math.frexp(top)[1] - 1
 
 
 def _scaled(b, dims, name="b"):
@@ -149,22 +151,28 @@ def _scaled(b, dims, name="b"):
     a spectrum), with e an int, else each slice along its first axis, with e an
     int array.  With no member scaled, e is the int 0 and b' is `b` itself.
     InvalidInput names `name` if an entry is not finite."""
-    if b.ndim == dims:  # scalar arithmetic: cheaper than array operations on one member
-        top = float(np.maximum.reduce(np.abs(b), axis=None, initial=0.0))
-        if not math.isfinite(top):  # NaN or inf exactly when an entry is
-            raise InvalidInput(f"{name} contains non-finite entries")
-        if not top or 1.0 / _SAFE <= top <= _SAFE:
-            return b, 0
-        e = _exponent(top)
-        return np.ldexp(b, -e), e
-    tops = np.maximum.reduce(np.abs(b), axis=tuple(range(1, b.ndim)), initial=0.0)
-    if not np.isfinite(tops).all():
-        raise InvalidInput(f"{name} contains non-finite entries")
+    if b.ndim == dims:
+        e = _exponent(_top(b, name))
+        return (np.ldexp(b, -e) if e else b), e
+    tops = _top(b, name, axis=tuple(range(1, b.ndim)))
     outside = (tops > _SAFE) | ((tops < 1.0 / _SAFE) & (tops > 0.0))
     if not outside.any():
         return b, 0
     e = np.where(outside, np.frexp(tops)[1] - 1, 0)
     return np.ldexp(b, -e.reshape(-1, *[1] * (b.ndim - 1))), e
+
+
+def _scaled_pair(b, b_tilde):
+    """`b` and `b_tilde` as matrices of one shape, each scanned once by `_top`
+    under its own name, scaled by the one power of two that the range rule
+    takes for the largest |entry| of the two."""
+    b = _shaped(b, "b", stack=False)
+    top = _top(b, "b")
+    bt = _shaped(b_tilde, "b_tilde", stack=False)
+    e = _exponent(max(top, _top(bt, "b_tilde")))
+    if b.shape != bt.shape:
+        raise DimensionMismatch(f"shapes differ: {b.shape} vs {bt.shape}")
+    return (np.ldexp(b, -e), np.ldexp(bt, -e)) if e else (b, bt)
 
 
 def _restore(out, e):
@@ -343,9 +351,7 @@ def _orthonormal(b, name):
     passes them: InvalidInput for a non-finite entry, else the first failing
     basis raises InvalidBasis.  Only entries past 2**200, which can overflow
     the Gram matrices to an inf or NaN defect, enter np.errstate."""
-    top = float(np.abs(b).max())
-    if not math.isfinite(top):  # NaN or inf exactly when an entry is
-        raise InvalidInput(f"{name} contains non-finite entries")
+    top = _top(b, name)
     n, k = b.shape[-2:]
     if k > n:
         raise InvalidBasis(f"{name} has more columns ({k}) than rows ({n})")

@@ -15,14 +15,15 @@ from contextlib import suppress
 import numpy as np
 
 from .errors import InvalidInput
-from .kernels import _as_matrix
+from .kernels import _shaped, _top
 
 __all__ = ["format_matrix", "parse_matrix", "save_matrix", "load_matrix"]
 
 
 def format_matrix(a):
     """Render a matrix in the text format, ending with a newline."""
-    a = _as_matrix(a, "matrix")
+    a = _shaped(a, "matrix", stack=False)
+    _top(a, "matrix")  # InvalidInput for a non-finite entry
     row = " ".join(["%.17g"] * a.shape[1])  # one format string for the whole file
     return "\n".join(["%d %d" % a.shape] + [row] * len(a)) % tuple(a.ravel().tolist()) + "\n"
 
@@ -62,8 +63,7 @@ def parse_matrix(text):
         numbered = enumerate(map(str.strip, rest), lineno + 1)
         # the same rules, line by line, to name the fault
         a = _rows([(i, s) for i, s in numbered if s and s[0] != "#"], rows, cols)
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput("matrix contains non-finite entries")
+    _top(a, "matrix")  # InvalidInput for a non-finite entry
     return a
 
 

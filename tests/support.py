@@ -78,10 +78,14 @@ def _bits(value):
     return None if value is None else np.float64(value).tobytes()
 
 
-#: Contract B: the degree d of 2**e that each output of a kernel gains when its
-#: matrix input (both matrices of a pair) is multiplied by 2**e.  Degree 0 is
-#: the same bits, degree 1 the bits of the output times 2**e.  An int is the
-#: degree of the whole result, every field of it; a dict gives it per field.
+#: Contract B: the degree d of 2**e that each output of a function gains when
+#: its scaled input is multiplied by 2**e: the matrix of a kernel, both
+#: matrices of a pair, `d` of `align` and `evaluate_instance`, and the three
+#: of ``(sigma_r, sigma_r_tilde, d_norm)`` of `eta`, `xi` and `xi_sharpened`.
+#: Degree 0 is the same bits, degree 1 the bits of the output times 2**e.  An
+#: int is the degree of the whole result, every field of it; a dict gives it
+#: per field, 0 for a field it does not name; a tuple gives it per element of
+#: a tuple result.
 SCALING = {
     "svd": {"u": 0, "v": 0, "numerical_rank": 0, "sigma": 1, "rank_tolerance": 1},
     "singular_values": 1,
@@ -89,15 +93,64 @@ SCALING = {
     "polar": {"q": 0, "r": 0, "h": 1, "sigma_r": 1},
     "wedin_bound": 0,
     "polar_factor_bound": 0,
+    "align": (0, {"sigma_r": 1, "rank_tolerance": 1}),
+    "evaluate_instance": {"sigma_r": 1, "sigma_r_tilde": 1, "d_norm": 1, "rank_tolerance": 1},
+    "eta": 0,
+    "xi": 0,
+    "xi_sharpened": 0,
+}
+
+_RECORD = "a record of results or settings that a function of this table fills"
+_ERROR = "an exception class: it carries a message, not a number"
+_BASES = "takes orthonormal bases, which a scale other than 1 makes invalid"
+_SIZES = "takes sizes, seeds and generators, none of which scales"
+_TEXT = "matrix text: every float64 round-trips exactly at every scale"
+
+#: Each public callable with no SCALING row, and why it has none.
+SCALING_EXEMPT = {
+    **dict.fromkeys(
+        ("SvdFactors", "CanonicalPolar", "AlignedBasisSet", "HausdorffEstimate", "WedinBounds",
+         "PolarFactorBounds", "BoundReport", "ExperimentConfig", "SweepRow", "ClosedFormCheck",
+         "AngleSpectrum"),
+        _RECORD,
+    ),
+    **dict.fromkeys(
+        ("SubspaceAlignError", "InvalidInput", "DimensionMismatch", "ShapeError", "InvalidBasis",
+         "UnsupportedOrder", "RankMismatch", "NotAligned", "NotApplicable", "NumericalFailure",
+         "VerificationFailure"),
+        _ERROR,
+    ),
+    **dict.fromkeys(
+        ("optimal_representative", "hausdorff_distance_estimate", "check_orthonormal",
+         "orthonormal_completion", "canonical_angles", "align_rotation"),
+        _BASES,
+    ),
+    **dict.fromkeys(
+        ("hadamard", "is_hadamard_order", "haar_orthogonal", "random_orthonormal",
+         "default_delta_grid", "pinning_matrix", "make_pair", "run_sweep", "verify_closed_form"),
+        _SIZES,
+    ),
+    **dict.fromkeys(("format_matrix", "parse_matrix", "save_matrix", "load_matrix"), _TEXT),
+    "sin_theta_norm": "takes sines, which must lie in [0, 1], so most scales are no input",
+    "main": "the command line: text in and out, through the functions of this table",
+    "loglog_svg": "draws a plot on log axes, as text",
+    "write_loglog_svg": "draws a plot on log axes, as a file",
 }
 
 
-def assert_scales(name, out, ref, e):
-    """`out`, kernel `name`'s result on an input scaled by 2**e, is bit for bit
-    what SCALING makes of `ref`, its result on the input as it stands."""
-    degrees = SCALING[name]
-    if not isinstance(degrees, dict):
-        fields = getattr(ref, "__dataclass_fields__", None)
+def assert_scales(name, out, ref, e, degrees=None):
+    """`out`, `name`'s result on an input scaled by 2**e, is bit for bit what
+    SCALING makes of `ref`, its result on the input as it stands."""
+    degrees = SCALING[name] if degrees is None else degrees
+    if isinstance(degrees, tuple):
+        assert len(out) == len(ref) == len(degrees), (name, out, ref)
+        for got, want, each in zip(out, ref, degrees):
+            assert_scales(name, got, want, e, each)
+        return
+    fields = getattr(ref, "__dataclass_fields__", None)
+    if isinstance(degrees, dict):
+        degrees = {field: degrees.get(field, 0) for field in fields}
+    else:
         degrees = dict.fromkeys(fields, degrees) if fields else {None: degrees}
     for field, degree in degrees.items():
         got, want = (out, ref) if field is None else (getattr(out, field), getattr(ref, field))
@@ -107,9 +160,10 @@ def assert_scales(name, out, ref, e):
 
 
 def _array_bits(value):
-    """The bytes and shape of a float64 array or scalar, None for None."""
-    if value is None:
-        return None
+    """The bytes and shape of a float64 array or scalar, None for None, and
+    a str as it is."""
+    if value is None or isinstance(value, str):
+        return value
     value = np.asarray(value, dtype=np.float64)
     return value.shape, value.tobytes()
 

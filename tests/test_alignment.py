@@ -65,6 +65,13 @@ class TestPolar:
         with pytest.raises(ShapeError):
             polar(rng.standard_normal((2, 5)))
 
+    def test_shape_is_checked_before_the_entries(self):
+        # the entries are scanned once, by svd, after the shape check
+        with pytest.raises(ShapeError, match="^b must be tall or square, got 2x3"):
+            polar([[1.0, np.nan, 0.0], [0.0, 1.0, np.inf]])
+        with pytest.raises(InvalidInput, match="^b contains non-finite entries$"):
+            polar([[1.0, np.nan], [0.0, 1.0], [0.0, np.inf]])
+
     @pytest.mark.parametrize("shape,r", [((6, 6), 6), ((9, 4), 4), ((9, 4), 2), ((7, 7), 3)])
     def test_invariants(self, rng, shape, r):
         n, m = shape

@@ -645,6 +645,16 @@ class TestEvaluateInstance:
             with pytest.raises(NotAligned):
                 evaluate_instance(x_any, x, d, "frobenius", rtol=RANK_RTOL)
 
+    def test_not_aligned_message_reads_in_the_units_of_d(self, rng):
+        # d is used as it stands within the range rule, so the tolerance the
+        # message names is 1e-10 * ||d||_2 of the caller's d
+        d = 3.0 * rank_matrix(rng, 10, 4, 4)
+        x, _ = align(random_orthonormal(10, 4, rng), d, rtol=RANK_RTOL)
+        flipped = x @ np.diag([1.0, -1.0, 1.0, 1.0])  # x.T @ d not symmetric
+        tol = 1e-10 * float(np.linalg.svd(d, compute_uv=False)[0])
+        with pytest.raises(NotAligned, match=rf" > {tol:.3e}$"):
+            evaluate_instance(x, flipped, d, "trace", rtol=RANK_RTOL)
+
     def test_rank_hypothesis_violation_rejected(self, rng):
         n, k = 12, 4
         d = rank_matrix(rng, n, k, k)

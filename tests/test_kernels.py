@@ -460,7 +460,6 @@ _NON_INTEGER_CALLS = {
     "hausdorff_distance_estimate-seed-bool": ("seed", lambda: _plane_estimate(seed=True)),
     "make_pair": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=1.5)),
     "make_pair-bool": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=True)),
-    "verify_closed_form": ("index", lambda: verify_closed_form(_SMALL_CONFIG, 0.1, 1.5)),
     "default_delta_grid": ("points", lambda: default_delta_grid(points=3.0)),
 }
 

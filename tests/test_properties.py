@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,8 +20,10 @@ from subspace_align import (
     NORM_KINDS,
     ExperimentConfig,
     InvalidInput,
+    SubspaceAlignError,
     align,
     canonical_angles,
+    eta,
     evaluate_instance,
     format_matrix,
     load_matrix,
@@ -34,6 +37,8 @@ from subspace_align import (
     singular_values,
     svd,
     wedin_bound,
+    xi,
+    xi_sharpened,
 )
 from subspace_align.alignment import _pin
 from subspace_align.kernels import haar_orthogonal, random_orthonormal
@@ -363,6 +368,8 @@ def test_kernels_scale_with_powers_of_two_as_the_table_says(bs, es):
             if name != "polar":  # each member of a stack as alone
                 for out, b, e in zip(call(np.array(scaled)), bs, es):
                     assert_scales(name, out, call(b), e)
+    _d_scales_as_the_table_says(bs, es[1])
+    _coefficients_scale_as_the_table_says(bs, es[2])
     pair, e = (bs[0], bs[-1]), es[0]
     r = svd(bs[0]).numerical_rank
     assume(r > 0 and svd(bs[-1]).numerical_rank == r)
@@ -373,7 +380,49 @@ def test_kernels_scale_with_powers_of_two_as_the_table_says(bs, es):
             ref = polar_factor_bound(*pair, kind)
             out = polar_factor_bound(*(np.ldexp(b, e) for b in pair), kind)
             assert_scales("polar_factor_bound", out, ref, e)
-    assert set(kernels) | {"wedin_bound", "polar_factor_bound"} == set(SCALING)
+    others = {"wedin_bound", "polar_factor_bound", "align", "evaluate_instance", "eta", "xi",
+              "xi_sharpened"}
+    assert set(kernels) | others == set(SCALING)
+
+
+def _d_scales_as_the_table_says(bs, e):
+    """`align` and `evaluate_instance` in `d`, the first matrix made tall, with
+    bases spanning the first and the last: a refusal is refused again, with
+    the same class, at every scale."""
+    d, *rest = [b if len(b) >= len(b.T) else b.T for b in bs]
+    x_any, y_any = (np.linalg.qr(b)[0] for b in (d, rest[-1] if rest else d))
+    scaled = np.ldexp(d, e)
+    for rtol in (None, 0.5):
+        for basis in (x_any, y_any):
+            assert_scales("align", align(basis, scaled, rtol=rtol), align(basis, d, rtol=rtol), e)
+    x, y = align(x_any, d)[0], align(y_any, d)[0]
+    for x_tilde in (y, [y, x]):
+        try:
+            ref = evaluate_instance(x, x_tilde, d, NORM_KINDS)
+        except SubspaceAlignError as exc:
+            with pytest.raises(type(exc)):
+                evaluate_instance(x, x_tilde, scaled, NORM_KINDS)
+            continue
+        out = evaluate_instance(x, x_tilde, scaled, NORM_KINDS)
+        for got, want in zip(out, ref) if isinstance(ref, list) else [(out, ref)]:
+            for rep_got, rep_want in zip(got, want, strict=True):
+                assert_scales("evaluate_instance", rep_got, rep_want, e)
+
+
+def _coefficients_scale_as_the_table_says(bs, e):
+    """`eta`, `xi` and `xi_sharpened` in ``(sigma_r, sigma_r_tilde, d_norm)``,
+    three positive integers of `bs` that stay normal at every scale."""
+    entries = np.concatenate([b.ravel() for b in bs])
+    values = [1.0 + abs(float(entries[i])) for i in (0, -1, len(entries) // 2)]
+    scaled = [math.ldexp(v, e) for v in values]
+    for kind in NORM_KINDS:
+        for r, k in ((1, 1), (1, 2), (2, 3)):
+            for name, call in (("eta", eta), ("xi", xi), ("xi_sharpened", xi_sharpened)):
+                tail = () if name == "eta" else (0.25,)
+                if name == "xi_sharpened" and r == k:
+                    continue
+                out, ref = call(kind, r, k, *scaled, *tail), call(kind, r, k, *values, *tail)
+                assert_scales(name, out, ref, e)
 
 
 _FLOAT_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308)
@@ -486,6 +535,22 @@ def test_stacked_draws_equal_each_generator_alone(seed, m, n, k):
             assert each.tobytes() == draw(g).tobytes()
     for a, b in zip(stacked, alone):  # and each generator is left where its own draws leave it
         assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+def test_a_stacked_pin_scales_products_below_the_range_as_align_does():
+    # d in range as it stands, and products near 2**-470, below 2**-459 where
+    # LAPACK would rescale by a ratio that is not a power of two
+    rng = _rng(3)
+    d = np.zeros((8, 2))
+    d[:4] = np.ldexp(rng.standard_normal((4, 2)), -400)
+    bases = []
+    for _ in range(16):
+        x = np.zeros((8, 2))
+        x[4:] = random_orthonormal(4, 2, rng)
+        x[:4] = np.ldexp(rng.standard_normal((4, 2)), -70)
+        bases.append(np.linalg.qr(x)[0])
+    for x, pinned in zip(bases, _pin(np.array(bases), d)):
+        assert pinned.tobytes() == align(x, d)[0].tobytes()
 
 
 @given(shape=_shapes(), seed=_SEEDS, m=st.integers(1, 5), rtol=st.sampled_from([None, RANK_RTOL]),

@@ -1,6 +1,7 @@
 """Checks on the test setup and on the source tree as a whole."""
 
 import ast
+import importlib
 import inspect
 import os
 import re
@@ -160,8 +161,10 @@ def test_only_kernels_calls_numpy_linalg():
 
 
 #: kernels' own names for its range rule, which each kernel applies before its
-#: call; a module that scales by hand would hold a second copy of the rule
-RANGE_RULE = {"_SAFE", "_outside", "_exponent"}
+#: call, and numpy's finiteness test, which `kernels._top` makes once per
+#: matrix argument; a module that used them would hold a second copy of the
+#: rule or scan an argument a second time
+RANGE_RULE = {"_SAFE", "_outside", "_exponent", "isfinite"}
 
 
 def test_only_kernels_applies_the_range_rule():
@@ -172,14 +175,15 @@ def test_only_kernels_applies_the_range_rule():
             names = {
                 alias.name
                 for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)
+                if isinstance(node, ast.ImportFrom) and node.module != "math"
                 for alias in node.names
                 if alias.name in RANGE_RULE
             } | {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) and node.attr in RANGE_RULE}
+                 if isinstance(node, ast.Attribute) and node.attr in RANGE_RULE
+                 and not (isinstance(node.value, ast.Name) and node.value.id == "math")}
             if names:
                 found[path.name] = sorted(names)
-    assert not found, f"call kernels._scaled instead: {found}"
+    assert not found, f"call kernels._scaled or kernels._top instead: {found}"
 
 
 def _readme_python_blocks():
@@ -273,6 +277,23 @@ def test_export_contract():
     exec("from subspace_align import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(subspace_align.__all__)
+
+
+def test_every_public_callable_has_a_scaling_row_or_an_exemption():
+    # Contract B: a new public function states how it scales with its input,
+    # or why it has nothing to state; a stale row or exemption fails too
+    from support import SCALING, SCALING_EXEMPT
+
+    public = set()
+    for path in sorted(SRC.glob("[!_]*.py")):  # each module, not the package or __main__
+        module = importlib.import_module(f"subspace_align.{path.stem}")
+        public |= {name for name in getattr(module, "__all__", ())
+                   if callable(getattr(module, name))}
+    assert not set(SCALING) & set(SCALING_EXEMPT)
+    assert all(isinstance(why, str) and why for why in SCALING_EXEMPT.values())
+    missing = public - set(SCALING) - set(SCALING_EXEMPT)
+    assert not missing, f"add a SCALING row or an exemption with a reason: {sorted(missing)}"
+    assert set(SCALING) | set(SCALING_EXEMPT) <= public
 
 
 def test_figures_reach_every_traced_function(tmp_path, capsys):
