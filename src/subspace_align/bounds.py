@@ -251,24 +251,26 @@ class BoundReport:
     rank_tolerance: float
 
 
-def _psd_defects(gs, d_norm):
+def _psd_defects(gs, d_norm, scale):
     """Which products of the stack `gs` are not symmetric PSD to within
     1e-10 * ||d||_2, as a list of bools, and ``why(i, label)``, the message of
-    product i, built only for a product that fails; one eigvalsh call."""
+    product i, built only for a product that fails; one eigvalsh call.  `gs` is
+    made with d / `scale`, and a message gives its numbers times `scale`."""
     tol = 1e-10 * d_norm
     floors = _lapack("eigvalsh", (gs + gs.swapaxes(1, 2)) / 2.0)[:, 0]
     asym = _frobenius(gs - gs.swapaxes(1, 2))
 
-    def why(i, label):
+    def why(i, label):  # Python floats: a product past DBL_MAX is inf, with no warning
+        asym_i, tol_i, floor_i = (float(v) * scale for v in (asym[i], tol, floors[i]))
         if asym[i] > tol:
-            return f"{label} is not symmetric: asymmetry {asym[i]:.3e} > {tol:.3e}"
-        return f"{label} is not positive semidefinite: min eigenvalue {floors[i]:.3e}"
+            return f"{label} is not symmetric: asymmetry {asym_i:.3e} > {tol_i:.3e}"
+        return f"{label} is not positive semidefinite: min eigenvalue {floor_i:.3e}"
 
     return ((asym > tol) | (floors < -tol)).tolist(), why
 
 
 def _per_basis(value):
-    """A float, or an array with one value per basis, as a list of floats."""
+    """A number, or an array with one value per basis, as a list of numbers."""
     return value.tolist() if isinstance(value, np.ndarray) else [value]
 
 
@@ -294,12 +296,13 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     -------
     BoundReport, or a tuple of them in the order of a tuple or list `kind`;
     for a stack, a list of what each basis alone gives
-        The work on `x` and `d` runs once.  A stack forms and factors the
-        products ``x_tilde.T @ d`` in one call each (PSD check, SVD, angles)
-        and raises the error of a failing basis as its own call would.  The
-        distances are measured in one stacked pass: the candidate
-        differences of all bases (``x - x_tilde``, ``x_tilde`` minus each of
-        the two family members at freedom 1, or minus the
+        Reports are records, not arrays, so this is the one stacked form
+        that returns a list.  The work on `x` and `d` runs once.  A stack
+        forms and factors the products ``x_tilde.T @ d`` in one call each
+        (PSD check, SVD, angles) and raises the error of a failing basis as
+        its own call would.  The distances are measured in one stacked pass:
+        the candidate differences of all bases (``x - x_tilde``, ``x_tilde``
+        minus each of the two family members at freedom 1, or minus the
         :func:`optimal_representative` at freedom >= 2) take one
         :func:`singular_values` call for the spectral and trace norms and one
         :func:`matrix_norm` call for the Frobenius norm, made only when a
@@ -315,25 +318,23 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
     x = check_orthonormal(x, name="x")
     xts = _stack(x_tilde, "x_tilde", x.shape)
     d, e = _pinning(d, *x.shape)
+    scale = 2.0**e  # what carries the units of d is multiplied back by it
 
     d_norm = float(singular_values(d)[0])
     gts = xts.swapaxes(-1, -2) @ d
     gs = np.concatenate([(x.T @ d)[None], gts.reshape(-1, *gts.shape[-2:])])
-    failing, why = _psd_defects(gs, d_norm)
+    failing, why = _psd_defects(gs, d_norm, scale)
     if failing[0]:
         raise NotAligned(why(0, "x.T @ d"))
     # the one factorization of x.T @ d: the family of x carries its rank decision
     _, aset = align(x, d, rtol=rtol)
     r, k = aset.r, aset.k
-    angles, factors = canonical_angles(x, xts), svd(gts, rtol=rtol)
-    single = xts.ndim == 2
-    if single:
-        angles, factors = [angles], [factors]
-    for i, ft in enumerate(factors):  # the first failing basis raises its error
+    sines, factors = canonical_angles(x, xts).sines, svd(gts, rtol=rtol)
+    for i, rank in enumerate(_per_basis(factors.numerical_rank)):  # the first failing raises
         if failing[i + 1]:
             raise NotAligned(why(i + 1, "x_tilde.T @ d"))
-        if r != ft.numerical_rank:
-            raise RankMismatch(f"rank(x.T d) = {r} but rank(x_tilde.T d) = {ft.numerical_rank}")
+        if r != rank:
+            raise RankMismatch(f"rank(x.T d) = {r} but rank(x_tilde.T d) = {rank}")
         if r == 0:
             raise InvalidInput("x.T @ d vanishes; the bound needs a positive singular value")
 
@@ -362,13 +363,11 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
         if freedom == 1:  # the nearer of each basis's two candidates
             value = np.minimum(value[: len(value) // 2], value[len(value) // 2 :])
         measured[each] = _per_basis(value)
-    sines = angles[0].sines if single else np.stack([each.sines for each in angles])
 
     # the reports, one column per kind; what scales with d is scaled back once
     regime = "full_rank" if r == k else "rank_deficient"
-    scale = 2.0**e
     sigma_r, d_scaled, rank_tol = aset.sigma_r * scale, d_norm * scale, aset.rank_tolerance * scale
-    sigma_rts = [float(ft.sigma[r - 1]) for ft in factors]
+    sigma_rts = np.ravel(factors.sigma[..., r - 1]).tolist()
     columns = []
     for each in kinds:
         sins = _per_basis(_gauge(sines, each))  # the r largest at r == k are all of them
@@ -391,4 +390,4 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
             ))
         columns.append(column)
     results = list(zip(*columns)) if many else columns[0]
-    return results[0] if single else results
+    return results[0] if xts.ndim == 2 else results

@@ -147,9 +147,9 @@ def make_pair(config, delta, index=0):
     ``(config.seed, 2 * index)`` and ``(config.seed, 2 * index + 1)``, so
     `index` must satisfy ``0 <= 2 * index + 1 < 2**64``.
 
-    `delta` may be a tuple of deltas, as ``config.deltas`` is (a list is not
-    one, as for :meth:`str.startswith`): the pair of the i-th delta is then
-    the pair of index ``index + i``, and all of them come from one
+    `delta` may be a tuple of m deltas, as ``config.deltas`` is (a list is
+    not one, as for :meth:`str.startswith`): the pair of the i-th delta is
+    then the pair of index ``index + i``, and all of them come from one
     ``hadamard(n, 2 * k)``, one Haar draw over their 2m streams and one
     stacked product per block.
 
@@ -157,7 +157,8 @@ def make_pair(config, delta, index=0):
     -------
     x_diamond, x_tilde_diamond : (n, k) ndarray
     q1, q2 : (k, k) ndarray
-        For a tuple of deltas, a list with what each delta alone gives.
+        For a tuple of deltas, `x_diamond` once and stacks of the other
+        three, whose row i is what the i-th delta alone gives.
     """
     many = isinstance(delta, tuple)
     deltas = [_delta(each) for each in (delta if many else (delta,))]
@@ -178,8 +179,8 @@ def make_pair(config, delta, index=0):
         np.array(cosines)[:, None, None] * m[:, :k] @ q1
         + np.array(deltas)[:, None, None] * m[:, k : 2 * k] @ q2
     )
-    pairs = [(m[:, :k].copy(), x_tilde_diamond[i], q1[i], q2[i]) for i in range(len(deltas))]
-    return pairs if many else pairs[0]
+    stacks = x_tilde_diamond, q1, q2
+    return m[:, :k].copy(), *(stacks if many else (each[0] for each in stacks))
 
 
 def pinning_matrix(n, k, zero_last=0):
@@ -244,10 +245,10 @@ def _closed_form(kind, k, delta):
 def run_sweep(config, out_dir=None):
     """Evaluate the bound across the delta grid.
 
-    One :func:`make_pair` call builds the pairs of all grid points, and one
-    stacked pin gives their second bases, and the first basis, which is the
-    same at every point, the :func:`align` basis against the configured pinning
-    matrix.  One :func:`evaluate_instance` call on all points then verifies the
+    One :func:`make_pair` call builds all grid points: the first basis, the
+    same at every point, and the stack of second bases.  One stacked pin
+    turns them all into :func:`align` bases against the configured pinning
+    matrix, and one :func:`evaluate_instance` call on the stack verifies the
     equal-rank hypothesis and reports measured error, bound and slack per
     norm; if it fails, each point is evaluated alone, a failure flags every
     row of that point with its own message, and the sweep goes on.
@@ -261,9 +262,8 @@ def run_sweep(config, out_dir=None):
     list of SweepRow
     """
     d = pinning_matrix(config.n, config.k, config.rank_deficiency)
-    pairs = make_pair(config, config.deltas)
-    # x_diamond depends on neither delta nor index: it is pinned once, first
-    pinned = _pin(np.stack([pairs[0][0], *(pair[1] for pair in pairs)]), d)
+    x_diamond, x_tilde_diamonds, _, _ = make_pair(config, config.deltas)
+    pinned = _pin(np.concatenate([x_diamond[None], x_tilde_diamonds]), d)
     x, xts = pinned[0], pinned[1:]
     try:
         results = evaluate_instance(x, xts, d, config.norms, rtol=SWEEP_RANK_RTOL)

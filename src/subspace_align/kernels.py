@@ -5,8 +5,9 @@ n-by-(n-k) buffer), Hadamard matrices or their leading columns (built from a
 closed form, in time and memory proportional to the entries returned), and
 deterministic random-matrix generators.  The SVD, the singular values, the
 norms and the random generators also take a stack of matrices or of
-generators, and factor it in one LAPACK call.  Every SVD and eigenvalue
-call of the package runs through `_lapack`, which raises NumericalFailure.
+generators, factored in one LAPACK call, and give every array result a
+leading stack axis.  Every SVD and eigenvalue call of the package runs
+through `_lapack`, which raises NumericalFailure.
 
 All functions are pure; returned arrays are freshly allocated and never
 aliased to the inputs.
@@ -240,13 +241,15 @@ class SvdFactors:
     ``u`` (m-by-p) and ``v`` (n-by-p) have orthonormal columns, ``sigma`` holds
     the p = min(m, n) singular values in nonincreasing order.  ``numerical_rank``
     is the number of singular values strictly greater than ``rank_tolerance``.
+    For an (s, m, n) stack every field gains a leading axis of length s, the
+    rank and tolerance too: row i is what matrix i alone gives.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    numerical_rank: int
-    rank_tolerance: float
+    numerical_rank: int | np.ndarray
+    rank_tolerance: float | np.ndarray
 
 
 def svd(b, *, rtol=None):
@@ -263,7 +266,8 @@ def svd(b, *, rtol=None):
 
     Returns
     -------
-    SvdFactors, or for a stack a list with what each matrix alone gives
+    SvdFactors
+        For a stack, of arrays whose row i is what matrix i alone gives.
 
     Notes
     -----
@@ -291,11 +295,7 @@ def svd(b, *, rtol=None):
     sigma1 = s[:, 0]
     tols = sigma1 * (size * UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
     ranks = np.add.reduce(s > tols[:, None], axis=-1)
-    s, v = _restore(s, e), vt.swapaxes(1, 2)
-    return [
-        SvdFactors(u[i], s[i], v[i], rank, tol)
-        for i, (rank, tol) in enumerate(zip(ranks.tolist(), _restore(tols, e).tolist()))
-    ]
+    return SvdFactors(u, _restore(s, e), vt.swapaxes(1, 2), ranks, _restore(tols, e))
 
 
 def _lapack(name, a, **kwargs):

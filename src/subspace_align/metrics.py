@@ -40,6 +40,7 @@ class AngleSpectrum:
     computed from the product with an orthonormal completion, not as
     ``sqrt(1 - cos**2)``, so small angles survive; on float64 input pairs
     they are accurate to about 1e-16 absolute, not to full relative accuracy.
+    For a stack of m bases both are (m, k) and ``k`` reads the last axis.
     """
 
     cosines: np.ndarray
@@ -47,7 +48,7 @@ class AngleSpectrum:
 
     @property
     def k(self):
-        return int(self.sines.shape[0])
+        return int(self.sines.shape[-1])
 
 
 def canonical_angles(x, y):
@@ -61,7 +62,8 @@ def canonical_angles(x, y):
 
     Returns
     -------
-    AngleSpectrum, or for a stack a list of what each basis alone gives
+    AngleSpectrum
+        For a stack, of (m, k) arrays whose row i is what basis i alone gives.
 
     Notes
     -----
@@ -86,9 +88,7 @@ def canonical_angles(x, y):
     sv = _lapack("svd", (ys.swapaxes(-1, -2) @ xp).swapaxes(-1, -2), compute_uv=False)
     # ascending, padded with the zero sines forced when 2k > n (all k at n == k)
     sines[..., x.shape[1] - sv.shape[-1] :] = np.clip(sv[..., ::-1], 0.0, 1.0)
-    if ys.ndim == 2:
-        return AngleSpectrum(cosines=cosines, sines=sines)
-    return [AngleSpectrum(cosines=cosines[i], sines=sines[i]) for i in range(len(ys))]
+    return AngleSpectrum(cosines=cosines, sines=sines)
 
 
 def sin_theta_norm(angles, kind):

@@ -10,13 +10,20 @@ import math
 import numpy as np
 
 from subspace_align import (
+    NORM_KINDS,
+    ExperimentConfig,
     InvalidBasis,
     InvalidInput,
     align,
+    canonical_angles,
     check_orthonormal,
     eta,
+    evaluate_instance,
+    make_pair,
     matrix_norm,
     optimal_representative,
+    singular_values,
+    svd,
     xi,
     xi_sharpened,
 )
@@ -156,16 +163,116 @@ def assert_scales(name, out, ref, e, degrees=None):
         got, want = (out, ref) if field is None else (getattr(out, field), getattr(ref, field))
         if want is not None and degree:
             want = np.ldexp(want, e)
-        assert _array_bits(got) == _array_bits(want), (name, field, e, got, want)
+        assert bits(got) == bits(want), (name, field, e, got, want)
 
 
-def _array_bits(value):
-    """The bytes and shape of a float64 array or scalar, None for None, and
-    a str as it is."""
+def bits(value):
+    """The shape, dtype and bytes of an array or number, None for None, and a
+    str as it is."""
     if value is None or isinstance(value, str):
         return value
-    value = np.asarray(value, dtype=np.float64)
-    return value.shape, value.tobytes()
+    value = np.asarray(value)
+    return value.shape, value.dtype.str, value.tobytes()
+
+
+def row(result, i):
+    """Row i of a stacked result: of an array, or of each field of a record,
+    such as SvdFactors or AngleSpectrum, whose fields are arrays."""
+    fields = getattr(result, "__dataclass_fields__", None)
+    if fields is None:
+        return result[i]
+    return type(result)(**{name: getattr(result, name)[i] for name in fields})
+
+
+def _on_stack(call, stack):
+    """The STACKED entry of a form that takes its stack as one argument."""
+    return (lambda: call(stack)), (lambda i: call(stack[i])), ()
+
+
+def _generators(streams):
+    """Fresh generators of Philox streams ``(7, s)``: a list for a list of
+    stream ids, one generator for one id."""
+    return [_stream(7, s) for s in streams] if isinstance(streams, list) else _stream(7, streams)
+
+
+def _rank_pair(rng):
+    """Two 5-by-3 matrices, of ranks 2 and 3, as one stack."""
+    return np.array([rank_matrix(rng, 5, 3, 2), rank_matrix(rng, 5, 3, 3)])
+
+
+def _family(rng):
+    """A 6-by-3 pinned family of rank 1, so of freedom 2."""
+    return align(random_orthonormal(6, 3, rng), rank_matrix(rng, 6, 3, 1), rtol=RANK_RTOL)[1]
+
+
+def _pinned_pair_stack(rng):
+    """``(x, two bases near x, d)``, all pinned against a rank-2 d of 7-by-3."""
+    d = rank_matrix(rng, 7, 3, 2)
+    x_any = random_orthonormal(7, 3, rng)
+    near = [np.linalg.qr(x_any + eps * rng.standard_normal((7, 3)))[0] for eps in (1e-6, 1e-3)]
+    return align(x_any, d, rtol=RANK_RTOL)[0], [align(y, d, rtol=RANK_RTOL)[0] for y in near], d
+
+
+def _optimal_representative_example(rng):
+    aset = _family(rng)
+    stack = np.array([random_orthonormal(6, 3, rng) for _ in range(2)])
+    return _on_stack(lambda y: optimal_representative(aset, y), stack)
+
+
+def _canonical_angles_example(rng):
+    x = random_orthonormal(6, 3, rng)
+    stack = np.array([random_orthonormal(6, 3, rng) for _ in range(2)])
+    return _on_stack(lambda y: canonical_angles(x, y), stack)
+
+
+def _make_pair_example(rng):
+    config = ExperimentConfig(n=12, k=3, seed=int(rng.integers(2**32)))
+    deltas = tuple(rng.uniform(0.0, 1.0, 2).tolist())
+    return (lambda: make_pair(config, deltas, index=3),
+            lambda i: make_pair(config, deltas[i], index=3 + i), (0,))
+
+
+def _evaluate_example(rng):
+    x, stack, d = _pinned_pair_stack(rng)
+    return _on_stack(lambda y: evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL), stack)
+
+
+#: The ten stacked public forms and the convention they share: a stack in,
+#: one call on all of it, and every array of the result with a leading axis
+#: over the stack whose row i is, bit for bit, the result of member i alone.
+#: Each entry turns a generator into a 2-member example ``(stacked, alone,
+#: shared)``: ``stacked()`` calls the form on the stack, ``alone(i)`` on member
+#: i, and `shared` lists the positions of a tuple result that a stack gives
+#: once, not per member.  Reports are records, not arrays, so
+#: `evaluate_instance` alone returns a list, of what each member gives.
+STACKED = {
+    "svd": lambda rng: _on_stack(svd, _rank_pair(rng)),
+    "singular_values": lambda rng: _on_stack(singular_values, _rank_pair(rng)),
+    "matrix_norm": lambda rng: _on_stack(
+        lambda b: tuple(matrix_norm(b, kind) for kind in NORM_KINDS), _rank_pair(rng)),
+    "AlignedBasisSet.member": lambda rng: _on_stack(_family(rng).member, haar_stack(2, 2, rng)),
+    "optimal_representative": _optimal_representative_example,
+    "canonical_angles": _canonical_angles_example,
+    "evaluate_instance": _evaluate_example,
+    "random_orthonormal": lambda rng: _on_stack(
+        lambda streams: random_orthonormal(6, 3, _generators(streams)),
+        rng.integers(2**63, size=2).tolist()),
+    "haar_orthogonal": lambda rng: _on_stack(
+        lambda streams: haar_orthogonal(3, _generators(streams)),
+        rng.integers(2**63, size=2).tolist()),
+    "make_pair": _make_pair_example,
+}
+
+
+def leaves(result):
+    """The arrays, numbers, strings and Nones of a result, in order: a tuple
+    or a list by its members, a record by its fields."""
+    if isinstance(result, (tuple, list)):
+        return [leaf for each in result for leaf in leaves(each)]
+    fields = getattr(result, "__dataclass_fields__", None)
+    if fields is None:
+        return [result]
+    return [leaf for name in fields for leaf in leaves(getattr(result, name))]
 
 
 def rank_matrix(rng, m, n, r, smin=0.3, smax=3.0):

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import struct
 
 import numpy as np
@@ -654,6 +655,36 @@ class TestEvaluateInstance:
         tol = 1e-10 * float(np.linalg.svd(d, compute_uv=False)[0])
         with pytest.raises(NotAligned, match=rf" > {tol:.3e}$"):
             evaluate_instance(x, flipped, d, "trace", rtol=RANK_RTOL)
+
+    @pytest.mark.parametrize("e", [500, -500])
+    def test_not_aligned_message_reads_in_the_units_of_d_outside_the_range(self, rng, e):
+        # outside [2**-400, 2**400] the checks see d scaled into [1, 2); the
+        # message scales its numbers back, so they are those of the caller's d
+        d = np.ldexp(pinning_matrix(10, 4), e)
+        x, _ = align(random_orthonormal(10, 4, rng), d)
+        tol = f"{1e-10 * matrix_norm(d, 'spectral'):.3e}"
+        flipped = x @ np.diag([1.0, -1.0, 1.0, 1.0])  # x.T @ d not symmetric
+        g = flipped.T @ d
+        asymmetry = f"asymmetry {float(np.linalg.norm(g - g.T)):.3e} > {tol}"
+        floor = f"min eigenvalue {float(np.linalg.eigvalsh(-x.T @ d)[0]):.3e}"
+        for first, second, message in [
+            (x, flipped, f"x_tilde.T @ d is not symmetric: {asymmetry}"),
+            (flipped, x, f"x.T @ d is not symmetric: {asymmetry}"),
+            (x, -x, f"x_tilde.T @ d is not positive semidefinite: {floor}"),  # symmetric
+        ]:
+            with pytest.raises(NotAligned, match=f"^{re.escape(message)}$"):
+                evaluate_instance(first, second, d, "trace")
+
+    def test_not_aligned_numbers_past_the_float_range_read_inf(self):
+        # x.T @ d is PSD of rank 1 with entries 1.9 * 2**1023; the products of
+        # the flipped and the negated basis have defects past DBL_MAX
+        d = np.zeros((4, 2))
+        d[:2] = np.ldexp(1.9, 1023)
+        x = np.eye(4)[:, :2]
+        for x_tilde, ending in [(x * [1.0, -1.0], r"asymmetry inf > 3\.416e\+298$"),
+                                (-x, "min eigenvalue -inf$")]:
+            with pytest.raises(NotAligned, match=ending):
+                evaluate_instance(x, x_tilde, d, "trace")
 
     def test_rank_hypothesis_violation_rejected(self, rng):
         n, k = 12, 4

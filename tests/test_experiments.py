@@ -356,10 +356,9 @@ class TestRunSweep:
 
         def make_pair_low_third(config, deltas, index=0):
             # the sweep builds its pairs in one stacked call: replace the third basis
-            pairs = real(config, deltas, index=index)
-            x_diamond, _, q1, q2 = pairs[2]
-            pairs[2] = (x_diamond, low, q1, q2)
-            return pairs
+            x_diamond, x_tildes, q1, q2 = real(config, deltas, index=index)
+            x_tildes[2] = low
+            return x_diamond, x_tildes, q1, q2
 
         reference = run_sweep(config)
         monkeypatch.setattr(exp, "make_pair", make_pair_low_third)

@@ -20,6 +20,8 @@ from subspace_align.kernels import (
     random_orthonormal,
 )
 
+from support import row
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -66,9 +68,10 @@ class TestCanonicalAngles:
         # at n == k the n-by-0 completion gives no sine values: all k are padding
         x = haar_orthogonal(n, rng)
         stack = haar_orthogonal(n, [rng] * 3)
-        for y, angles in [(stack[0], canonical_angles(x, stack[0]))] + list(
-            zip(stack, canonical_angles(x, stack))
-        ):
+        spectra = canonical_angles(x, stack)
+        for y, angles in [(stack[0], canonical_angles(x, stack[0]))] + [
+            (y, row(spectra, i)) for i, y in enumerate(stack)
+        ]:
             assert angles.k == n
             assert angles.sines.tobytes() == np.zeros(n).tobytes()
             cosines = np.clip(np.linalg.svd(x.T @ y, compute_uv=False), 0.0, 1.0)
@@ -130,9 +133,9 @@ class TestCanonicalAngles:
         stack = [np.linalg.qr(x + 10.0**-e * rng.standard_normal((n, k)))[0] for e in range(m)]
         xp = orthonormal_completion(x)
         spectra = canonical_angles(x, stack)
-        assert len(spectra) == m
-        for y, stacked in zip(stack, spectra):
-            alone = canonical_angles(x, y)
+        assert len(spectra.sines) == len(spectra.cosines) == m
+        for i, y in enumerate(stack):
+            stacked, alone = row(spectra, i), canonical_angles(x, y)
             assert stacked.sines.tobytes() == alone.sines.tobytes()
             assert stacked.cosines.tobytes() == alone.cosines.tobytes()
             # the complement product keeps the bits of xp.T @ y

@@ -46,10 +46,14 @@ from subspace_align.kernels import haar_orthogonal, random_orthonormal
 from support import (
     RANK_RTOL,
     SCALING,
+    STACKED,
     assert_scales,
     at_the_limit,
+    bits,
     equal_rank_pair,
+    leaves,
     rank_matrix,
+    row,
     subspace_pair,
 )
 
@@ -200,8 +204,9 @@ def test_a_stack_equals_its_bases_one_at_a_time(shape, seed, m, limits):
                             lambda y: canonical_angles(x, y), stack)
     if reports is None:
         return
-    assert len(reports) == len(angles) == len(stack)
-    for y, stacked, spectrum in zip(stack, reports, angles):
+    assert len(reports) == len(angles.sines) == len(stack)
+    for i, (y, stacked) in enumerate(zip(stack, reports)):
+        spectrum = row(angles, i)
         assert stacked == evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL)
         alone = canonical_angles(x, y)
         assert np.array_equal(spectrum.sines, alone.sines)
@@ -321,7 +326,7 @@ def test_scaling_a_pair_by_a_power_of_two_keeps_ranks_and_bounds(shape, seed, e)
         assume(np.isfinite(sigma1) and np.isfinite(c).all() and np.abs(c[c != 0]).min() >= tiny)
     ranks = [svd(a).numerical_rank for a in (b, bt)]
     assert [svd(c).numerical_rank for c in scaled] == ranks
-    assert [f.numerical_rank for f in svd(np.stack(scaled))] == ranks
+    assert svd(np.stack(scaled)).numerical_rank.tolist() == ranks
     for c, rank in zip(scaled, ranks):
         p = polar(c)
         assert p.r == rank
@@ -366,8 +371,9 @@ def test_kernels_scale_with_powers_of_two_as_the_table_says(bs, es):
             for b, c, e in zip(bs, scaled, es):
                 assert_scales(name, call(c), call(b), e)
             if name != "polar":  # each member of a stack as alone
-                for out, b, e in zip(call(np.array(scaled)), bs, es):
-                    assert_scales(name, out, call(b), e)
+                stacked = call(np.array(scaled))
+                for i, (b, e) in enumerate(zip(bs, es)):
+                    assert_scales(name, row(stacked, i), call(b), e)
     _d_scales_as_the_table_says(bs, es[1])
     _coefficients_scale_as_the_table_says(bs, es[2])
     pair, e = (bs[0], bs[-1]), es[0]
@@ -467,9 +473,9 @@ def test_a_stacked_svd_equals_each_matrix_alone(seed, m, p, q, rtol):
     bs = _stacked_rank_matrices(_rng(seed), m, p, q)
     for stack in (bs, np.array(bs)):
         factors = svd(stack, rtol=rtol)
-        assert len(factors) == m
-        for b, f in zip(bs, factors):
-            alone = svd(b, rtol=rtol)
+        assert len(factors.numerical_rank) == m
+        for i, b in enumerate(bs):
+            f, alone = row(factors, i), svd(b, rtol=rtol)
             for name in ("u", "sigma", "v"):
                 assert getattr(f, name).tobytes() == getattr(alone, name).tobytes(), name
             assert f.numerical_rank == alone.numerical_rank
@@ -591,11 +597,39 @@ _HADAMARD_SIZES = st.sampled_from([(2, 1), (4, 2), (8, 3), (12, 5), (20, 4), (32
 def test_a_stacked_make_pair_equals_each_delta_alone(size, seed, index, deltas):
     n, k = size
     config = ExperimentConfig(n=n, k=k, seed=seed)
-    pairs = make_pair(config, tuple(deltas), index=index)
-    assert len(pairs) == len(deltas)
-    for i, (delta, pair) in enumerate(zip(deltas, pairs)):
+    x_diamond, *stacks = make_pair(config, tuple(deltas), index=index)
+    assert [len(stack) for stack in stacks] == [len(deltas)] * 3
+    for i, delta in enumerate(deltas):
+        pair = (x_diamond, *(stack[i] for stack in stacks))
         for stacked, alone in zip(pair, make_pair(config, delta, index=index + i)):
             assert stacked.tobytes() == alone.tobytes()
+
+
+@given(seed=_SEEDS)
+@example(seed=0)
+def test_each_stacked_form_returns_arrays_whose_row_i_is_member_i_alone(seed):
+    for name, build in STACKED.items():
+        stacked, alone, shared = build(_rng(seed))
+        error = next(filter(None, (_error(lambda i=i: alone(i)) for i in range(2))), None)
+        if error:  # the stack raises the error of its first failing member
+            assert _error(stacked) == error, name
+            continue
+        result, members = stacked(), [alone(i) for i in range(2)]
+        assert isinstance(result, list) == (name == "evaluate_instance"), name
+        if isinstance(result, list):
+            assert [list(map(bits, leaves(each))) for each in result] == [
+                list(map(bits, leaves(member))) for member in members], name
+            continue
+        tuples = isinstance(result, tuple)
+        for j, part in enumerate(result if tuples else (result,)):
+            for i, member in enumerate(members):
+                want = member[j] if tuples else member
+                if j in shared:  # given once for the whole stack
+                    assert bits(part) == bits(want), (name, j)
+                    continue
+                for leaf, value in zip(leaves(part), leaves(want), strict=True):
+                    assert isinstance(leaf, np.ndarray) and len(leaf) == 2, (name, j)
+                    assert bits(leaf[i]) == bits(value), (name, j, i)
 
 
 def _error(call):
