@@ -5,8 +5,10 @@ orthonormal basis matrices ``x`` whose product ``x.T @ d`` is symmetric
 positive semidefinite.  When that product has full rank the basis is unique;
 otherwise the bases form a family with an orthogonal-matrix freedom of size
 ``k - rank``.  This module computes one such basis, describes the whole
-family, finds the family member closest to a reference basis, and estimates
-the max-min distance between two families.
+family, and finds the family member closest to a reference basis.  How far
+one pinned basis lies from another subspace's family is what
+:func:`subspace_align.bounds.evaluate_instance` measures, one member or a
+stack of them at a time.
 """
 
 from __future__ import annotations
@@ -15,23 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, RankMismatch, ShapeError
-from .kernels import (
-    _check_kind,
-    _integer,
-    _lapack,
-    _pinning,
-    _real,
-    _scaled,
-    _shaped,
-    _stack,
-    _stream,
-    _uint64,
-    check_orthonormal,
-    haar_orthogonal,
-    matrix_norm,
-    svd,
-)
+from .errors import DimensionMismatch, InvalidInput, ShapeError
+from .kernels import _lapack, _pinning, _real, _scaled, _shaped, _stack, check_orthonormal, svd
 
 __all__ = [
     "CanonicalPolar",
@@ -39,8 +26,6 @@ __all__ = [
     "AlignedBasisSet",
     "align",
     "optimal_representative",
-    "HausdorffEstimate",
-    "hausdorff_distance_estimate",
 ]
 
 
@@ -212,78 +197,3 @@ def optimal_representative(aset, x_tilde):
     u, _, vt = _lapack("svd", aset.freedom_left.T @ xts @ aset.freedom_right)
     w_opt = u @ vt
     return aset.member(w_opt), w_opt
-
-
-@dataclass(frozen=True)
-class HausdorffEstimate:
-    """Result of :func:`hausdorff_distance_estimate`.
-
-    ``exact`` is True only when both families are finite (freedom 0 or 1) and
-    the max-min ran over every member.  Otherwise the value is approximate:
-    the outer max is sampled, and for the spectral and trace norms the inner
-    min is sampled as well (the Frobenius inner min is always exact), making
-    the Frobenius estimate a one-sided lower bound.
-    """
-
-    value: float
-    exact: bool
-    kind: str
-    samples_used: int
-
-
-#: Inner Haar samples per outer sample for the spectral/trace inner min of
-#: :func:`hausdorff_distance_estimate`; the exact Frobenius minimizer is
-#: always a candidate as well.
-_INNER_SAMPLES = 64
-
-
-def hausdorff_distance_estimate(set_a, set_b, kind, samples=512, seed=0):
-    """Estimate ``max over set_b of (min over set_a)`` of the member distance.
-
-    A finite family (freedom 0 or 1) is one stacked ``member`` call, and the
-    four differences one ``matrix_norm`` call.  Above that, each outer sample
-    draws its inner candidates in one stacked call and takes their norms in one.
-
-    Parameters
-    ----------
-    set_a, set_b : AlignedBasisSet
-        Families with the same shape and the same rank `r`.
-    kind : str
-        Norm kind.
-    samples : int
-        Outer Haar samples when the freedom exceeds 1.
-    seed : int
-        Philox stream key in [0, 2**64), read when the freedom exceeds 1;
-        identical seeds give identical estimates.
-    """
-    _check_kind(kind)
-    if set_a.base.shape != set_b.base.shape:
-        raise DimensionMismatch(
-            f"set shapes differ: {set_a.base.shape} vs {set_b.base.shape}"
-        )
-    if set_a.r != set_b.r:
-        raise RankMismatch(f"set ranks differ: {set_a.r} vs {set_b.r}")
-    free = set_a.freedom
-    if free <= 1:
-        # every member, twice over at freedom 0 where both ws are 0x0
-        ws = np.stack([np.eye(free), -np.eye(free)])
-        ya, yb = set_a.member(ws), set_b.member(ws)
-        norms = matrix_norm((yb[:, None] - ya).reshape(-1, *ya.shape[1:]), kind)
-        value = float(norms.reshape(2, 2).min(axis=1).max())  # max over b of min over a
-        return HausdorffEstimate(value=value, exact=True, kind=kind, samples_used=0)
-
-    samples = _integer(samples, "samples")
-    if samples < 1:
-        raise InvalidInput("samples must be at least 1")
-    rng = _stream(_uint64(seed, "seed"), 0)
-    draws = 1 if kind == "frobenius" else 1 + _INNER_SAMPLES  # the outer, then the inner
-    worst = 0.0
-    for _ in range(samples):
-        yb = set_b.member(haar_orthogonal(free, rng))
-        y_opt, _ = optimal_representative(set_a, yb)
-        best = matrix_norm(yb - y_opt, kind)
-        if draws > 1:  # the inner draws follow the outer one, as one draw at a time
-            ya = set_a.member(haar_orthogonal(free, [rng] * (draws - 1)))
-            best = min(best, float(matrix_norm(yb - ya, kind).min()))
-        worst = max(worst, best)
-    return HausdorffEstimate(value=worst, exact=False, kind=kind, samples_used=samples * draws)

@@ -11,7 +11,6 @@ __all__ = [
     "NotAligned",
     "NotApplicable",
     "NumericalFailure",
-    "VerificationFailure",
 ]
 
 
@@ -53,7 +52,3 @@ class NotApplicable(InvalidInput):
 
 class NumericalFailure(SubspaceAlignError, RuntimeError):
     """An underlying numerical routine failed to converge."""
-
-
-class VerificationFailure(SubspaceAlignError, RuntimeError):
-    """A computed value disagrees with its closed form beyond tolerance."""

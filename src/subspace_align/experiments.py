@@ -29,21 +29,18 @@ import numpy as np
 
 from .alignment import _pin
 from .bounds import evaluate_instance
-from .errors import InvalidInput, UnsupportedOrder, VerificationFailure
+from .errors import InvalidInput, UnsupportedOrder
 from .kernels import (
     NORM_KINDS,
     _addressable,
     _checked,
-    _gauge,
     _integer,
-    _lapack,
+    _is_hadamard_order,
     _stream,
     _uint64,
     haar_orthogonal,
     hadamard,
-    is_hadamard_order,
 )
-from .metrics import canonical_angles, sin_theta_norm
 from .svgplot import write_loglog_svg
 
 __all__ = [
@@ -53,16 +50,11 @@ __all__ = [
     "make_pair",
     "pinning_matrix",
     "run_sweep",
-    "ClosedFormCheck",
-    "verify_closed_form",
 ]
 
 #: Cross-check band for the general-purpose sine computation on assembled
 #: (rounded) pair matrices: absolute below one, relative above.
 SIN_CROSS_CHECK_TOL = 1e-9
-
-#: Relative tolerance for the factored, exactly cancelling sine computation.
-CLOSED_FORM_RTOL = 1e-9
 
 #: Rank tolerance used by the sweep, relative to the largest singular value
 #: of each pinned product.  The pinning matrix has exact rank by
@@ -101,7 +93,7 @@ class ExperimentConfig:
         _uint64(self.seed, "seed")
         if self.k < 1 or self.n < 2 * self.k:
             raise InvalidInput(f"need n >= 2k >= 2, got n={self.n}, k={self.k}")
-        if not is_hadamard_order(self.n):
+        if not _is_hadamard_order(self.n):
             raise UnsupportedOrder(f"no Hadamard construction for n={self.n}")
         if not self.deltas:
             raise InvalidInput("deltas must be nonempty")
@@ -339,79 +331,3 @@ def _emit(config, rows, out_dir):
             xlabel="delta",
             ylabel="error",
         )
-
-
-@dataclass(frozen=True)
-class ClosedFormCheck:
-    """Outcome of :func:`verify_closed_form` for one delta."""
-
-    delta: float
-    closed: dict
-    computed: dict
-    assembled: dict
-    max_relative_error: float
-
-
-def verify_closed_form(config, delta):
-    """Regression check of sine accuracy for the Hadamard pair construction.
-
-    Two computations are checked against the closed forms ``(delta,
-    sqrt(k) * delta, k * delta)``:
-
-    * the factored path: the 2k Hadamard columns used satisfy ``c.T @ c ==
-      n * I`` (checked exactly in integer arithmetic), so the complement
-      product of the pair reduces to ``delta * q2`` with no cancellation, and
-      its sines keep full *relative* accuracy at any delta and must match to
-      relative 1e-9;
-    * the general-purpose angle routine on the assembled matrices, whose
-      accuracy is capped near 1e-15 absolute once the pair is rounded to
-      float64, held to an absolute-plus-relative 1e-9 band.
-
-    Raises VerificationFailure naming the norm kind and delta on any breach.
-    """
-    n, k = config.n, config.k
-    delta = _delta(delta)  # a scalar: a tuple would ask make_pair for many pairs
-    x_diamond, x_tilde_diamond, _, q2 = make_pair(config, delta)
-
-    # x_tilde_diamond = (cos * c[:, :k] @ q1 + delta * c[:, k:] @ q2) / sqrt(n).
-    # With c.T @ c == n * I, a complement basis of x_diamond can start with
-    # c[:, k:] / sqrt(n), and its product with x_tilde_diamond is then
-    # [delta * q2; 0] exactly: the sines are the singular values of delta * q2.
-    c = hadamard(n, 2 * k)
-    if not np.array_equal(c.T @ c, n * np.eye(2 * k, dtype=np.int64)):
-        raise VerificationFailure(f"the first {2 * k} Hadamard columns are not orthogonal")
-    sines = _lapack("svd", delta * q2, compute_uv=False)
-
-    assembled_angles = canonical_angles(x_diamond, x_tilde_diamond)
-    closed, computed, assembled = {}, {}, {}
-    worst = 0.0
-    for kind in config.norms:
-        closed[kind] = _closed_form(kind, k, delta)
-        computed[kind] = _gauge(sines, kind)
-        assembled[kind] = sin_theta_norm(assembled_angles, kind)
-        if closed[kind] == 0.0:
-            if computed[kind] > 1e-12:
-                raise VerificationFailure(
-                    f"{kind} at delta=0: factored value {computed[kind]:.3e} != 0"
-                )
-        else:
-            rel = abs(computed[kind] - closed[kind]) / closed[kind]
-            worst = max(worst, rel)
-            if rel > CLOSED_FORM_RTOL:
-                raise VerificationFailure(
-                    f"{kind} at delta={delta}: factored value {computed[kind]!r} "
-                    f"differs from closed form {closed[kind]!r} by relative {rel:.3e}"
-                )
-        band = SIN_CROSS_CHECK_TOL * (1.0 + closed[kind])
-        if abs(assembled[kind] - closed[kind]) > band:
-            raise VerificationFailure(
-                f"{kind} at delta={delta}: assembled value {assembled[kind]!r} "
-                f"outside the {band:.3e} band around {closed[kind]!r}"
-            )
-    return ClosedFormCheck(
-        delta=delta,
-        closed=closed,
-        computed=computed,
-        assembled=assembled,
-        max_relative_error=worst,
-    )

@@ -32,7 +32,6 @@ from .errors import (
 
 __all__ = [
     "NORM_KINDS",
-    "UNIT_ROUNDOFF",
     "SvdFactors",
     "svd",
     "singular_values",
@@ -40,7 +39,6 @@ __all__ = [
     "check_orthonormal",
     "orthonormal_completion",
     "hadamard",
-    "is_hadamard_order",
     "haar_orthogonal",
     "random_orthonormal",
 ]
@@ -51,7 +49,7 @@ NORM_KINDS = ("spectral", "frobenius", "trace")
 
 #: Unit roundoff of IEEE-754 binary64 (2**-53), used by the default
 #: numerical-rank tolerance.
-UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
 
 def _real(b, name):
@@ -223,15 +221,31 @@ def _gauge(values, kind):
     return _restore(float(out) if values.ndim == 1 else out, e)
 
 
+#: The most entries that one dot of `_squares` sums.  OpenBLAS splits a longer
+#: dot across its threads, so its bits would depend on the thread count.
+_DOT_BLOCK = 8192
+
+
+def _squares(w):
+    """The sum of squares of 1-d `w`, or of each row of 2-d `w`, by ndarray.dot
+    (np.vecdot sums each row as dot does): one dot up to `_DOT_BLOCK` entries,
+    else the dots of blocks of `_DOT_BLOCK` entries added in order, so the bits
+    are the same at every BLAS thread count."""
+    if w.shape[-1] <= _DOT_BLOCK:
+        return w.dot(w) if w.ndim == 1 else np.vecdot(w, w)
+    sums = 0.0
+    for start in range(0, w.shape[-1], _DOT_BLOCK):
+        sums = sums + _squares(w[..., start : start + _DOT_BLOCK])
+    return sums
+
+
 def _frobenius(b):
     """np.linalg.norm's own Frobenius formula, without its dispatch, on the entries
-    in C order whatever the layout; a stack's vecdot sums each row as dot does."""
+    in C order whatever the layout, summed by `_squares`."""
     b = np.ascontiguousarray(b)
     if b.ndim == 2:
-        v = b.ravel()
-        return math.sqrt(v.dot(v))
-    rows = b.reshape(len(b), -1)
-    return np.sqrt(np.vecdot(rows, rows))
+        return math.sqrt(_squares(b.ravel()))
+    return np.sqrt(_squares(b.reshape(len(b), -1)))
 
 
 @dataclass(frozen=True)
@@ -289,11 +303,11 @@ def svd(b, *, rtol=None):
     size = max(b.shape[-2:])
     if b.ndim == 2:  # scalar arithmetic: cheaper than array operations on one matrix
         sigma1 = float(s[0])
-        tol = sigma1 * (size * UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
+        tol = sigma1 * (size * _UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
         rank = int(np.count_nonzero(s > tol))
         return SvdFactors(u, _restore(s, e), vt.T, rank, _restore(tol, e))
     sigma1 = s[:, 0]
-    tols = sigma1 * (size * UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
+    tols = sigma1 * (size * _UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
     ranks = np.add.reduce(s > tols[:, None], axis=-1)
     return SvdFactors(u, _restore(s, e), vt.swapaxes(1, 2), ranks, _restore(tols, e))
 
@@ -327,9 +341,11 @@ def matrix_norm(b, kind):
     result is then a length-s array whose entry i is what matrix i alone
     gives, each matrix scaled by the rule on its own.  The spectral and trace
     norms of a stack take one LAPACK call, its Frobenius norms one
-    ``np.vecdot``.  A Frobenius norm sums the squares of the entries in C
-    (row-major) order whatever the memory layout of `b`: a C-ordered, a
-    Fortran-ordered and a strided array of one matrix give the same bits."""
+    ``np.vecdot`` per 8192 entries of a matrix.  A Frobenius norm sums the
+    squares of the entries in C (row-major) order whatever the memory layout
+    of `b`: a C-ordered, a Fortran-ordered and a strided array of one matrix
+    give the same bits.  It sums them in fixed blocks of 8192 entries, so the
+    bits do not depend on the number of BLAS threads either."""
     _check_kind(kind)
     b, e = _scaled(_shaped(b, "b", stack=True), 2)
     if kind == "frobenius":
@@ -371,11 +387,12 @@ def _orthonormal(b, name):
 
 def _gram_defects(b, k):
     """``||x.T x - I||_F**2`` of each basis x of `b`, by np.linalg.norm's own Frobenius
-    formula: vecdot sums each row as ndarray.dot, which costs less on one row."""
+    formula, summed by `_squares`: one basis as a 1-d row, for ndarray.dot costs
+    less than np.vecdot on one row."""
     g = (b.mT @ b).reshape(-1, k * k)
     diagonals = g[:, :: k + 1]
     np.subtract(diagonals, 1.0, out=diagonals)  # g - I without building I
-    return [g[0].dot(g[0])] if b.ndim == 2 else np.vecdot(g, g).tolist()
+    return [_squares(g[0])] if b.ndim == 2 else _squares(g).tolist()
 
 
 def orthonormal_completion(x):
@@ -443,7 +460,7 @@ def _seed_order(n):
     return m if m in _SEEDS else None
 
 
-def is_hadamard_order(n):
+def _is_hadamard_order(n):
     """True when :func:`hadamard` can build a matrix of order `n`."""
     try:
         return _integer(n, "n") >= 1 and _seed_order(n) is not None

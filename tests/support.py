@@ -6,6 +6,7 @@ the polar-factor identities they are used to check.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,16 +20,18 @@ from subspace_align import (
     check_orthonormal,
     eta,
     evaluate_instance,
+    hadamard,
     make_pair,
     matrix_norm,
     optimal_representative,
+    sin_theta_norm,
     singular_values,
     svd,
     xi,
     xi_sharpened,
 )
-from subspace_align.alignment import _INNER_SAMPLES
-from subspace_align.kernels import _stream, haar_orthogonal, random_orthonormal
+from subspace_align.experiments import SIN_CROSS_CHECK_TOL, _closed_form, _delta
+from subspace_align.kernels import _gauge, _stream, haar_orthogonal, random_orthonormal
 
 #: Rank tolerance (relative to sigma_1) used when a test needs the exact-rank
 #: regime: far above the rounding floor of computed products, far below any
@@ -116,25 +119,23 @@ _TEXT = "matrix text: every float64 round-trips exactly at every scale"
 #: Each public callable with no SCALING row, and why it has none.
 SCALING_EXEMPT = {
     **dict.fromkeys(
-        ("SvdFactors", "CanonicalPolar", "AlignedBasisSet", "HausdorffEstimate", "WedinBounds",
-         "PolarFactorBounds", "BoundReport", "ExperimentConfig", "SweepRow", "ClosedFormCheck",
-         "AngleSpectrum"),
+        ("SvdFactors", "CanonicalPolar", "AlignedBasisSet", "WedinBounds", "PolarFactorBounds",
+         "BoundReport", "ExperimentConfig", "SweepRow", "AngleSpectrum"),
         _RECORD,
     ),
     **dict.fromkeys(
         ("SubspaceAlignError", "InvalidInput", "DimensionMismatch", "ShapeError", "InvalidBasis",
-         "UnsupportedOrder", "RankMismatch", "NotAligned", "NotApplicable", "NumericalFailure",
-         "VerificationFailure"),
+         "UnsupportedOrder", "RankMismatch", "NotAligned", "NotApplicable", "NumericalFailure"),
         _ERROR,
     ),
     **dict.fromkeys(
-        ("optimal_representative", "hausdorff_distance_estimate", "check_orthonormal",
-         "orthonormal_completion", "canonical_angles", "align_rotation"),
+        ("optimal_representative", "check_orthonormal", "orthonormal_completion",
+         "canonical_angles", "align_rotation"),
         _BASES,
     ),
     **dict.fromkeys(
-        ("hadamard", "is_hadamard_order", "haar_orthogonal", "random_orthonormal",
-         "default_delta_grid", "pinning_matrix", "make_pair", "run_sweep", "verify_closed_form"),
+        ("hadamard", "haar_orthogonal", "random_orthonormal", "default_delta_grid",
+         "pinning_matrix", "make_pair", "run_sweep"),
         _SIZES,
     ),
     **dict.fromkeys(("format_matrix", "parse_matrix", "save_matrix", "load_matrix"), _TEXT),
@@ -441,26 +442,84 @@ def brute_min_distance(aset, target, kind="frobenius", n_grid=0, n_samples=0, rn
     return best
 
 
-def reference_hausdorff(set_a, set_b, kind, samples, seed):
-    """The sampled regime of ``hausdorff_distance_estimate`` one Haar draw at
-    a time, as ``(value, samples_used)``: each outer member of `set_b` against
-    the exact Frobenius minimizer in `set_a`, and for the spectral and trace
-    norms against ``_INNER_SAMPLES`` further draws, each its own norm call."""
-    rng = _stream(seed, 0)
-    free = set_a.freedom
-    worst, used = 0.0, 0
-    for _ in range(samples):
-        yb = set_b.member(haar_orthogonal(free, rng))
-        used += 1
-        y_opt, _ = optimal_representative(set_a, yb)
-        best = matrix_norm(yb - y_opt, kind)
-        if kind != "frobenius":
-            for _ in range(_INNER_SAMPLES):
-                ya = set_a.member(haar_orthogonal(free, rng))
-                used += 1
-                best = min(best, matrix_norm(yb - ya, kind))
-        worst = max(worst, best)
-    return worst, used
+#: Relative tolerance for the factored, exactly cancelling sine computation.
+CLOSED_FORM_RTOL = 1e-9
+
+
+@dataclass(frozen=True)
+class ClosedFormCheck:
+    """Outcome of :func:`verify_closed_form` for one delta."""
+
+    delta: float
+    closed: dict
+    computed: dict
+    assembled: dict
+    max_relative_error: float
+
+
+def verify_closed_form(config, delta):
+    """Regression check of sine accuracy for the Hadamard pair construction.
+
+    Two computations are checked against the closed forms ``(delta,
+    sqrt(k) * delta, k * delta)``:
+
+    * the factored path: the 2k Hadamard columns used satisfy ``c.T @ c ==
+      n * I`` (checked exactly in integer arithmetic), so the complement
+      product of the pair reduces to ``delta * q2`` with no cancellation, and
+      its sines keep full *relative* accuracy at any delta and must match to
+      relative `CLOSED_FORM_RTOL`;
+    * the general-purpose angle routine on the assembled matrices, whose
+      accuracy is capped near 1e-15 absolute once the pair is rounded to
+      float64, held to an absolute-plus-relative 1e-9 band.
+
+    Raises AssertionError naming the norm kind and delta on any breach.
+    """
+    n, k = config.n, config.k
+    delta = _delta(delta)  # a scalar: a tuple would ask make_pair for many pairs
+    x_diamond, x_tilde_diamond, _, q2 = make_pair(config, delta)
+
+    # x_tilde_diamond = (cos * c[:, :k] @ q1 + delta * c[:, k:] @ q2) / sqrt(n).
+    # With c.T @ c == n * I, a complement basis of x_diamond can start with
+    # c[:, k:] / sqrt(n), and its product with x_tilde_diamond is then
+    # [delta * q2; 0] exactly: the sines are the singular values of delta * q2.
+    c = hadamard(n, 2 * k)
+    if not np.array_equal(c.T @ c, n * np.eye(2 * k, dtype=np.int64)):
+        raise AssertionError(f"the first {2 * k} Hadamard columns are not orthogonal")
+    sines = np.linalg.svd(delta * q2, compute_uv=False)
+
+    assembled_angles = canonical_angles(x_diamond, x_tilde_diamond)
+    closed, computed, assembled = {}, {}, {}
+    worst = 0.0
+    for kind in config.norms:
+        closed[kind] = _closed_form(kind, k, delta)
+        computed[kind] = _gauge(sines, kind)
+        assembled[kind] = sin_theta_norm(assembled_angles, kind)
+        if closed[kind] == 0.0:
+            if computed[kind] > 1e-12:
+                raise AssertionError(
+                    f"{kind} at delta=0: factored value {computed[kind]:.3e} != 0"
+                )
+        else:
+            rel = abs(computed[kind] - closed[kind]) / closed[kind]
+            worst = max(worst, rel)
+            if rel > CLOSED_FORM_RTOL:
+                raise AssertionError(
+                    f"{kind} at delta={delta}: factored value {computed[kind]!r} "
+                    f"differs from closed form {closed[kind]!r} by relative {rel:.3e}"
+                )
+        band = SIN_CROSS_CHECK_TOL * (1.0 + closed[kind])
+        if abs(assembled[kind] - closed[kind]) > band:
+            raise AssertionError(
+                f"{kind} at delta={delta}: assembled value {assembled[kind]!r} "
+                f"outside the {band:.3e} band around {closed[kind]!r}"
+            )
+    return ClosedFormCheck(
+        delta=delta,
+        closed=closed,
+        computed=computed,
+        assembled=assembled,
+        max_relative_error=worst,
+    )
 
 
 def reference_parse_matrix(text):

@@ -31,7 +31,6 @@ from subspace_align import (
     polar_factor_bound,
     run_sweep,
     sin_theta_norm,
-    verify_closed_form,
     wedin_bound,
     xi,
     xi_sharpened,
@@ -46,6 +45,7 @@ from support import (
     draw_aligned_instance,
     equal_rank_pair,
     rank_matrix,
+    verify_closed_form,
 )
 
 SQRT2 = math.sqrt(2.0)

@@ -13,8 +13,8 @@ from subspace_align import (
     align,
     canonical_angles,
     eta,
+    evaluate_instance,
     hadamard,
-    hausdorff_distance_estimate,
     make_pair,
     matrix_norm,
     optimal_representative,
@@ -28,8 +28,6 @@ from support import (
     RANK_RTOL,
     brute_min_distance,
     rank_matrix,
-    reference_hausdorff,
-    subspace_pair,
 )
 
 
@@ -340,36 +338,42 @@ class TestOptimalRepresentative:
 
 
 class TestHausdorff:
+    """The max-min distance from one pinned family to another, as one stacked
+    evaluate_instance: its `measured` for a member of the second family is
+    that member's distance to the first, so the largest over the members is
+    the distance, exact for a finite family and sampled otherwise."""
+
+    _PLUS_MINUS = np.array([[[1.0]], [[-1.0]]])  # both members at freedom 1
+
     def _pair_of_sets(self, rng, zero_last, delta=1e-4):
         config = ExperimentConfig(rank_deficiency=zero_last)
         d = pinning_matrix(config.n, config.k, zero_last)
         xd, xtd, _, _ = make_pair(config, delta)
-        _, set_a = align(xd, d, rtol=RANK_RTOL)
+        x, set_a = align(xd, d, rtol=RANK_RTOL)
         _, set_b = align(xtd, d, rtol=RANK_RTOL)
-        return set_a, set_b, d, xd, xtd
+        return x, set_a, set_b, d, xd, xtd
 
     def test_identical_sets(self, rng):
-        set_a, _, _, _, _ = self._pair_of_sets(rng, 1)
-        est = hausdorff_distance_estimate(set_a, set_a, "frobenius")
-        assert est.value <= 1e-10
-        assert est.exact
+        x, set_a, _, d, _, _ = self._pair_of_sets(rng, 1)
+        reports = evaluate_instance(x, set_a.member(self._PLUS_MINUS), d, "frobenius",
+                                    rtol=RANK_RTOL)
+        assert max(rep.measured for rep in reports) <= 1e-10
 
     def test_singletons_reduce_to_matrix_distance(self, rng):
-        set_a, set_b, d, xd, xtd = self._pair_of_sets(rng, 0)
-        xa, _ = align(xd, d)
+        x, set_a, set_b, d, _, xtd = self._pair_of_sets(rng, 0)
         xb, _ = align(xtd, d)
         for kind in NORM_KINDS:
-            est = hausdorff_distance_estimate(set_a, set_b, kind)
-            assert est.exact
-            assert est.samples_used == 0
-            assert est.value == pytest.approx(matrix_norm(xa - xb, kind), abs=1e-12)
-            assert est.value == matrix_norm(set_b.base - set_a.base, kind)
+            rep = evaluate_instance(x, xb, d, kind, rtol=RANK_RTOL)
+            assert rep.measured == matrix_norm(x - xb, kind)
+            assert rep.measured == pytest.approx(
+                matrix_norm(set_b.base - set_a.base, kind), abs=1e-12)
 
     def test_bounded_by_eta_sin_theta(self, rng):
-        set_a, set_b, d, xd, xtd = self._pair_of_sets(rng, 2)
+        x, set_a, set_b, d, xd, xtd = self._pair_of_sets(rng, 2)
+        members = set_b.member(haar_orthogonal(set_b.freedom, [rng] * 64))
         angles = canonical_angles(xd, xtd)
         for kind in NORM_KINDS:
-            est = hausdorff_distance_estimate(set_a, set_b, kind, samples=64, seed=3)
+            reports = evaluate_instance(x, members, d, kind, rtol=RANK_RTOL)
             bound = eta(
                 kind,
                 set_a.r,
@@ -378,45 +382,25 @@ class TestHausdorff:
                 set_b.sigma_r,
                 np.linalg.norm(d, 2),
             ) * sin_theta_norm(angles, kind)
-            assert est.value <= bound
-            assert not est.exact
+            assert max(rep.measured for rep in reports) <= bound
 
     def test_two_member_families_exact(self, rng):
-        set_a, set_b, _, _, _ = self._pair_of_sets(rng, 1)
-        members_a = [set_a.member(np.array([[s]])) for s in (1.0, -1.0)]
-        members_b = [set_b.member(np.array([[s]])) for s in (1.0, -1.0)]
+        x, _, set_b, d, _, _ = self._pair_of_sets(rng, 1)
+        _, set_x = align(x, d, rtol=RANK_RTOL)  # the family evaluate_instance measures to
+        members_a = set_x.member(self._PLUS_MINUS)
+        members_b = set_b.member(self._PLUS_MINUS)
         for kind in NORM_KINDS:
-            est = hausdorff_distance_estimate(set_a, set_b, kind)
+            reports = evaluate_instance(x, members_b, d, kind, rtol=RANK_RTOL)
             expected = max(
                 min(matrix_norm(mb - ma, kind) for ma in members_a) for mb in members_b
             )
-            assert est.exact
-            assert est.value == expected
+            assert max(rep.measured for rep in reports) == expected
 
-    @pytest.mark.parametrize("free", [2, 3])
-    def test_sampled_regime_matches_the_per_draw_loop(self, rng, free):
-        # one stacked draw and one norm call per sample keep every bit
-        n, k = 12, 5
-        d = rank_matrix(rng, n, k, k - free)
-        x_any, y_any = subspace_pair(rng, n, k, eps=1e-2)
-        _, set_a = align(x_any, d, rtol=RANK_RTOL)
-        _, set_b = align(y_any, d, rtol=RANK_RTOL)
-        assert set_a.freedom == set_b.freedom == free
-        for kind in NORM_KINDS:
-            for seed in (0, 11):
-                est = hausdorff_distance_estimate(set_a, set_b, kind, samples=5, seed=seed)
-                value, used = reference_hausdorff(set_a, set_b, kind, 5, seed)
-                assert est.value.hex() == value.hex()
-                assert est.samples_used == used
-
-    def test_rank_mismatch_rejected(self, rng):
-        set_a, _, _, _, _ = self._pair_of_sets(rng, 1)
-        set_c, _, _, _, _ = self._pair_of_sets(rng, 2)
-        with pytest.raises(RankMismatch):
-            hausdorff_distance_estimate(set_a, set_c, "frobenius")
-
-    def test_determinism_per_seed(self, rng):
-        set_a, set_b, _, _, _ = self._pair_of_sets(rng, 2)
-        a = hausdorff_distance_estimate(set_a, set_b, "spectral", samples=32, seed=9)
-        b = hausdorff_distance_estimate(set_a, set_b, "spectral", samples=32, seed=9)
-        assert a == b
+    def test_rank_mismatch_rejected(self):
+        # x.T @ d = diag(1, 1, 0) and x_tilde.T @ d = diag(1, 0, 0): both PSD
+        d = np.eye(6, 3)
+        d[2, 2] = 0.0
+        x_tilde = np.eye(6)[:, [0, 3, 2]]
+        message = r"^rank\(x\.T d\) = 2 but rank\(x_tilde\.T d\) = 1$"
+        with pytest.raises(RankMismatch, match=message):
+            evaluate_instance(np.eye(6, 3), x_tilde, d, "frobenius")

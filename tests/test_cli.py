@@ -11,8 +11,10 @@ import pytest
 
 from subspace_align import (
     BoundReport,
+    ExperimentConfig,
     align,
     load_matrix,
+    make_pair,
     parse_matrix,
     pinning_matrix,
     save_matrix,
@@ -345,3 +347,41 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, rng, capsys, monkey
     assert code == 2 and out == "" and err.startswith("usage: subspace-align angles")
     assert ok == 0 and csv.startswith("index,sine,cosine\n")
     assert helped == 0 and usage.startswith("usage: subspace-align experiment")
+
+
+#: Runs ``subspace-align`` once per argument list, the lists split at "+".
+_COMMANDS = (
+    "import sys\n"
+    "from subspace_align.cli import main\n"
+    "cut = sys.argv.index('+')\n"
+    "sys.exit(main(sys.argv[1:cut]) or main(sys.argv[cut + 1:]))\n"
+)
+
+
+def test_outputs_keep_their_bytes_at_any_blas_thread_count(tmp_path):
+    # OpenBLAS splits a dot of more than 8192 entries across its threads; a
+    # figure sweep and a bounds report on n * k = 16384 keep every byte at 1
+    # and 2 threads (a 2-CPU host tries no more; CI's "Matrix files" step
+    # also compares 4)
+    x_any, xt_any, _, _ = make_pair(ExperimentConfig(n=2048, k=8, seed=301), 1e-6)
+    d = pinning_matrix(2048, 8, zero_last=2)
+    for name, a in (("x", align(x_any, d, rtol=1e-8)[0]),
+                    ("xt", align(xt_any, d, rtol=1e-8)[0]), ("d", d)):
+        save_matrix(tmp_path / f"{name}.txt", a)
+    files = {name: str(tmp_path / f"{name}.txt") for name in ("x", "xt", "d")}
+    argv = ["experiment", "--figure", "3", "--n", "2048", "--k", "8", "--points", "8",
+            "--out", "fig", "+", "bounds", "--x", files["x"], "--xt", files["xt"],
+            "--d", files["d"], "--norm", "all", "--json"]
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-c", _COMMANDS, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written = {path.name: path.read_bytes() for path in sorted((cwd / "fig").iterdir())}
+        assert "sweep.csv" in written
+        outputs.append((proc.stdout, written))
+    assert outputs[0] == outputs[1]
