@@ -18,10 +18,9 @@ bits it would get alone.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 
@@ -88,9 +87,10 @@ class ExperimentConfig:
             object.__setattr__(self, "norms", tuple(self.norms))
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidInput(f"deltas and norms must be sequences: {exc}") from exc
+        # Python ints, so a numpy integer config echoes to config.json as an int one does
         for name in ("n", "k", "rank_deficiency"):
-            _integer(getattr(self, name), name)
-        _uint64(self.seed, "seed")
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", _uint64(self.seed, "seed"))
         if self.k < 1 or self.n < 2 * self.k:
             raise InvalidInput(f"need n >= 2k >= 2, got n={self.n}, k={self.k}")
         if not _is_hadamard_order(self.n):
@@ -299,22 +299,52 @@ def row_passes(row):
 
 
 def write_rows_csv(rows, fh):
-    """Write sweep rows as CSV with the SweepRow field names as header."""
+    """Write sweep rows as CSV with the SweepRow field names as header.
+
+    The bytes are ``csv.writer(fh, lineterminator="\n")``'s: a float cell
+    is its repr, None an empty cell, and a text cell is quoted only when it
+    holds a comma, a quote or a newline, with each quote doubled.  Each
+    distinct nonzero float is formatted once per file; zeros and NaN are
+    formatted every time, since ``0.0 == -0.0`` and no NaN equals itself.
+    """
     names = [f.name for f in fields(SweepRow)]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(names)
-    writer.writerows(map(attrgetter(*names), rows))
+    memo = {}
+    get = memo.get
+    lines = [",".join(names)]
+    for values in map(attrgetter(*names), rows):
+        cells = []
+        for value in values:
+            if type(value) is float:
+                text = get(value)
+                if text is None:
+                    text = repr(value)
+                    if value and value == value:
+                        memo[value] = text
+            elif value is None:
+                text = ""
+            else:
+                text = value if type(value) is str else str(value)
+                if "," in text or '"' in text or "\n" in text:
+                    text = '"' + text.replace('"', '""') + '"'
+            cells.append(text)
+        lines.append(",".join(cells))
+    lines.append("")
+    fh.write("\n".join(lines))
 
 
 def _emit(config, rows, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "sweep.csv", "w", encoding="ascii", newline="") as fh:
         write_rows_csv(rows, fh)
+    # serialized before the file opens, so a value JSON cannot hold leaves no partial file
+    text = json.dumps({f.name: getattr(config, f.name) for f in fields(config)}, indent=2)
     with open(out_dir / "config.json", "w", encoding="ascii") as fh:
-        json.dump(asdict(config), fh, indent=2)
-        fh.write("\n")
-    for kind in config.norms:
-        kind_rows = [r for r in rows if r.kind == kind and not r.flag]
+        fh.write(text + "\n")
+    by_kind = {kind: [] for kind in config.norms}
+    for row in rows:
+        if not row.flag:
+            by_kind[row.kind].append(row)
+    for kind, kind_rows in by_kind.items():
         deltas = [r.delta for r in kind_rows]
         series = [
             ("measured", deltas, [r.measured for r in kind_rows]),

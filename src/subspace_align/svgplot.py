@@ -16,6 +16,13 @@ _WIDTH, _HEIGHT = 720, 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 24, 40, 56
 
 
+def _escape(text):
+    """`text` with ``&``, ``<`` and ``>`` as XML entities, the rule of
+    ``xml.sax.saxutils.escape``; that module imports ``urllib.request``,
+    which costs every CLI process about 3 MB."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _decades(lo, hi):
     """The whole decades in ``[lo, hi]``, on a grid stepped from ``floor(lo)``."""
     first = math.floor(lo)
@@ -29,7 +36,8 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
 
     `series` is a sequence of ``(label, xs, ys)`` triples.  Points with a
     nonpositive or non-finite coordinate are dropped, since they have no
-    logarithm to plot.
+    logarithm to plot.  The title, the axis labels and the series labels are
+    XML-escaped.
     """
     logged = []
     for label, xs, ys in series:
@@ -43,10 +51,8 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
     if not all_pts:
         xlo, xhi, ylo, yhi = -1.0, 1.0, -1.0, 1.0
     else:
-        xlo = min(p[0] for p in all_pts)
-        xhi = max(p[0] for p in all_pts)
-        ylo = min(p[1] for p in all_pts)
-        yhi = max(p[1] for p in all_pts)
+        lxs, lys = zip(*all_pts)
+        xlo, xhi, ylo, yhi = min(lxs), max(lxs), min(lys), max(lys)
     if xhi - xlo < 1e-9:
         xlo, xhi = xlo - 0.5, xhi + 0.5
     if yhi - ylo < 1e-9:
@@ -54,19 +60,20 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    xspan, yspan = xhi - xlo, yhi - ylo
 
     def px(lx):
-        return _MARGIN_L + (lx - xlo) / (xhi - xlo) * plot_w
+        return _MARGIN_L + (lx - xlo) / xspan * plot_w
 
     def py(ly):
-        return _MARGIN_T + (yhi - ly) / (yhi - ylo) * plot_h
+        return _MARGIN_T + (yhi - ly) / yspan * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>',
     ]
 
     for exp in _decades(xlo, xhi):
@@ -96,18 +103,25 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
     )
     parts.append(
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="20" y="{_HEIGHT / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {_HEIGHT / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 20 {_HEIGHT / 2:.1f})">{_escape(ylabel)}</text>'
     )
 
     for i, (label, pts) in enumerate(logged):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
-            coords = " ".join(f"{px(lx):.2f},{py(ly):.2f}" for lx, ly in pts)
+            # px and py inlined in their order of operations, so each point keeps its bits
+            coords = " ".join([
+                "%.2f,%.2f" % (
+                    _MARGIN_L + (lx - xlo) / xspan * plot_w,
+                    _MARGIN_T + (yhi - ly) / yspan * plot_h,
+                )
+                for lx, ly in pts
+            ])
             dash = ' stroke-dasharray="6,4"' if i % 2 == 1 else ""
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -120,7 +134,7 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
         )
         parts.append(
             f'<text x="{_MARGIN_L + 40}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
 
     parts.append("</svg>")

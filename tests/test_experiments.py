@@ -127,6 +127,20 @@ class TestConfig:
         with pytest.raises((InvalidInput, UnsupportedOrder)):
             ExperimentConfig(**kwargs)
 
+    def test_numpy_integers_write_the_files_of_ints(self, tmp_path):
+        sizes = dict(n=8, k=2, deltas=(0.1, 0.01), rank_deficiency=1, seed=5)
+        as_numpy = dict(
+            sizes, n=np.int64(8), k=np.int32(2), rank_deficiency=np.uint8(1), seed=np.uint64(5)
+        )
+        config = ExperimentConfig(**as_numpy)
+        for name in ("n", "k", "rank_deficiency", "seed"):
+            assert type(getattr(config, name)) is int
+        run_sweep(ExperimentConfig(**sizes), tmp_path / "int")
+        run_sweep(config, tmp_path / "numpy")
+        names = ["sweep.csv", "config.json", *(f"sweep_{kind}.svg" for kind in NORM_KINDS)]
+        for name in names:
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
     def test_round_trip_through_dict(self):
         config = ExperimentConfig(**SMALL, seed=11)
         assert config_from_dict(dataclasses.asdict(config)) == config
@@ -498,8 +512,9 @@ class TestRunSweep:
         for kind in config.norms:
             svg = (tmp_path / f"sweep_{kind}.svg").read_text()
             assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-        echoed = json.loads((tmp_path / "config.json").read_text())
-        assert config_from_dict(echoed) == config
+        echoed = (tmp_path / "config.json").read_text()
+        assert echoed == json.dumps(dataclasses.asdict(config), indent=2) + "\n"
+        assert config_from_dict(json.loads(echoed)) == config
         # at freedom 2 only the Frobenius minimum is exact; the others bracket it
         deficient = ExperimentConfig(**SMALL, seed=4, rank_deficiency=2)
         run_sweep(deficient, out_dir=tmp_path / "deficient")
@@ -537,6 +552,13 @@ class TestRunSweep:
 
     @given(rows=st.lists(_SWEEP_ROWS, max_size=4))
     @example(rows=[])
+    # 0.0 and -0.0 compare equal: in one column and across columns
+    @example(rows=[SweepRow(0.0, "spectral", -0.0), SweepRow(-0.0, "trace", 0.0)])
+    # one value held by two float objects, and two NaN objects
+    @example(rows=[
+        SweepRow(float("1e-12"), "frobenius", float("1e-12"), float("nan"), float("nan"))
+    ])
+    @example(rows=[SweepRow(0.5, "spectral", 0.5, flag="\r")])
     def test_csv_bytes_are_the_csv_modules(self, rows):
         # csv.writer is the reference: it quotes a cell holding a comma, a
         # quote or a newline, not one holding only a carriage return, and
