@@ -189,11 +189,7 @@ def optimal_representative(aset, x_tilde):
     y_opt : (n, k) ndarray, or the (m, n, k) stack for a stack
     w_opt : (k - r, k - r) ndarray, or the (m, k - r, k - r) stack for a stack
     """
-    xts = _stack(x_tilde, "x_tilde")
-    if xts.shape[-2:] != aset.base.shape:
-        raise DimensionMismatch(
-            f"x_tilde must be {aset.base.shape}, got {xts.shape[-2:]}"
-        )
+    xts = _stack(x_tilde, "x_tilde", aset.base.shape)
     u, _, vt = _lapack("svd", aset.freedom_left.T @ xts @ aset.freedom_right)
     w_opt = u @ vt
     return aset.member(w_opt), w_opt

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import align, optimal_representative, polar
-from .errors import (
-    InvalidInput,
-    NotAligned,
-    NotApplicable,
-    RankMismatch,
-)
+from .errors import InvalidInput, NotAligned, RankMismatch
 from .kernels import (
     _check_kind,
     _checked,
@@ -44,7 +39,6 @@ from .metrics import canonical_angles
 __all__ = [
     "eta",
     "xi",
-    "xi_sharpened",
     "WedinBounds",
     "wedin_bound",
     "PolarFactorBounds",
@@ -114,19 +108,6 @@ def xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, sin_theta):
     of degree 1 in `sin_theta`, and 0 at a zero `sin_theta` even where `eta` is inf."""
     sin_theta = _checked(sin_theta, "sin_theta", zero_ok=True)
     return _bound(eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm), sin_theta)
-
-
-def xi_sharpened(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta):
-    """Rank-deficient bound with the sin-theta norm truncated to the r
-    largest sines; real scalars in, a float out.
-
-    Never exceeds :func:`xi` evaluated on the untruncated norm, and equals it
-    for the spectral kind (truncation keeps the largest sine).  Only defined
-    for ``r < k``.
-    """
-    if _integer(r, "r") >= _integer(k, "k"):
-        raise NotApplicable("sharpening applies only to the rank-deficient regime")
-    return xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, truncated_sin_theta)
 
 
 @dataclass(frozen=True)
@@ -228,7 +209,8 @@ class BoundReport:
     Frobenius norm and otherwise the upper endpoint of the bracketing
     interval ``[measured_lower, measured_upper]`` around the true minimum.
     ``slack`` is ``xi / measured`` (infinite when measured is zero), and
-    ``xi_sharpened`` is None in the full-rank regime.  Only ``d_norm``,
+    ``xi_sharpened`` is :func:`xi` of ``sin_theta_truncated``, the norm of
+    the r largest sines, and None in the full-rank regime.  Only ``d_norm``,
     ``sigma_r``, ``sigma_r_tilde`` and ``rank_tolerance`` scale with ``d``.
     """
 

@@ -9,7 +9,6 @@ __all__ = [
     "UnsupportedOrder",
     "RankMismatch",
     "NotAligned",
-    "NotApplicable",
     "NumericalFailure",
 ]
 
@@ -44,10 +43,6 @@ class RankMismatch(InvalidInput):
 
 class NotAligned(InvalidInput):
     """A basis whose product with the pinning matrix must be PSD fails the check."""
-
-
-class NotApplicable(InvalidInput):
-    """The requested quantity is undefined for these inputs."""
 
 
 class NumericalFailure(SubspaceAlignError, RuntimeError):

@@ -34,7 +34,7 @@ from .kernels import (
     _addressable,
     _checked,
     _integer,
-    _is_hadamard_order,
+    _seed_order,
     _stream,
     _uint64,
     haar_orthogonal,
@@ -93,7 +93,7 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _uint64(self.seed, "seed"))
         if self.k < 1 or self.n < 2 * self.k:
             raise InvalidInput(f"need n >= 2k >= 2, got n={self.n}, k={self.k}")
-        if not _is_hadamard_order(self.n):
+        if _seed_order(self.n) is None:
             raise UnsupportedOrder(f"no Hadamard construction for n={self.n}")
         if not self.deltas:
             raise InvalidInput("deltas must be nonempty")

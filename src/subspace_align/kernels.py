@@ -460,14 +460,6 @@ def _seed_order(n):
     return m if m in _SEEDS else None
 
 
-def _is_hadamard_order(n):
-    """True when :func:`hadamard` can build a matrix of order `n`."""
-    try:
-        return _integer(n, "n") >= 1 and _seed_order(n) is not None
-    except InvalidInput:  # the integer rule of every size argument
-        return False
-
-
 def hadamard(n, columns=None):
     """The first `columns` columns (all n by default) of the Hadamard matrix
     of order `n`, with integer entries in {-1, +1}.

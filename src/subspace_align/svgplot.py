@@ -142,6 +142,9 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
 
 
 def write_loglog_svg(path, series, title="", xlabel="", ylabel=""):
-    """Write :func:`loglog_svg` output to `path`."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(loglog_svg(series, title=title, xlabel=xlabel, ylabel=ylabel))
+    """Write :func:`loglog_svg` output to `path` as ASCII, each other
+    character as an XML character reference; the text is built first, so a
+    failure to draw leaves no file behind."""
+    text = loglog_svg(series, title=title, xlabel=xlabel, ylabel=ylabel)
+    with open(path, "w", encoding="ascii", errors="xmlcharrefreplace") as fh:
+        fh.write(text)

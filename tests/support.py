@@ -28,7 +28,6 @@ from subspace_align import (
     singular_values,
     svd,
     xi,
-    xi_sharpened,
 )
 from subspace_align.experiments import SIN_CROSS_CHECK_TOL, _closed_form, _delta
 from subspace_align.kernels import _gauge, _stream, haar_orthogonal, random_orthonormal
@@ -73,11 +72,12 @@ def reference_xi(kind, r, k, sigma_r, sigma_r_tilde, d_norm, sin_theta):
 
 
 def assert_self_consistent(rep):
-    """`rep`'s ``eta``, ``xi`` and ``xi_sharpened`` are, bit for bit, what `eta`,
-    `xi` and `xi_sharpened` give on the report's own fields: a coefficient that
-    `evaluate_instance` misstates fails here even where ``measured <= xi`` holds."""
+    """`rep`'s ``eta``, ``xi`` and ``xi_sharpened`` are, bit for bit, what `eta`
+    and `xi` give on the report's own fields, the sharpened bound on
+    ``sin_theta_truncated``: a coefficient that `evaluate_instance` misstates
+    fails here even where ``measured <= xi`` holds."""
     args = (rep.kind, rep.r, rep.k, rep.sigma_r, rep.sigma_r_tilde, rep.d_norm)
-    sharpened = xi_sharpened(*args, rep.sin_theta_truncated) if rep.r < rep.k else None
+    sharpened = xi(*args, rep.sin_theta_truncated) if rep.r < rep.k else None
     expected = (eta(*args), xi(*args, rep.sin_theta), sharpened)
     got = (rep.eta, rep.xi, rep.xi_sharpened)
     assert list(map(_bits, got)) == list(map(_bits, expected)), (rep, expected)
@@ -91,7 +91,7 @@ def _bits(value):
 #: Contract B: the degree d of 2**e that each output of a function gains when
 #: its scaled input is multiplied by 2**e: the matrix of a kernel, both
 #: matrices of a pair, `d` of `align` and `evaluate_instance`, and the three
-#: of ``(sigma_r, sigma_r_tilde, d_norm)`` of `eta`, `xi` and `xi_sharpened`.
+#: of ``(sigma_r, sigma_r_tilde, d_norm)`` of `eta` and `xi`.
 #: Degree 0 is the same bits, degree 1 the bits of the output times 2**e.  An
 #: int is the degree of the whole result, every field of it; a dict gives it
 #: per field, 0 for a field it does not name; a tuple gives it per element of
@@ -107,7 +107,6 @@ SCALING = {
     "evaluate_instance": {"sigma_r": 1, "sigma_r_tilde": 1, "d_norm": 1, "rank_tolerance": 1},
     "eta": 0,
     "xi": 0,
-    "xi_sharpened": 0,
 }
 
 _RECORD = "a record of results or settings that a function of this table fills"
@@ -125,7 +124,7 @@ SCALING_EXEMPT = {
     ),
     **dict.fromkeys(
         ("SubspaceAlignError", "InvalidInput", "DimensionMismatch", "ShapeError", "InvalidBasis",
-         "UnsupportedOrder", "RankMismatch", "NotAligned", "NotApplicable", "NumericalFailure"),
+         "UnsupportedOrder", "RankMismatch", "NotAligned", "NumericalFailure"),
         _ERROR,
     ),
     **dict.fromkeys(

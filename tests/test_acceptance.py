@@ -33,7 +33,6 @@ from subspace_align import (
     sin_theta_norm,
     wedin_bound,
     xi,
-    xi_sharpened,
 )
 from subspace_align.experiments import SWEEP_RANK_RTOL
 from subspace_align.kernels import haar_orthogonal, random_orthonormal
@@ -314,7 +313,7 @@ def test_criterion_09_coefficient_ordering_and_sharpening():
                 assert full < fro and full < spec
                 assert fro < generic and spec < generic
             for kind, (full_norm, trunc_norm) in norms.items():
-                sharp = xi_sharpened(kind, r, k, a, b, c, trunc_norm[i])
+                sharp = xi(kind, r, k, a, b, c, trunc_norm[i])
                 plain = xi(kind, r, k, a, b, c, full_norm[i])
                 assert sharp <= plain + 1e-12
                 if kind == "spectral":

@@ -14,7 +14,6 @@ from subspace_align import (
     InvalidInput,
     NORM_KINDS,
     NotAligned,
-    NotApplicable,
     RankMismatch,
     align,
     canonical_angles,
@@ -28,10 +27,9 @@ from subspace_align import (
     sin_theta_norm,
     wedin_bound,
     xi,
-    xi_sharpened,
 )
 from subspace_align.experiments import SWEEP_RANK_RTOL
-from subspace_align.kernels import random_orthonormal
+from subspace_align.kernels import _gauge, random_orthonormal
 
 from support import (
     RANK_RTOL,
@@ -170,11 +168,9 @@ class TestEta:
         for kind in NORM_KINDS:
             assert xi(kind, 3, 3, 5e-324, 5e-324, 1.0, 0.0) == 0.0
             assert xi(kind, 2, 3, 1e-200, 1e-200, 1.0, 0.0) == 0.0
-            assert xi_sharpened(kind, 2, 3, 5e-324, 5e-324, 1.0, 0.0) == 0.0
+            assert xi(kind, 2, 3, 5e-324, 5e-324, 1.0, 0.0) == 0.0
 
 
-_POSITIVE = st.floats(min_value=1e-8, max_value=1e8)
-_ENTRY = st.tuples(_POSITIVE, _POSITIVE, st.floats(0.0, 1e8), st.floats(0.0, 1.0))
 #: positive or nonnegative floats, subnormals included, up to 2**1020: there
 #: the numpy formula's sums and multiples of d_norm stay finite, and only its
 #: ratios over the singular values overflow, to a vacuous inf
@@ -207,12 +203,22 @@ class TestCoefficientProperties:
             assert sin_t == 0.0 and got_eta == math.inf and _bits(got_xi) == _bits(sin_t)
         else:
             assert _bits(got_xi) == _bits(expected_xi)
-        if r < 4:
-            assert _bits(xi_sharpened(kind, r, 4, s, s_tilde, d, sin_t)) == _bits(got_xi)
 
-    @given(entry=_ENTRY, kind=st.sampled_from(NORM_KINDS), r=st.sampled_from((3, 1)))
-    def test_sharpened_is_xi_of_the_truncated_norm(self, entry, kind, r):
-        assert xi_sharpened(kind, r, 4, *entry) == xi(kind, r, 4, *entry)
+    def test_sharpened_is_xi_of_the_truncated_norm(self):
+        # the reports of the criterion-02 mix: below full rank the sharpened
+        # bound is xi, bit for bit, of the norm of the r largest sines
+        deficient = 0
+        for x, y, _, r, reports in _mixed_instances():
+            top = canonical_angles(x, y).sines[-r:]
+            for rep in reports:
+                if rep.r == rep.k:
+                    assert rep.xi_sharpened is None
+                    continue
+                deficient += 1
+                assert _bits(rep.sin_theta_truncated) == _bits(_gauge(top, rep.kind))
+                args = (rep.kind, r, rep.k, rep.sigma_r, rep.sigma_r_tilde, rep.d_norm)
+                assert _bits(rep.xi_sharpened) == _bits(xi(*args, rep.sin_theta_truncated))
+        assert deficient
 
 
 class TestXi:
@@ -295,10 +301,6 @@ class TestXi:
 
 
 class TestXiSharpened:
-    def test_full_rank_rejected(self):
-        with pytest.raises(NotApplicable):
-            xi_sharpened("trace", 3, 3, 1.0, 1.0, 1.0, 0.5)
-
     def test_equal_angles_trace_scales_by_r_over_k(self):
         config = ExperimentConfig()
         d = pinning_matrix(config.n, config.k, zero_last=1)
@@ -312,11 +314,13 @@ class TestXiSharpened:
         assert rep.xi_sharpened <= rep.xi
 
     def test_single_angle_truncation_noop(self, rng):
+        # at r = 1 the truncated norm keeps one sine, the largest, in every kind
         s, st, d = 0.7, 0.9, 2.0
         value = 1e-3
+        sines = np.array([2e-4, 5e-4, value])
         for kind in NORM_KINDS:
             full = xi(kind, 1, 3, s, st, d, value)
-            sharp = xi_sharpened(kind, 1, 3, s, st, d, value)
+            sharp = xi(kind, 1, 3, s, st, d, _gauge(sines[-1:], kind))
             assert sharp == pytest.approx(full, rel=1e-15)
 
     def test_spectral_equals_unsharpened(self, rng):
@@ -342,8 +346,8 @@ class TestXiSharpened:
                 trunc = np.sqrt((top**2).sum(axis=1))
             else:
                 full, trunc = sines.sum(axis=1), top.sum(axis=1)
-            sharp = _each(functools.partial(xi_sharpened, kind, r, k), s, st, d, trunc)
-            plain = _each(functools.partial(xi, kind, r, k), s, st, d, full)
+            bound = functools.partial(xi, kind, r, k)
+            sharp, plain = _each(bound, s, st, d, trunc), _each(bound, s, st, d, full)
             assert np.all(sharp <= plain + 1e-12)
 
 

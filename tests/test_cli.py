@@ -19,7 +19,8 @@ from subspace_align import (
     pinning_matrix,
     save_matrix,
 )
-from subspace_align import cli
+from subspace_align import cli, experiments
+from subspace_align.experiments import SIN_CROSS_CHECK_TOL, row_passes
 from subspace_align.kernels import random_orthonormal
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -347,6 +348,37 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, rng, capsys, monkey
     assert code == 2 and out == "" and err.startswith("usage: subspace-align angles")
     assert ok == 0 and csv.startswith("index,sine,cosine\n")
     assert helped == 0 and usage.startswith("usage: subspace-align experiment")
+
+
+def test_experiment_exits_1_where_the_bound_breaks(tmp_path, capsys, monkeypatch):
+    # every report states a measured error past its bound and nothing else
+    # changes, so each row keeps its sines and fails the bound check alone
+    evaluate, sweep, rows = experiments.evaluate_instance, cli.run_sweep, []
+
+    def overstated(*args, **kwargs):
+        return [
+            tuple(dataclasses.replace(rep, measured=rep.xi + 1.0) for rep in reports)
+            for reports in evaluate(*args, **kwargs)
+        ]
+
+    def recorded(config, out_dir=None):
+        rows.extend(sweep(config, out_dir=out_dir))
+        return rows
+
+    monkeypatch.setattr(experiments, "evaluate_instance", overstated)
+    monkeypatch.setattr(cli, "run_sweep", recorded)
+    argv = ["experiment", "--figure", "2", "--points", "3", "--out", str(tmp_path)]
+    code, out, err = _main_in_process(argv, capsys)
+    assert code == 1 and "all rows satisfy" not in out
+    assert len(rows) == 9 and not any(row_passes(row) for row in rows)
+    for row in rows:
+        assert not row.flag and row.measured > row.xi + 1e-10
+        closed = row.sin_theta_closed
+        assert abs(closed - row.sin_theta_computed) <= SIN_CROSS_CHECK_TOL * (1.0 + closed)
+    assert err.splitlines() == [
+        f"row failed invariants: delta={row.delta!r} kind={row.kind} flag=bound/cross-check"
+        for row in rows
+    ]
 
 
 #: Runs ``subspace-align`` once per argument list, the lists split at "+".

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,33 +100,42 @@ class TestConfig:
         assert config.deltas[-1] == pytest.approx(1e-2)
         assert config.norms == NORM_KINDS
 
+    _NORMS_RULE = "norms must be a nonempty subset of "
+    _SEQUENCES_RULE = "deltas and norms must be sequences: "
+    #: Each config breaks one rule: the error class it must raise and the
+    #: start of its message.
+    _INVALID = [
+        (dict(n=9), InvalidInput, "need n >= 2k >= 2, got n=9, k=5"),
+        (dict(n=8, k=5), InvalidInput, "need n >= 2k >= 2, got n=8, k=5"),
+        (dict(deltas=(0.0, 0.5)), InvalidInput, "every delta must lie strictly between 0 and 1"),
+        (dict(deltas=(0.5, 1.0)), InvalidInput, "every delta must lie strictly between 0 and 1"),
+        (dict(deltas=()), InvalidInput, "deltas must be nonempty"),
+        (dict(rank_deficiency=3), InvalidInput, "rank_deficiency must be 0, 1, or 2 and below k=5"),
+        (dict(seed=-1), InvalidInput, "seed must be an unsigned 64-bit integer, got -1"),
+        (dict(norms=("spectral", "euclid")), InvalidInput, _NORMS_RULE),
+        (dict(norms=()), InvalidInput, _NORMS_RULE),
+        (dict(n=4, k=2, rank_deficiency=2), InvalidInput,
+         "rank_deficiency must be 0, 1, or 2 and below k=2"),
+        (dict(k=5.0), InvalidInput, "k must be an integer, got 5.0"),
+        (dict(seed=1.5), InvalidInput, "seed must be an integer, got 1.5"),
+        (dict(seed=-0.5), InvalidInput, "seed must be an integer, got -0.5"),
+        (dict(rank_deficiency=True), InvalidInput, "rank_deficiency must be an integer, got True"),
+        (dict(norms=("spectral", "trace", "spectral")), InvalidInput, _NORMS_RULE),
+        (dict(deltas=5), InvalidInput, _SEQUENCES_RULE),
+        (dict(deltas=(0.1, "x")), InvalidInput, _SEQUENCES_RULE),
+        (dict(deltas=(10**400,)), InvalidInput, _SEQUENCES_RULE),
+        (dict(norms=5), InvalidInput, _SEQUENCES_RULE),
+        # n >= 2k holds, and 14 = 2 * 7 is no Hadamard order
+        (dict(n=14, k=5), UnsupportedOrder, "no Hadamard construction for n=14"),
+    ]
+
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(n=9),
-            dict(n=8, k=5),
-            dict(deltas=(0.0, 0.5)),
-            dict(deltas=(0.5, 1.0)),
-            dict(deltas=()),
-            dict(rank_deficiency=3),
-            dict(seed=-1),
-            dict(norms=("spectral", "euclid")),
-            dict(norms=()),
-            dict(n=4, k=2, rank_deficiency=2),
-            dict(k=5.0),
-            dict(seed=1.5),
-            dict(seed=-0.5),
-            dict(rank_deficiency=True),
-            dict(norms=("spectral", "trace", "spectral")),
-            dict(deltas=5),
-            dict(deltas=(0.1, "x")),
-            dict(deltas=(10**400,)),
-            dict(norms=5),
-        ],
+        "kwargs, error, message", _INVALID, ids=[f"kwargs{i}" for i in range(len(_INVALID))]
     )
-    def test_invalid_configs(self, kwargs):
-        with pytest.raises((InvalidInput, UnsupportedOrder)):
+    def test_invalid_configs(self, kwargs, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}") as info:
             ExperimentConfig(**kwargs)
+        assert type(info.value) is error
 
     def test_numpy_integers_write_the_files_of_ints(self, tmp_path):
         sizes = dict(n=8, k=2, deltas=(0.1, 0.01), rank_deficiency=1, seed=5)

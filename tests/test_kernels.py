@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subspace_align import (
+    DimensionMismatch,
     ExperimentConfig,
     InvalidBasis,
     InvalidInput,
@@ -33,9 +34,8 @@ from subspace_align import (
     singular_values,
     svd,
     wedin_bound,
-    xi_sharpened,
 )
-from subspace_align.kernels import _UNIT_ROUNDOFF, _gauge, _is_hadamard_order
+from subspace_align.kernels import _UNIT_ROUNDOFF, _gauge, _seed_order
 
 from support import haar_stack, row
 
@@ -291,7 +291,7 @@ class TestHadamard:
         assert np.array_equal(hadamard(n, np.int64(n)), full)
 
     def test_order_support_predicate(self):
-        supported = {a for a in range(1, 129) if _is_hadamard_order(a)}
+        supported = {a for a in range(1, 129) if _seed_order(a) is not None}
         expected = set()
         for seed in (1, 12, 20):
             order = seed
@@ -300,7 +300,13 @@ class TestHadamard:
                 order *= 2
         expected |= {2}
         assert supported == expected
-        assert not _is_hadamard_order(True) and not _is_hadamard_order(2.0)
+        for a in range(1, 129):  # hadamard builds exactly the orders the predicate names
+            if a in supported:
+                assert hadamard(a).shape == (a, a)
+            else:
+                message = f"^no Hadamard construction for order {a}$"
+                with pytest.raises(UnsupportedOrder, match=message):
+                    hadamard(a)
 
     @pytest.mark.parametrize("n", [3, 6, 10, 36, 52])
     def test_unsupported_orders(self, n):
@@ -455,7 +461,6 @@ _NON_INTEGER_CALLS = {
     "eta-r": ("r", lambda: eta("spectral", 2.9, 3, 0.5, 0.5, 1.0)),
     "eta-k": ("k", lambda: eta("spectral", 2, 3.5, 0.5, 0.5, 1.0)),
     "eta-bool": ("r", lambda: eta("spectral", True, 3, 0.5, 0.5, 1.0)),
-    "xi_sharpened": ("k", lambda: xi_sharpened("trace", 2, 3.0, 0.5, 0.5, 1.0, 0.1)),
     "wedin_bound": ("r", lambda: wedin_bound(np.eye(3), np.eye(3), 3.0, "spectral")),
     "ExperimentConfig-seed": ("seed", lambda: ExperimentConfig(seed=1.5)),
     "ExperimentConfig-seed-bool": ("seed", lambda: ExperimentConfig(seed=True)),
@@ -470,6 +475,39 @@ def test_non_integer_sizes_ranks_and_counts_rejected(case):
     name, call = _NON_INTEGER_CALLS[case]
     with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
         call()
+
+
+#: Each call reaches a raise that no other test reaches, with the exact class
+#: and the whole message it must give.
+_REACHABLE_RAISES = {
+    "svd-no-rows": (InvalidInput, "b must be at least 1x1, got shape (0, 3)",
+                    lambda: svd(np.zeros((0, 3)))),
+    "check_orthonormal-no-columns": (InvalidInput, "x must be at least 1x1, got shape (3, 0)",
+                                     lambda: check_orthonormal(np.zeros((3, 0)))),
+    "haar_orthogonal": (InvalidInput, "size must be nonnegative",
+                        lambda: haar_orthogonal(-1, np.random.default_rng(0))),
+    "random_orthonormal": (InvalidInput, "need 1 <= k <= n, got n=3, k=4",
+                           lambda: random_orthonormal(3, 4, np.random.default_rng(0))),
+    "wedin_bound": (InvalidInput, "rank r must be at least 1",
+                    lambda: wedin_bound(np.eye(3), np.eye(3), 0, "spectral")),
+    "polar_factor_bound": (InvalidInput, "both matrices are numerically zero",
+                           lambda: polar_factor_bound(np.zeros((3, 2)), np.zeros((3, 2)), "trace")),
+    "default_delta_grid": (InvalidInput, "need at least 2 grid points",
+                           lambda: default_delta_grid(1)),
+    "optimal_representative": (
+        DimensionMismatch, "basis shapes differ: (6, 3) vs (7, 3)",
+        lambda: optimal_representative(align(np.eye(6, 3), pinning_matrix(6, 3, 1))[1],
+                                       np.eye(7, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REACHABLE_RAISES))
+def test_reachable_raises(case):
+    cls, message, call = _REACHABLE_RAISES[case]
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls and str(info.value) == message
 
 
 #: Each call asks for a result of more entries than numpy can address, so it

@@ -37,7 +37,6 @@ from subspace_align import (
     svd,
     wedin_bound,
     xi,
-    xi_sharpened,
 )
 from subspace_align.alignment import _pin
 from subspace_align.kernels import haar_orthogonal, random_orthonormal
@@ -295,8 +294,7 @@ def test_kernels_scale_with_powers_of_two_as_the_table_says(bs, es):
     r = svd(bs[0]).numerical_rank
     assume(r > 0 and svd(bs[-1]).numerical_rank == r)
     _pair_scales_as_the_table_says(pair, r, e)
-    others = {"wedin_bound", "polar_factor_bound", "align", "evaluate_instance", "eta", "xi",
-              "xi_sharpened"}
+    others = {"wedin_bound", "polar_factor_bound", "align", "evaluate_instance", "eta", "xi"}
     assert set(kernels) | others == set(SCALING)
 
 
@@ -379,17 +377,15 @@ def _d_scales_as_the_table_says(d, x_any, y_any, e, rtol=None):
 
 
 def _coefficients_scale_as_the_table_says(bs, e):
-    """`eta`, `xi` and `xi_sharpened` in ``(sigma_r, sigma_r_tilde, d_norm)``,
+    """`eta` and `xi` in ``(sigma_r, sigma_r_tilde, d_norm)``,
     three positive integers of `bs` that stay normal at every scale."""
     entries = np.concatenate([b.ravel() for b in bs])
     values = [1.0 + abs(float(entries[i])) for i in (0, -1, len(entries) // 2)]
     scaled = [math.ldexp(v, e) for v in values]
     for kind in NORM_KINDS:
         for r, k in ((1, 1), (1, 2), (2, 3)):
-            for name, call in (("eta", eta), ("xi", xi), ("xi_sharpened", xi_sharpened)):
+            for name, call in (("eta", eta), ("xi", xi)):
                 tail = () if name == "eta" else (0.25,)
-                if name == "xi_sharpened" and r == k:
-                    continue
                 out, ref = call(kind, r, k, *scaled, *tail), call(kind, r, k, *values, *tail)
                 assert_scales(name, out, ref, e)
 

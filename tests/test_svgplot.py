@@ -6,7 +6,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 from subspace_align import ExperimentConfig, run_sweep
-from subspace_align.svgplot import loglog_svg
+from subspace_align.svgplot import loglog_svg, write_loglog_svg
 
 _DECADES = [10.0**e for e in range(-4, 1)]
 
@@ -82,3 +82,13 @@ def test_text_is_escaped():
     for text in ("x & y", "<delta>", "error > 0", "a<b", "c & d"):
         assert text in texts
         assert f">{escape(text)}</text>" in svg
+
+
+def test_non_ascii_text_is_written_as_character_references(tmp_path):
+    path = tmp_path / "plot.svg"
+    write_loglog_svg(path, [("\u03b4 = 1e-6", [1, 10], [1, 10])], title="\u03b4 sweep")
+    raw = path.read_bytes()
+    assert raw.isascii() and b">&#948; sweep</text>" in raw
+    root = ET.parse(path).getroot()
+    texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "\u03b4 sweep" in texts and "\u03b4 = 1e-6" in texts
