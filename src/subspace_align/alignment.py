@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, ShapeError
-from .kernels import _lapack, _pinning, _real, _scaled, _shaped, _stack, check_orthonormal, svd
+from .kernels import _lapack, _pinning, _real, _shaped, _stack, check_orthonormal, svd
 
 __all__ = [
     "CanonicalPolar",
@@ -165,12 +165,12 @@ def align(x_any, d, *, rtol=None):
 
 
 def _pin(xs, d):
-    """align's ``x`` of each basis of `xs`, an (m, n, k) stack of checked bases:
-    one SVD of the products with `d`, no rank decision and no family, for the
-    pinned basis does not depend on the rank."""
+    """align's ``x`` of each basis of `xs`, an (m, n, k) stack of checked bases,
+    from one stacked `svd` of the products with `d`: it reads no rank and
+    builds no family, for the pinned basis does not depend on the rank."""
     d, _ = _pinning(d, *xs.shape[-2:])
-    u, _, vt = _lapack("svd", _scaled(xs.mT @ d, 2)[0], full_matrices=False)  # as svd does
-    return xs @ (u @ vt)
+    f = svd(xs.mT @ d)
+    return xs @ (f.u @ f.v.swapaxes(-1, -2))
 
 
 def optimal_representative(aset, x_tilde):

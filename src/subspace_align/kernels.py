@@ -60,15 +60,15 @@ def _real(b, name):
         raise InvalidInput(f"{name} must be a real numeric array: {exc}") from None
 
 
-def _stack(b, name, shape=None):
-    """`b` as float64 orthonormal bases, each of `shape` if given: one basis,
-    2-d, or a 3-d stack of m >= 1 of them for a 3-d array or a list of bases.
+def _stack(b, name, shape):
+    """`b` as float64 orthonormal bases, each of `shape`: one basis, 2-d, or a
+    3-d stack of m >= 1 of them for a 3-d array or a list of bases.
 
     The stacked forms of the package run the same numpy calls on either: the
     linear algebra broadcasts over a leading stack axis, and a single basis
     pays nothing for it."""
     b = _orthonormal(_shaped(b, name, stack=True), name)  # every Gram matrix in one call
-    if shape is not None and b.shape[-2:] != shape:
+    if b.shape[-2:] != shape:
         raise DimensionMismatch(f"basis shapes differ: {shape} vs {b.shape[-2:]}")
     return b
 
@@ -227,12 +227,11 @@ _DOT_BLOCK = 8192
 
 
 def _squares(w):
-    """The sum of squares of 1-d `w`, or of each row of 2-d `w`, by ndarray.dot
-    (np.vecdot sums each row as dot does): one dot up to `_DOT_BLOCK` entries,
-    else the dots of blocks of `_DOT_BLOCK` entries added in order, so the bits
-    are the same at every BLAS thread count."""
+    """The sum of squares of each row of 2-d `w`, by np.vecdot: one dot up to
+    `_DOT_BLOCK` entries, else the dots of blocks of `_DOT_BLOCK` entries added
+    in order, so the bits are the same at every BLAS thread count."""
     if w.shape[-1] <= _DOT_BLOCK:
-        return w.dot(w) if w.ndim == 1 else np.vecdot(w, w)
+        return np.vecdot(w, w)
     sums = 0.0
     for start in range(0, w.shape[-1], _DOT_BLOCK):
         sums = sums + _squares(w[..., start : start + _DOT_BLOCK])
@@ -241,11 +240,11 @@ def _squares(w):
 
 def _frobenius(b):
     """np.linalg.norm's own Frobenius formula, without its dispatch, on the entries
-    in C order whatever the layout, summed by `_squares`."""
+    in C order whatever the layout, summed by `_squares`: one matrix as a stack
+    of one, its norm a float."""
     b = np.ascontiguousarray(b)
-    if b.ndim == 2:
-        return math.sqrt(_squares(b.ravel()))
-    return np.sqrt(_squares(b.reshape(len(b), -1)))
+    norms = np.sqrt(_squares(b.reshape(-1, b.shape[-2] * b.shape[-1])))
+    return float(norms[0]) if b.ndim == 2 else norms
 
 
 @dataclass(frozen=True)
@@ -300,14 +299,12 @@ def svd(b, *, rtol=None):
     b, e = _scaled(_shaped(b, "b", stack=True), 2)
     rtol = None if rtol is None else _checked(rtol, "rtol", zero_ok=True)
     u, s, vt = _lapack("svd", b, full_matrices=False)
-    size = max(b.shape[-2:])
+    factor = max(b.shape[-2:]) * _UNIT_ROUNDOFF if rtol is None else rtol
     if b.ndim == 2:  # scalar arithmetic: cheaper than array operations on one matrix
-        sigma1 = float(s[0])
-        tol = sigma1 * (size * _UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
+        tol = float(s[0]) * factor
         rank = int(np.count_nonzero(s > tol))
         return SvdFactors(u, _restore(s, e), vt.T, rank, _restore(tol, e))
-    sigma1 = s[:, 0]
-    tols = sigma1 * (size * _UNIT_ROUNDOFF) if rtol is None else rtol * sigma1
+    tols = s[:, 0] * factor
     ranks = np.add.reduce(s > tols[:, None], axis=-1)
     return SvdFactors(u, _restore(s, e), vt.swapaxes(1, 2), ranks, _restore(tols, e))
 
@@ -386,13 +383,12 @@ def _orthonormal(b, name):
 
 
 def _gram_defects(b, k):
-    """``||x.T x - I||_F**2`` of each basis x of `b`, by np.linalg.norm's own Frobenius
-    formula, summed by `_squares`: one basis as a 1-d row, for ndarray.dot costs
-    less than np.vecdot on one row."""
+    """``||x.T x - I||_F**2`` of each basis x of `b`, one or a stack, as a list, by
+    np.linalg.norm's own Frobenius formula, summed by `_squares`."""
     g = (b.mT @ b).reshape(-1, k * k)
     diagonals = g[:, :: k + 1]
     np.subtract(diagonals, 1.0, out=diagonals)  # g - I without building I
-    return [_squares(g[0])] if b.ndim == 2 else _squares(g).tolist()
+    return _squares(g).tolist()
 
 
 def orthonormal_completion(x):
@@ -548,16 +544,13 @@ def random_orthonormal(n, k, rng):
     if not 1 <= k <= n:
         raise InvalidInput(f"need 1 <= k <= n, got n={n}, k={k}")
     many = _many(rng)
-    shape = (len(rng), n, k) if many else (n, k)
-    _addressable(*shape)
-    if many:
-        g = np.empty(shape)
-        for each, draw in zip(rng, g):
-            each.standard_normal(out=draw)
-    else:
-        g = rng.standard_normal(shape)
+    rngs = rng if many else [rng]  # one generator draws as a stack of one
+    _addressable(len(rngs), n, k)
+    g = np.empty((len(rngs), n, k))
+    for each, draw in zip(rngs, g):
+        each.standard_normal(out=draw)
     q, r = np.linalg.qr(g)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     q *= signs[..., None, :]
-    return q
+    return q if many else q[0]

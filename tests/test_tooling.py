@@ -164,7 +164,7 @@ def test_only_kernels_calls_numpy_linalg():
 #: call, and numpy's finiteness test, which `kernels._top` makes once per
 #: matrix argument; a module that used them would hold a second copy of the
 #: rule or scan an argument a second time
-RANGE_RULE = {"_SAFE", "_outside", "_exponent", "isfinite"}
+RANGE_RULE = {"_SAFE", "_scaled", "_exponent", "isfinite"}
 
 
 def test_only_kernels_applies_the_range_rule():
@@ -183,7 +183,10 @@ def test_only_kernels_applies_the_range_rule():
                  and not (isinstance(node.value, ast.Name) and node.value.id == "math")}
             if names:
                 found[path.name] = sorted(names)
-    assert not found, f"call kernels._scaled or kernels._top instead: {found}"
+    assert not found, (
+        "scale through a kernels entry point (svd, singular_values, matrix_norm, "
+        f"_pinning or _scaled_pair) or scan with kernels._top instead: {found}"
+    )
 
 
 def _readme_python_blocks():
