@@ -27,6 +27,7 @@ from .kernels import (
     _integer,
     _lapack,
     _pinning,
+    _record,
     _scaled_pair,
     _stack,
     check_orthonormal,
@@ -363,7 +364,8 @@ def evaluate_instance(x, x_tilde, d, kind, *, rtol=None):
         for st, sin_t, sin_trunc, value, lower in zip(sigma_rts, sins, truncs, values, lowers):
             eta_val = eta(each, r, k, aset.sigma_r, st, d_norm)
             xi_val = _bound(eta_val, sin_t)
-            column.append(BoundReport(
+            column.append(_record(
+                BoundReport,
                 kind=each, regime=regime, r=r, k=k, sigma_r=sigma_r, sigma_r_tilde=st * scale,
                 d_norm=d_scaled, sin_theta=sin_t, sin_theta_truncated=sin_trunc, eta=eta_val,
                 xi=xi_val, xi_sharpened=_bound(eta_val, sin_trunc) if r < k else None,

@@ -34,12 +34,14 @@ from .kernels import (
     _addressable,
     _checked,
     _integer,
+    _record,
     _seed_order,
     _stream,
     _uint64,
     haar_orthogonal,
     hadamard,
 )
+from .matrixio import _rewrite
 from .svgplot import write_loglog_svg
 
 __all__ = [
@@ -273,11 +275,13 @@ def run_sweep(config, out_dir=None):
             rows += [SweepRow(delta, kind, closed[kind], flag=reports) for kind in config.norms]
             continue
         rows += [
-            SweepRow(
-                delta, rep.kind, closed[rep.kind], sin_theta_computed=rep.sin_theta,
-                measured=rep.measured, measured_lower=rep.measured_lower,
-                measured_upper=rep.measured_upper, xi=rep.xi, xi_sharpened=rep.xi_sharpened,
-                slack=rep.slack, sigma_r=rep.sigma_r, sigma_r_tilde=rep.sigma_r_tilde,
+            _record(
+                SweepRow,
+                delta=delta, kind=rep.kind, sin_theta_closed=closed[rep.kind],
+                sin_theta_computed=rep.sin_theta, measured=rep.measured,
+                measured_lower=rep.measured_lower, measured_upper=rep.measured_upper,
+                xi=rep.xi, xi_sharpened=rep.xi_sharpened, slack=rep.slack,
+                sigma_r=rep.sigma_r, sigma_r_tilde=rep.sigma_r_tilde, flag="",
             )
             for rep in reports
         ]
@@ -334,11 +338,11 @@ def write_rows_csv(rows, fh):
 
 def _emit(config, rows, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "sweep.csv", "w", encoding="ascii", newline="") as fh:
+    with _rewrite(out_dir / "sweep.csv", encoding="ascii", newline="") as fh:
         write_rows_csv(rows, fh)
     # serialized before the file opens, so a value JSON cannot hold leaves no partial file
     text = json.dumps({f.name: getattr(config, f.name) for f in fields(config)}, indent=2)
-    with open(out_dir / "config.json", "w", encoding="ascii") as fh:
+    with _rewrite(out_dir / "config.json", encoding="ascii") as fh:
         fh.write(text + "\n")
     by_kind = {kind: [] for kind in config.norms}
     for row in rows:

@@ -201,6 +201,16 @@ def _uint64(value, name):
     return value
 
 
+def _record(cls, **fields):
+    """An instance of the frozen dataclass `cls` with exactly `fields`, the
+    same record ``cls(**fields)`` builds; every field must be given.  One dict
+    update instead of the generated ``__init__``'s ``object.__setattr__`` per
+    field, for records built by the hundred whose fields need no check."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 def _check_kind(kind):
     if kind not in NORM_KINDS:
         raise InvalidInput(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .matrixio import _rewrite
+
 __all__ = ["loglog_svg", "write_loglog_svg"]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
@@ -144,7 +146,10 @@ def loglog_svg(series, title="", xlabel="", ylabel=""):
 def write_loglog_svg(path, series, title="", xlabel="", ylabel=""):
     """Write :func:`loglog_svg` output to `path` as ASCII, each other
     character as an XML character reference; the text is built first, so a
-    failure to draw leaves no file behind."""
+    failure to draw leaves no file behind.  An existing file is rewritten in
+    place and cut to length when it closes, with the bytes a fresh file
+    gets: a symlink is followed to its target and the file keeps its mode
+    bits, as with ``open(path, "w")``."""
     text = loglog_svg(series, title=title, xlabel=xlabel, ylabel=ylabel)
-    with open(path, "w", encoding="ascii", errors="xmlcharrefreplace") as fh:
+    with _rewrite(path, encoding="ascii", errors="xmlcharrefreplace") as fh:
         fh.write(text)

@@ -5,8 +5,11 @@ computed by explicitly building candidate matrices and taking norms, never by
 the polar-factor identities they are used to check.
 """
 
+import importlib
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +34,20 @@ from subspace_align import (
 )
 from subspace_align.experiments import SIN_CROSS_CHECK_TOL, _closed_form, _delta
 from subspace_align.kernels import _gauge, _stream, haar_orthogonal, random_orthonormal
+
+
+def bench_module(name):
+    """The module `name` of the benchmark's ``bench/`` directory, imported
+    without writing bytecode there."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = writes
+        sys.path.remove(bench)
+
 
 #: Rank tolerance (relative to sigma_1) used when a test needs the exact-rank
 #: regime: far above the rounding floor of computed products, far below any

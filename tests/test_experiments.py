@@ -19,6 +19,7 @@ from subspace_align import (
     UnsupportedOrder,
     align,
     canonical_angles,
+    default_delta_grid,
     evaluate_instance,
     make_pair,
     optimal_representative,
@@ -38,6 +39,11 @@ import support
 from support import assert_self_consistent, verify_closed_form
 
 SMALL = dict(n=32, k=3, deltas=tuple(float(v) for v in np.logspace(-8, -2, 8)))
+
+#: The five files a three-norm sweep writes.
+SWEEP_FILES = (
+    "sweep.csv", "config.json", "sweep_spectral.svg", "sweep_frobenius.svg", "sweep_trace.svg",
+)
 
 
 def _pinned_point(config, index):
@@ -589,3 +595,32 @@ class TestRunSweep:
         first = lines[1].split(",")
         assert float(first[0]) == rows[0].delta
         assert float(first[4]) == rows[0].measured
+
+
+class TestOutputsRewritten:
+    """A sweep rewrites the files of an earlier run in place and cuts each
+    to length, so they hold exactly what a fresh run writes."""
+
+    def test_a_shorter_sweep_leaves_exactly_its_files(self, tmp_path):
+        few = ExperimentConfig(rank_deficiency=1, deltas=default_delta_grid(3))
+        run_sweep(ExperimentConfig(rank_deficiency=1), tmp_path / "out")
+        run_sweep(few, tmp_path / "out")
+        run_sweep(few, tmp_path / "fresh")
+        for name in SWEEP_FILES:
+            fresh = (tmp_path / "fresh" / name).read_bytes()
+            assert (tmp_path / "out" / name).read_bytes() == fresh, name
+
+    def test_a_write_that_fails_leaves_what_it_wrote(self, monkeypatch, tmp_path):
+        import subspace_align.experiments as exp
+
+        config = ExperimentConfig(**SMALL)
+        run_sweep(config, tmp_path)
+
+        def failing(rows, fh):
+            fh.write("delta,kind\n")
+            raise RuntimeError("failed part-way")
+
+        monkeypatch.setattr(exp, "write_rows_csv", failing)
+        with pytest.raises(RuntimeError, match="part-way"):
+            run_sweep(config, tmp_path)
+        assert (tmp_path / "sweep.csv").read_bytes() == b"delta,kind\n"

@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 from contextlib import nullcontext
 from unittest import mock
 
@@ -15,6 +17,8 @@ from subspace_align import (
     parse_matrix,
     save_matrix,
 )
+
+from subspace_align.matrixio import _rewrite
 
 from support import reference_parse_matrix
 
@@ -221,3 +225,63 @@ def test_parse_matrix_matches_the_line_by_line_reader(text):
             else:
                 got = parse_matrix(text)
                 assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestRewrite:
+    """Every file the package writes goes through ``_rewrite``: an existing
+    file is rewritten in place and cut to length when it closes."""
+
+    def test_a_shorter_matrix_leaves_exactly_its_bytes(self, tmp_path, rng):
+        small = rng.standard_normal((4, 2))
+        save_matrix(tmp_path / "fresh.txt", small)
+        save_matrix(tmp_path / "a.txt", rng.standard_normal((2048, 8)))
+        save_matrix(tmp_path / "a.txt", small)
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+
+    def test_a_symlink_is_followed_to_its_target(self, tmp_path, rng):
+        a = rng.standard_normal((3, 2))
+        save_matrix(tmp_path / "fresh.txt", a)
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("9 9\n" + "1 " * 500 + "\n", encoding="ascii")
+        link.symlink_to(target)
+        save_matrix(link, a)
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+        # a dangling link gets its target made, as open(path, "w") makes it
+        dangling = tmp_path / "dangling.txt"
+        dangling.symlink_to(tmp_path / "made.txt")
+        save_matrix(dangling, a)
+        assert (tmp_path / "made.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+
+    def test_modes_are_those_of_open(self, tmp_path):
+        kept = tmp_path / "kept.txt"
+        kept.write_text("long old text " * 100, encoding="ascii")
+        kept.chmod(0o600)
+        save_matrix(kept, np.eye(2))
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+        assert kept.read_text(encoding="ascii") == format_matrix(np.eye(2))
+        old = os.umask(0o027)
+        try:
+            save_matrix(tmp_path / "new.txt", np.eye(2))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "new.txt").stat().st_mode) == 0o666 & ~0o027
+
+    def test_a_failed_write_is_cut_at_what_was_written(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("the previous run's bytes\n" * 50, encoding="ascii")
+        with pytest.raises(RuntimeError, match="part-way"):
+            with _rewrite(path, encoding="ascii") as fh:
+                fh.write("new prefix\n")
+                raise RuntimeError("part-way")
+        assert path.read_text(encoding="ascii") == "new prefix\n"
+        # an encoding error writes nothing of the failing call
+        with pytest.raises(UnicodeEncodeError):
+            with _rewrite(path, encoding="ascii") as fh:
+                fh.write("kept")
+                fh.write("\u03b4")
+        assert path.read_text(encoding="ascii") == "kept"
+
+    def test_a_file_that_is_not_regular_is_not_cut(self):
+        # O_TRUNC leaves devices alone, and ftruncate fails on them
+        save_matrix(os.devnull, np.eye(2))

@@ -263,6 +263,71 @@ def test_only_kernels_builds_random_streams():
     assert not found, f"use kernels._stream instead: {found}"
 
 
+def _file_writes(tree):
+    """Lines of calls that open a file for writing, each with the function
+    it is in: ``open``, ``io.open`` or a ``.open`` method such as
+    ``Path.open`` given a mode with ``w``, ``a``, ``x`` or ``+`` (or a mode
+    that is not a literal), and every ``write_text`` or ``write_bytes``."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            module = getattr(getattr(func, "value", None), "id", None)
+            if name in ("write_text", "write_bytes"):
+                found.append((owner, node.lineno))
+            elif name == "open" and module != "os":  # os.open takes flags, not a mode
+                # the mode follows the path of open() and io.open(); a method has no path
+                at = 1 if isinstance(func, ast.Name) or module in ("io", "builtins") else 0
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                modes += node.args[at : at + 1]
+                for mode in modes:
+                    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or (
+                        set(mode.value) & set("wax+")
+                    ):
+                        found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_rewrite_opens_files_for_writing():
+    # matrixio._rewrite writes every file in place and cuts it to length; an
+    # open(path, "w") elsewhere pays O_TRUNC again, or leaves an old tail
+    code = (
+        "import io\n"
+        "open(p)\n"
+        "open(p, 'r', encoding='ascii')\n"
+        "open(p, 'w')\n"
+        "open(p, mode='a')\n"
+        "io.open(p, 'xb')\n"
+        "Path(p).open('w')\n"
+        "Path(p).open()\n"
+        "Path(p).write_text('x')\n"
+        "os.open(p, os.O_WRONLY)\n"
+        "open(p, 'r+')\n"
+        "open(p, mode)\n"
+        "def _rewrite(path):\n"
+        "    with open(path, 'w', opener=keep) as fh:\n"
+        "        yield fh\n"
+    )
+    assert _file_writes(ast.parse(code)) == [
+        (None, 4), (None, 5), (None, 6), (None, 7), (None, 9), (None, 11), (None, 12),
+        ("_rewrite", 14),
+    ]
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for owner, line in _file_writes(ast.parse(path.read_text(), filename=str(path))):
+            found.setdefault(f"{path.name}:{owner}", []).append(line)
+    assert len(found.pop("matrixio.py:_rewrite", ())) == 1  # the one writer is seen
+    assert not found, f"write files with matrixio._rewrite instead: {found}"
+
+
 def test_export_contract():
     # the package re-exports these modules' __all__ by star import, where a
     # name listed twice would silently shadow the first binding
@@ -302,15 +367,10 @@ def test_every_public_callable_has_a_scaling_row_or_an_exemption():
 def test_figures_reach_every_traced_function(tmp_path, capsys):
     # the benchmark's traced run fails a workload whose ops skip a function its
     # layer map names; this is that check on three small figure sweeps
-    bench = str(ROOT / "bench")
-    sys.path.insert(0, bench)
-    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        import spans
-    finally:
-        sys.dont_write_bytecode = writes
-        sys.path.remove(bench)
     from subspace_align import cli
+    from support import bench_module
+
+    spans = bench_module("spans")
 
     tracer = spans.Tracer()
     undo = spans.install(tracer)
