@@ -72,6 +72,14 @@ def eta(kind, r, k, sigma_r, sigma_r_tilde, d_norm):
     -------
     float
         ``inf``, silently, where ``d_norm`` over a singular value overflows.
+
+    Notes
+    -----
+    At full rank the coefficient is attained to within a factor of sqrt(2):
+    the pinned bases (cos phi, sin phi) and (-cos phi, sin phi) of d = e2
+    move by ``1 / (sqrt(2) (1 + sin phi))`` of the bound in every norm, which
+    tends to ``1 / sqrt(2)`` as phi -> 0.  Whether ``1 / sqrt(2)`` is the
+    supremum is open.
     """
     _check_kind(kind)
     r, k = _integer(r, "r"), _integer(k, "k")

@@ -122,10 +122,12 @@ def _rewrite(path, **open_kwargs):
     """``open(path, "w", **open_kwargs)`` that rewrites an existing file in
     place: it is opened without ``O_TRUNC`` and cut, on the way out, to what
     was written, even when the body raises.  So the file ends with exactly
-    the new bytes, or the part of them written before a failure, never the
-    tail of an old file.  A symlink is followed, an existing file keeps its
-    mode and a new one gets ``0o666 & ~umask``, as with open; only a regular
-    file is cut, as ``O_TRUNC`` cuts only those.
+    the new bytes, or the part of them written before the body raised.  A
+    process killed part-way (SIGKILL, power loss) never reaches the cut: it
+    leaves the new head followed by the tail of the old file, which may still
+    parse.  A symlink is followed, an existing file keeps its mode and a new
+    one gets ``0o666 & ~umask``, as with open; only a regular file is cut, as
+    ``O_TRUNC`` cuts only those.
 
     Every file the package writes goes through here.  Where truncating
     pages just written waits on their writeback (ext4 mounted with

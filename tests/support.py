@@ -1,4 +1,10 @@
-"""Shared generators and brute-force oracles for the test suite.
+"""Shared generators, brute-force oracles and the contract table of the suite.
+
+`CONTRACTS` holds one row per public callable, and one for the stacked method
+`AlignedBasisSet.member`.  Its columns are `scaling`, the Contract B degree
+law or the reason a callable has none; `stacked`, the builder of a stacked
+example and its explicit examples, or None; and `errors`, the callable's
+error cases, each run by the test of its rule in ``test_kernels.py``.
 
 The oracles deliberately avoid the production shortcuts: distances are
 computed by explicitly building candidate matrices and taking norms, never by
@@ -7,33 +13,48 @@ the polar-factor identities they are used to check.
 
 import importlib
 import math
+import re
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
+import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from subspace_align import (
     NORM_KINDS,
+    DimensionMismatch,
     ExperimentConfig,
     InvalidBasis,
     InvalidInput,
+    NumericalFailure,
     align,
+    align_rotation,
     canonical_angles,
     check_orthonormal,
+    default_delta_grid,
     eta,
     evaluate_instance,
     hadamard,
     make_pair,
     matrix_norm,
     optimal_representative,
+    orthonormal_completion,
+    pinning_matrix,
+    polar,
+    polar_factor_bound,
     sin_theta_norm,
     singular_values,
     svd,
+    wedin_bound,
     xi,
 )
 from subspace_align.experiments import SIN_CROSS_CHECK_TOL, _closed_form, _delta
-from subspace_align.kernels import _gauge, _stream, haar_orthogonal, random_orthonormal
+from subspace_align.kernels import _gauge, haar_orthogonal, random_orthonormal
 
 
 def bench_module(name):
@@ -97,80 +118,19 @@ def assert_self_consistent(rep):
     sharpened = xi(*args, rep.sin_theta_truncated) if rep.r < rep.k else None
     expected = (eta(*args), xi(*args, rep.sin_theta), sharpened)
     got = (rep.eta, rep.xi, rep.xi_sharpened)
-    assert list(map(_bits, got)) == list(map(_bits, expected)), (rep, expected)
-
-
-def _bits(value):
-    """The bytes of a float, None for None."""
-    return None if value is None else np.float64(value).tobytes()
-
-
-#: Contract B: the degree d of 2**e that each output of a function gains when
-#: its scaled input is multiplied by 2**e: the matrix of a kernel, both
-#: matrices of a pair, `d` of `align` and `evaluate_instance`, and the three
-#: of ``(sigma_r, sigma_r_tilde, d_norm)`` of `eta` and `xi`.
-#: Degree 0 is the same bits, degree 1 the bits of the output times 2**e.  An
-#: int is the degree of the whole result, every field of it; a dict gives it
-#: per field, 0 for a field it does not name; a tuple gives it per element of
-#: a tuple result.
-SCALING = {
-    "svd": {"u": 0, "v": 0, "numerical_rank": 0, "sigma": 1, "rank_tolerance": 1},
-    "singular_values": 1,
-    "matrix_norm": 1,
-    "polar": {"q": 0, "r": 0, "h": 1, "sigma_r": 1},
-    "wedin_bound": 0,
-    "polar_factor_bound": 0,
-    "align": (0, {"sigma_r": 1, "rank_tolerance": 1}),
-    "evaluate_instance": {"sigma_r": 1, "sigma_r_tilde": 1, "d_norm": 1, "rank_tolerance": 1},
-    "eta": 0,
-    "xi": 0,
-}
-
-_RECORD = "a record of results or settings that a function of this table fills"
-_ERROR = "an exception class: it carries a message, not a number"
-_BASES = "takes orthonormal bases, which a scale other than 1 makes invalid"
-_SIZES = "takes sizes, seeds and generators, none of which scales"
-_TEXT = "matrix text: every float64 round-trips exactly at every scale"
-
-#: Each public callable with no SCALING row, and why it has none.
-SCALING_EXEMPT = {
-    **dict.fromkeys(
-        ("SvdFactors", "CanonicalPolar", "AlignedBasisSet", "WedinBounds", "PolarFactorBounds",
-         "BoundReport", "ExperimentConfig", "SweepRow", "AngleSpectrum"),
-        _RECORD,
-    ),
-    **dict.fromkeys(
-        ("SubspaceAlignError", "InvalidInput", "DimensionMismatch", "ShapeError", "InvalidBasis",
-         "UnsupportedOrder", "RankMismatch", "NotAligned", "NumericalFailure"),
-        _ERROR,
-    ),
-    **dict.fromkeys(
-        ("optimal_representative", "check_orthonormal", "orthonormal_completion",
-         "canonical_angles", "align_rotation"),
-        _BASES,
-    ),
-    **dict.fromkeys(
-        ("hadamard", "haar_orthogonal", "random_orthonormal", "default_delta_grid",
-         "pinning_matrix", "make_pair", "run_sweep"),
-        _SIZES,
-    ),
-    **dict.fromkeys(("format_matrix", "parse_matrix", "save_matrix", "load_matrix"), _TEXT),
-    "sin_theta_norm": "takes sines, which must lie in [0, 1], so most scales are no input",
-    "main": "the command line: text in and out, through the functions of this table",
-    "loglog_svg": "draws a plot on log axes, as text",
-    "write_loglog_svg": "draws a plot on log axes, as a file",
-}
+    assert list(map(bits, got)) == list(map(bits, expected)), (rep, expected)
 
 
 def assert_scales(name, out, ref, e, degrees=None):
     """`out`, `name`'s result on an input scaled by 2**e, is bit for bit what
-    SCALING makes of `ref`, its result on the input as it stands."""
-    degrees = SCALING[name] if degrees is None else degrees
+    its CONTRACTS scaling law makes of `ref`, its result on the input as it
+    stands; returns `name`, so that a test can collect what it checked."""
+    degrees = CONTRACTS[name].scaling if degrees is None else degrees
     if isinstance(degrees, tuple):
         assert len(out) == len(ref) == len(degrees), (name, out, ref)
         for got, want, each in zip(out, ref, degrees):
             assert_scales(name, got, want, e, each)
-        return
+        return name
     fields = getattr(ref, "__dataclass_fields__", None)
     if isinstance(degrees, dict):
         degrees = {field: degrees.get(field, 0) for field in fields}
@@ -181,6 +141,7 @@ def assert_scales(name, out, ref, e, degrees=None):
         if want is not None and degree:
             want = np.ldexp(want, e)
         assert bits(got) == bits(want), (name, field, e, got, want)
+    return name
 
 
 def bits(value):
@@ -201,86 +162,6 @@ def row(result, i):
     return type(result)(**{name: getattr(result, name)[i] for name in fields})
 
 
-def _on_stack(call, stack):
-    """The STACKED entry of a form that takes its stack as one argument."""
-    return (lambda: call(stack)), (lambda i: call(stack[i])), ()
-
-
-def _generators(streams):
-    """Fresh generators of Philox streams ``(7, s)``: a list for a list of
-    stream ids, one generator for one id."""
-    return [_stream(7, s) for s in streams] if isinstance(streams, list) else _stream(7, streams)
-
-
-def _rank_pair(rng):
-    """Two 5-by-3 matrices, of ranks 2 and 3, as one stack."""
-    return np.array([rank_matrix(rng, 5, 3, 2), rank_matrix(rng, 5, 3, 3)])
-
-
-def _family(rng):
-    """A 6-by-3 pinned family of rank 1, so of freedom 2."""
-    return align(random_orthonormal(6, 3, rng), rank_matrix(rng, 6, 3, 1), rtol=RANK_RTOL)[1]
-
-
-def _pinned_pair_stack(rng):
-    """``(x, two bases near x, d)``, all pinned against a rank-2 d of 7-by-3."""
-    d = rank_matrix(rng, 7, 3, 2)
-    x_any = random_orthonormal(7, 3, rng)
-    near = [np.linalg.qr(x_any + eps * rng.standard_normal((7, 3)))[0] for eps in (1e-6, 1e-3)]
-    return align(x_any, d, rtol=RANK_RTOL)[0], [align(y, d, rtol=RANK_RTOL)[0] for y in near], d
-
-
-def _optimal_representative_example(rng):
-    aset = _family(rng)
-    stack = np.array([random_orthonormal(6, 3, rng) for _ in range(2)])
-    return _on_stack(lambda y: optimal_representative(aset, y), stack)
-
-
-def _canonical_angles_example(rng):
-    x = random_orthonormal(6, 3, rng)
-    stack = np.array([random_orthonormal(6, 3, rng) for _ in range(2)])
-    return _on_stack(lambda y: canonical_angles(x, y), stack)
-
-
-def _make_pair_example(rng):
-    config = ExperimentConfig(n=12, k=3, seed=int(rng.integers(2**32)))
-    deltas = tuple(rng.uniform(0.0, 1.0, 2).tolist())
-    return (lambda: make_pair(config, deltas, index=3),
-            lambda i: make_pair(config, deltas[i], index=3 + i), (0,))
-
-
-def _evaluate_example(rng):
-    x, stack, d = _pinned_pair_stack(rng)
-    return _on_stack(lambda y: evaluate_instance(x, y, d, NORM_KINDS, rtol=RANK_RTOL), stack)
-
-
-#: The ten stacked public forms and the convention they share: a stack in,
-#: one call on all of it, and every array of the result with a leading axis
-#: over the stack whose row i is, bit for bit, the result of member i alone.
-#: Each entry turns a generator into a 2-member example ``(stacked, alone,
-#: shared)``: ``stacked()`` calls the form on the stack, ``alone(i)`` on member
-#: i, and `shared` lists the positions of a tuple result that a stack gives
-#: once, not per member.  Reports are records, not arrays, so
-#: `evaluate_instance` alone returns a list, of what each member gives.
-STACKED = {
-    "svd": lambda rng: _on_stack(svd, _rank_pair(rng)),
-    "singular_values": lambda rng: _on_stack(singular_values, _rank_pair(rng)),
-    "matrix_norm": lambda rng: _on_stack(
-        lambda b: tuple(matrix_norm(b, kind) for kind in NORM_KINDS), _rank_pair(rng)),
-    "AlignedBasisSet.member": lambda rng: _on_stack(_family(rng).member, haar_stack(2, 2, rng)),
-    "optimal_representative": _optimal_representative_example,
-    "canonical_angles": _canonical_angles_example,
-    "evaluate_instance": _evaluate_example,
-    "random_orthonormal": lambda rng: _on_stack(
-        lambda streams: random_orthonormal(6, 3, _generators(streams)),
-        rng.integers(2**63, size=2).tolist()),
-    "haar_orthogonal": lambda rng: _on_stack(
-        lambda streams: haar_orthogonal(3, _generators(streams)),
-        rng.integers(2**63, size=2).tolist()),
-    "make_pair": _make_pair_example,
-}
-
-
 def leaves(result):
     """The arrays, numbers, strings and Nones of a result, in order: a tuple
     or a list by its members, a record by its fields."""
@@ -290,6 +171,486 @@ def leaves(result):
     if fields is None:
         return [result]
     return [leaf for name in fields for leaf in leaves(getattr(result, name))]
+
+
+def error_of(call):
+    """The class and message of what `call` raises, or None; a failed
+    assertion is raised, not returned."""
+    try:
+        call()
+    except AssertionError:
+        raise
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+def philox(seed):
+    """A generator of the Philox stream keyed by `seed`."""
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+@st.composite
+def shapes(draw):
+    """(n, k, r): n from k to 2k + 3, so n == k and 2k > n both come up, and
+    the freedom k - r from 0 to 3."""
+    k = draw(st.integers(1, 6))
+    r = k - draw(st.integers(0, min(3, k - 1)))
+    return draw(st.integers(k, 2 * k + 3)), k, r
+
+
+#: Members at the orthonormality limit to add to a stack, each ``False`` (a
+#: few ulps inside ``1e-12 * n``) or ``True`` (a few ulps outside it).
+LIMITS = st.lists(st.booleans(), max_size=2)
+
+
+def limit_members(rng, limits, n, k, r):
+    """The pinning matrix and the bases of :func:`at_the_limit` that `limits`
+    asks for; (None, []) at k == 1, whose Gram matrix is a scalar near 1, too
+    coarse to place a defect by the ulp."""
+    if not limits or k < 2:
+        return None, []
+    d, inside, outside = at_the_limit(rng, n, k, r)
+    return d, [outside if limit else inside for limit in limits]
+
+
+def inserted(rng, stack, members):
+    """`stack` with each of `members` inserted at a random place."""
+    for member in members:
+        stack.insert(int(rng.integers(0, len(stack) + 1)), member)
+    return stack
+
+
+class Stack(NamedTuple):
+    """``stacked()`` calls a form on a stack of `size` members, ``alone(i)`` on
+    member i; a stack gives the positions `shared` of a tuple result once, not
+    per member, and `bad` is the member built to fail alone, or None."""
+
+    stacked: Callable
+    alone: Callable
+    size: int
+    shared: tuple = ()
+    bad: int | None = None
+
+
+class Replay(dict):
+    """An explicit example of a stacked builder: its draws by label, read
+    where the builder reads a hypothesis ``data`` object."""
+
+    def draw(self, strategy, label):
+        return self[label]
+
+
+def _layouts(call, layouts, bad=None):
+    """The Stack of `call` on one stack given in each of `layouts`: every
+    layout gives, stacked and member by member, the bits of the first."""
+
+    def same(results):
+        first, *rest = results
+        for other in rest:
+            assert list(map(bits, leaves(other))) == list(map(bits, leaves(first)))
+        return first
+
+    return Stack(lambda: same([call(stack) for stack in layouts]),
+                 lambda i: same([call(stack[i]) for stack in layouts]), len(layouts[0]), bad=bad)
+
+
+def _rank_stack(data, exponents=False):
+    """m p-by-q matrices, each of a rank of its own, 0 too, and the member
+    spoiled by a NaN, or None; with `exponents`, each scaled by 2**0 or by
+    2**+-600, outside the kernels' range, where it is rescaled on its own."""
+    rng = philox(data.draw(SEEDS, label="seed"))
+    m = data.draw(st.integers(1, 5), label="m")
+    p, q = data.draw(st.integers(1, 7), label="p"), data.draw(st.integers(1, 7), label="q")
+    bs = [rank_matrix(rng, p, q, r) if r else np.zeros((p, q))
+          for r in rng.integers(0, min(p, q) + 1, m)]
+    if exponents:
+        es = data.draw(st.lists(st.sampled_from([0, 0, -600, 600]), min_size=5, max_size=5),
+                       label="exponents")
+        bs = [np.ldexp(b, e) for b, e in zip(bs, es)]
+    bad = data.draw(st.none() | st.integers(0, m - 1), label="bad")  # the member to spoil
+    if bad is not None:
+        bs[bad] = np.where(bs[bad] == bs[bad].max(), np.nan, bs[bad])
+    return bs, bad
+
+
+def _memory_layouts(bs):
+    """`bs` as a list and as a stack, each C-ordered, Fortran-ordered and strided: a
+    member of a Fortran stack is neither C- nor F-contiguous."""
+    wide = np.repeat(np.array(bs), 2, axis=-1)
+    return [bs, np.array(bs), np.asfortranarray(bs), [np.asfortranarray(b) for b in bs],
+            wide[..., ::2], [each[:, ::2] for each in wide]]
+
+
+def _svd_stack(data):
+    rtol = data.draw(st.sampled_from([None, RANK_RTOL, 0.5]), label="rtol")
+    bs, bad = _rank_stack(data)
+    return _layouts(lambda b: svd(b, rtol=rtol), [bs, np.array(bs)], bad)
+
+
+def _shaped(out, stack, *shapes):
+    """`out`, each of whose arrays has the leading axes of `stack` and then the
+    shape of its place in `shapes`."""
+    for each, shape in zip(out if isinstance(out, tuple) else (out,), shapes, strict=True):
+        assert np.shape(each) == np.shape(stack)[:-2] + shape, (np.shape(each), shape)
+    return out
+
+
+def _singular_values_stack(data):
+    bs, bad = _rank_stack(data, exponents=True)
+    top = (min(bs[0].shape),)
+    return _layouts(lambda b: _shaped(singular_values(b), b, top), _memory_layouts(bs), bad)
+
+
+def _matrix_norm_stack(data):
+    # the kinds in a drawn order: a stack with a failing member is checked on the first
+    kinds = data.draw(st.permutations(NORM_KINDS), label="kinds")
+    bs, bad = _rank_stack(data, exponents=True)
+    return _layouts(lambda b: _shaped(tuple(matrix_norm(b, kind) for kind in kinds), b, *[()] * 3),
+                    _memory_layouts(bs), bad)
+
+
+def _member_stack(data):
+    rng = philox(data.draw(SEEDS, label="seed"))
+    # a 6-by-3 pinned family of rank 1, so of freedom 2
+    d = rank_matrix(rng, 6, 3, 1)
+    member = align(random_orthonormal(6, 3, rng), d, rtol=RANK_RTOL)[1].member
+    ws = haar_stack(2, 2, rng)
+    return Stack(lambda: member(ws), lambda i: member(ws[i]), 2)
+
+
+def _optimal_representative_stack(data):
+    n, k, r = data.draw(shapes(), label="shape")
+    rng, m = philox(data.draw(SEEDS, label="seed")), data.draw(st.integers(1, 4), label="m")
+    _, aset = align(random_orthonormal(n, k, rng), rank_matrix(rng, n, k, r), rtol=RANK_RTOL)
+    bases = [random_orthonormal(n, k, rng) for _ in range(m)]
+    bad = data.draw(st.none() | st.integers(0, m - 1), label="bad")
+    if bad is not None:
+        bases[bad] = 1.5 * bases[bad]
+    shaped = (n, k), (aset.freedom,) * 2
+    return _layouts(lambda b: _shaped(optimal_representative(aset, b), b, *shaped),
+                    [bases, np.array(bases)], bad)
+
+
+def _pinned_stack(data):
+    """``(x, a stack of bases near x, d)``, all pinned at rank r, with members at
+    the orthonormality limit inserted where `LIMITS` asks for them."""
+    n, k, r = data.draw(shapes(), label="shape")
+    rng, m = philox(data.draw(SEEDS, label="seed")), data.draw(st.integers(1, 4), label="m")
+    d = rank_matrix(rng, n, k, r)
+    limit_d, members = limit_members(rng, data.draw(LIMITS, label="limits"), n, k, r)
+    d = d if limit_d is None else limit_d
+    x_any = random_orthonormal(n, k, rng)
+    x, sx = align(x_any, d, rtol=RANK_RTOL)
+    stack = []
+    for _ in range(m):
+        eps = 10.0 ** rng.uniform(-8, -0.2)
+        y, sy = align(np.linalg.qr(x_any + eps * rng.standard_normal((n, k)))[0], d, rtol=RANK_RTOL)
+        assume(sy.r == r and sy.sigma_r >= 1e-6)
+        stack.append(y)
+    assume(sx.r == r and sx.sigma_r >= 1e-6)
+    return x, inserted(rng, stack, members), d
+
+
+def _canonical_angles_stack(data):
+    x, stack, _ = _pinned_stack(data)
+    return Stack(lambda: canonical_angles(x, stack), lambda i: canonical_angles(x, stack[i]),
+                 len(stack))
+
+
+def _evaluate_instance_stack(data):
+    x, stack, d = _pinned_stack(data)
+    return Stack(lambda: evaluate_instance(x, np.array(stack), d, NORM_KINDS, rtol=RANK_RTOL),
+                 lambda i: evaluate_instance(x, stack[i], d, NORM_KINDS, rtol=RANK_RTOL),
+                 len(stack))
+
+
+def _draws(form):
+    """The builder of the Stack of ``form(n, k, generators)`` over m Philox
+    streams ``(seed, i)``, each generator left where its own draw leaves it."""
+
+    def build(data):
+        seed, m = data.draw(SEEDS, label="seed"), data.draw(st.integers(1, 6), label="m")
+        n, k = data.draw(st.integers(1, 9), label="n"), data.draw(st.integers(1, 9), label="k")
+        assume(k <= n)
+
+        def streams():
+            return [philox(np.array([seed, i], dtype=np.uint64)) for i in range(m)]
+
+        def stacked():
+            generators = streams()
+            many = form(n, k, generators)
+            for i, generator in enumerate(generators):
+                alone = streams()[i]
+                form(n, k, alone)
+                assert repr(generator.bit_generator.state) == repr(alone.bit_generator.state)
+            return many
+
+        return Stack(stacked, lambda i: form(n, k, streams()[i]), m)
+
+    return build
+
+
+def _make_pair_stack(data):
+    n, k = data.draw(st.sampled_from([(2, 1), (4, 2), (8, 3), (12, 5), (20, 4), (32, 3)]),
+                     label="size")
+    config = ExperimentConfig(n=n, k=k, seed=data.draw(SEEDS, label="seed"))
+    index = data.draw(st.integers(0, 50), label="index")
+    deltas = list(data.draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-12]),
+                                     min_size=1, max_size=5), label="deltas"))
+    bad = data.draw(st.none() | st.integers(0, len(deltas) - 1), label="bad")
+    if bad is not None:
+        deltas[bad] = data.draw(st.sampled_from([1.5, -0.1, "abc"]), label="bad delta")
+    # x_diamond, the same at every delta, is given once
+    return Stack(lambda: make_pair(config, tuple(deltas), index=index),
+                 lambda i: make_pair(config, deltas[i], index=index + i), len(deltas), (0,), bad)
+
+
+class Error(NamedTuple):
+    """`call`, given the arguments of the test of `rule`, gives exactly a `cls`,
+    raised or returned, whose text matches `message` from its start; the
+    test's id of the case is the row's name followed by `case`."""
+
+    rule: str
+    case: str
+    call: Callable
+    cls: type
+    message: str
+
+
+def _lapack(routine, setup):
+    """``setup()`` gives a call that reaches ``numpy.linalg.<routine>``, made to
+    fail there; the setting up, which may take the same routine, comes first."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    def failing(monkeypatch):
+        call = setup()
+        monkeypatch.setattr(np.linalg, routine, fail)
+        call()
+
+    return _case("lapack", "", routine, failing)
+
+
+#: Each rule's exception class and message pattern, of the argument or
+#: routine a case names; the test of each rule in ``test_kernels.py`` says
+#: what its cases pass.
+_RULES = {
+    "lapack": (NumericalFailure, "numpy.linalg.{} failed: "),
+    "range": (InvalidBasis, r"{} is not orthonormal: \|\|x\.T x - I\|\|_F = inf > "),
+    "integer": (InvalidInput, "{} must be an integer, got "),
+    "key": (InvalidInput, "{} must "),
+    "unaddressable": (InvalidInput, r"a \d+(x\d+)+ array cannot be addressed\Z"),
+    "rtol": (InvalidInput, "rtol must be a real scalar"),
+    "matrix": (InvalidInput, "{} must be a real numeric array"),
+}
+
+
+def _case(rule, case, name, call):
+    cls, message = _RULES[rule]
+    return Error(rule, case, call, cls, message.format(name))
+
+
+def _raises(case, cls, message, call):
+    """`call` raises exactly `cls` with exactly `message`."""
+    return Error("raise", case, call, cls, re.escape(message) + r"\Z")
+
+
+def error_cases(rule):
+    """Every error case of `rule` in CONTRACTS, as pytest params."""
+    return [pytest.param(error, id=name + error.case)
+            for name, row in CONTRACTS.items() for error in row.errors if error.rule == rule]
+
+
+def assert_error(error, *args):
+    """`error.call(*args)` gives its typed result, with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = error.call(*args)
+        except Exception as exc:
+            result = exc
+    assert type(result) is error.cls and re.match(error.message, str(result)), (error, result)
+
+
+#: A basis, pinned by itself: its product with itself is the identity.
+PLANE = np.eye(3)[:, :2]
+_HUGE = np.eye(4, 2) * 1e200  # its Gram matrix overflows
+_SMALL = ExperimentConfig(n=8, k=2, deltas=(0.1,))
+
+
+def _closest_member_call():
+    x = np.eye(4, 2)
+    _, aset = align(x, np.diag([1.0, 0.0])[[0, 1, 1, 1]])  # rank 1 of 2: freedom 1
+    return lambda: optimal_representative(aset, x)
+
+
+def _pinned_pair_call():
+    d = pinning_matrix(8, 2)
+    x, _ = align(np.eye(8, 2), d)
+    return lambda: evaluate_instance(x, x, d, "trace")
+
+
+class Contract(NamedTuple):
+    """A row of CONTRACTS.  `scaling` is the Contract B law, the degree of 2**e
+    that each output gains when the scaled input is multiplied by 2**e (the
+    matrix of a kernel, both of a pair, `d` of `align` and `evaluate_instance`,
+    ``(sigma_r, sigma_r_tilde, d_norm)`` of `eta` and `xi`): 0 is the same
+    bits, 1 the bits times 2**e, by an int for the whole result, a dict per
+    field (0 for the rest) or a tuple per element; or a str, why there is no
+    law.  `stacked` is ``(build, examples)``: ``build(data)`` draws a Stack
+    from a hypothesis ``data`` object, an example its draws by label."""
+
+    scaling: object
+    stacked: tuple | None = None
+    errors: tuple = ()
+
+
+_RECORD = "a record of results or settings that a function of this table fills"
+_ERROR = "an exception class: it carries a message, not a number"
+_BASES = "takes orthonormal bases, which a scale other than 1 makes invalid"
+_SIZES = "takes sizes, seeds and generators, none of which scales"
+_TEXT = "matrix text: every float64 round-trips exactly at every scale"
+_RANK_EXAMPLES = [dict(seed=0, m=1, p=3, q=2, exponents=[0] * 5, bad=None),
+                  dict(seed=0, m=1, p=4, q=3, exponents=[600] * 5, bad=None),
+                  dict(seed=1, m=4, p=6, q=4, exponents=[600, 0, -600, 0, 0], bad=None)]
+_PINNED_EXAMPLES = [dict(shape=(4, 4, 4), seed=0, m=2, limits=[]),
+                    dict(shape=(5, 3, 2), seed=1, m=3, limits=[]),
+                    dict(shape=(11, 6, 3), seed=2, m=4, limits=[]),
+                    dict(shape=(7, 3, 2), seed=3, m=1, limits=[False]),
+                    dict(shape=(6, 4, 4), seed=4, m=2, limits=[False, True])]
+
+#: One row per public callable, and one for the stacked method `member`.
+CONTRACTS = {
+    **dict.fromkeys(("SvdFactors", "CanonicalPolar", "AlignedBasisSet", "WedinBounds",
+                     "PolarFactorBounds", "BoundReport", "SweepRow", "AngleSpectrum"),
+                    Contract(_RECORD)),
+    **dict.fromkeys(("SubspaceAlignError", "InvalidInput", "DimensionMismatch", "ShapeError",
+                     "InvalidBasis", "UnsupportedOrder", "RankMismatch", "NotAligned",
+                     "NumericalFailure"), Contract(_ERROR)),
+    **dict.fromkeys(("format_matrix", "parse_matrix", "save_matrix", "load_matrix"),
+                    Contract(_TEXT)),
+    "ExperimentConfig": Contract(_RECORD, errors=(
+        _case("integer", "-seed", "seed", lambda: ExperimentConfig(seed=1.5)),
+        _case("integer", "-seed-bool", "seed", lambda: ExperimentConfig(seed=True)),
+        _case("key", "-seed-negative", "seed", lambda: ExperimentConfig(seed=-1)),
+        _case("key", "-seed-2**64", "seed", lambda: ExperimentConfig(seed=2**64)),
+    )),
+    "svd": Contract(
+        {"u": 0, "v": 0, "numerical_rank": 0, "sigma": 1, "rank_tolerance": 1},
+        (_svd_stack, [dict(seed=0, m=1, p=3, q=2, rtol=None, bad=None),
+                      dict(seed=1, m=4, p=6, q=4, rtol=RANK_RTOL, bad=None)]),
+        (_raises("-no-rows", InvalidInput, "b must be at least 1x1, got shape (0, 3)",
+                 lambda: svd(np.zeros((0, 3)))),
+         _case("rtol", "", None, lambda rtol: svd(PLANE, rtol=rtol)),
+         _case("matrix", "", "b", svd))),
+    "singular_values": Contract(1, (_singular_values_stack, _RANK_EXAMPLES),
+                                (_case("matrix", "", "b", singular_values),)),
+    "matrix_norm": Contract(
+        1, (_matrix_norm_stack, [dict(each, kinds=NORM_KINDS) for each in _RANK_EXAMPLES]),
+        (Error("range", "-trace", lambda: matrix_norm(np.eye(4, 2) * 1.7e308, "trace"),
+               float, r"inf\Z"),  # a norm past the float range is an inf
+         _case("matrix", "", "b", lambda a: matrix_norm(a, "trace")))),
+    "polar": Contract({"q": 0, "r": 0, "h": 1, "sigma_r": 1}, errors=(
+        _case("rtol", "", None, lambda rtol: polar(PLANE, rtol=rtol)),)),
+    "wedin_bound": Contract(0, errors=(
+        _case("integer", "", "r", lambda: wedin_bound(np.eye(3), np.eye(3), 3.0, "spectral")),
+        _raises("", InvalidInput, "rank r must be at least 1",
+                lambda: wedin_bound(np.eye(3), np.eye(3), 0, "spectral")))),
+    "polar_factor_bound": Contract(0, errors=(
+        _raises("", InvalidInput, "both matrices are numerically zero",
+                lambda: polar_factor_bound(np.zeros((3, 2)), np.zeros((3, 2)), "trace")),
+        _case("rtol", "", None,
+              lambda rtol: polar_factor_bound(PLANE, PLANE, "trace", rtol=rtol)))),
+    "align": Contract((0, {"sigma_r": 1, "rank_tolerance": 1}), errors=(
+        _case("range", "", "x_any", lambda: align(_HUGE, np.eye(4, 2))),
+        _case("rtol", "", None, lambda rtol: align(PLANE, PLANE, rtol=rtol)),
+        _case("matrix", "", "x_any", lambda a: align(a, PLANE)))),
+    "AlignedBasisSet.member": Contract(_BASES, (_member_stack, [dict(seed=0)]), (
+        _case("matrix", "", "w", lambda a: align(PLANE, PLANE)[1].member(a)),)),
+    "evaluate_instance": Contract(
+        {"sigma_r": 1, "sigma_r_tilde": 1, "d_norm": 1, "rank_tolerance": 1},
+        (_evaluate_instance_stack, _PINNED_EXAMPLES),
+        (_lapack("eigvalsh", _pinned_pair_call),
+         _case("rtol", "", None, lambda rtol: evaluate_instance(
+             PLANE, PLANE, PLANE, "trace", rtol=rtol)),
+         _case("matrix", "", "x_tilde", lambda a: evaluate_instance(PLANE, a, PLANE, "trace")))),
+    "eta": Contract(0, errors=(
+        _case("integer", "-r", "r", lambda: eta("spectral", 2.9, 3, 0.5, 0.5, 1.0)),
+        _case("integer", "-k", "k", lambda: eta("spectral", 2, 3.5, 0.5, 0.5, 1.0)),
+        _case("integer", "-bool", "r", lambda: eta("spectral", True, 3, 0.5, 0.5, 1.0)))),
+    "xi": Contract(0),
+    "optimal_representative": Contract(
+        _BASES, (_optimal_representative_stack, [dict(shape=(4, 4, 4), seed=0, m=1, bad=None),
+                                                 dict(shape=(7, 4, 2), seed=1, m=3, bad=None)]),
+        (_lapack("svd", _closest_member_call),
+         _raises("", DimensionMismatch, "basis shapes differ: (6, 3) vs (7, 3)",
+                 lambda: optimal_representative(align(np.eye(6, 3), pinning_matrix(6, 3, 1))[1],
+                                                np.eye(7, 3))))),
+    "check_orthonormal": Contract(_BASES, errors=(
+        _case("range", "", "x", lambda: check_orthonormal(_HUGE)),
+        _raises("-no-columns", InvalidInput, "x must be at least 1x1, got shape (3, 0)",
+                lambda: check_orthonormal(np.zeros((3, 0)))),
+        _case("matrix", "", "x", check_orthonormal))),
+    "orthonormal_completion": Contract(_BASES, errors=(
+        _case("range", "", "x", lambda: orthonormal_completion(_HUGE)),)),
+    "canonical_angles": Contract(_BASES, (_canonical_angles_stack, _PINNED_EXAMPLES), (
+        _lapack("svd", lambda: lambda: canonical_angles(np.eye(4, 2), np.eye(4, 2))),
+        _case("range", "", "x", lambda: canonical_angles(_HUGE, np.eye(4, 2))),
+        _case("range", "-stack", "y",
+              lambda: canonical_angles(np.eye(4, 2), [np.eye(4, 2), _HUGE])),
+        _case("matrix", "", "y", lambda a: canonical_angles(PLANE, a)))),
+    "align_rotation": Contract(_BASES, errors=(
+        _lapack("svd", lambda: lambda: align_rotation(np.eye(4, 2), np.eye(4, 2))),
+        _case("range", "", "x", lambda: align_rotation(_HUGE, np.eye(4, 2))))),
+    "hadamard": Contract(_SIZES, errors=(
+        _case("integer", "-bool", "n", lambda: hadamard(True)),
+        _case("integer", "-columns", "columns", lambda: hadamard(8, 2.0)),
+        _case("integer", "-columns-bool", "columns", lambda: hadamard(8, True)),
+        _case("unaddressable", "", None, lambda: hadamard(2**64)),
+        _case("unaddressable", "-columns", None, lambda: hadamard(2**62, 1)))),
+    "haar_orthogonal": Contract(
+        _SIZES, (_draws(lambda n, k, rng: haar_orthogonal(k, rng)), [dict(seed=0, m=1, n=3, k=3)]),
+        (_case("integer", "", "size", lambda: haar_orthogonal(2.5, None)),
+         _case("integer", "-bool", "size", lambda: haar_orthogonal(True, None)),
+         _raises("", InvalidInput, "size must be nonnegative",
+                 lambda: haar_orthogonal(-1, np.random.default_rng(0))),
+         _case("unaddressable", "", None,
+               lambda: haar_orthogonal(2**64, np.random.default_rng(0))))),
+    "random_orthonormal": Contract(
+        _SIZES, (_draws(random_orthonormal), [dict(seed=0, m=1, n=3, k=3)]),
+        (_case("integer", "", "n", lambda: random_orthonormal(10.9, 3, None)),
+         _case("integer", "-bool", "k", lambda: random_orthonormal(10, True, None)),
+         _raises("", InvalidInput, "need 1 <= k <= n, got n=3, k=4",
+                 lambda: random_orthonormal(3, 4, np.random.default_rng(0))),
+         _case("unaddressable", "", None,
+               lambda: random_orthonormal(2**64, 1, np.random.default_rng(0))),
+         _case("unaddressable", "-stack", None, lambda: random_orthonormal(
+             2**57, 1, [np.random.default_rng(0)] * 8)))),  # addressable alone, not stacked
+    "default_delta_grid": Contract(_SIZES, errors=(
+        _case("integer", "", "points", lambda: default_delta_grid(points=3.0)),
+        _raises("", InvalidInput, "need at least 2 grid points", lambda: default_delta_grid(1)))),
+    "pinning_matrix": Contract(_SIZES, errors=(
+        _case("integer", "-n", "n", lambda: pinning_matrix(8.7, 3)),
+        _case("integer", "", "zero_last", lambda: pinning_matrix(8, 3, zero_last=1.6)),
+        _case("integer", "-bool", "zero_last", lambda: pinning_matrix(8, 3, zero_last=True)),
+        _case("unaddressable", "", None, lambda: pinning_matrix(2**64, 1)))),
+    "make_pair": Contract(
+        _SIZES, (_make_pair_stack, [dict(size=(4, 2), seed=0, index=0, deltas=[0.5], bad=None)]),
+        (_case("integer", "", "index", lambda: make_pair(_SMALL, 0.1, index=1.5)),
+         _case("integer", "-bool", "index", lambda: make_pair(_SMALL, 0.1, index=True)),
+         _case("key", "-index-negative", "index", lambda: make_pair(_SMALL, 0.1, index=-1)),
+         _case("key", "-index-2**63", "index", lambda: make_pair(_SMALL, 0.1, index=2**63)))),
+    "run_sweep": Contract(_SIZES),
+    "sin_theta_norm": Contract("takes sines, which must lie in [0, 1]: most scales are no input"),
+    "main": Contract("the command line: text in and out, through the functions of this table"),
+    "loglog_svg": Contract("draws a plot on log axes, as text"),
+    "write_loglog_svg": Contract("draws a plot on log axes, as a file"),
+}
 
 
 def rank_matrix(rng, m, n, r, smin=0.3, smax=3.0):

@@ -1,7 +1,6 @@
 import functools
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from subspace_align.kernels import _gauge, random_orthonormal
 from support import (
     RANK_RTOL,
     assert_self_consistent,
+    bits,
     draw_aligned_instance,
     equal_rank_pair,
     rank_matrix,
@@ -49,10 +49,6 @@ def _each(func, *columns):
     coefficients take scalars only."""
     rows = zip(*(np.asarray(column).tolist() for column in columns))
     return np.array([func(*row) for row in rows])
-
-
-def _bits(value):
-    return struct.pack("<d", value)
 
 
 @functools.lru_cache(maxsize=1)
@@ -162,7 +158,25 @@ class TestEta:
             for r in (2, 3):
                 for triple in triples:
                     scaled = [v * 2.0**-64 for v in triple]
-                    assert _bits(eta(kind, r, 3, *triple)) == _bits(eta(kind, r, 3, *scaled))
+                    assert bits(eta(kind, r, 3, *triple)) == bits(eta(kind, r, 3, *scaled))
+
+    @pytest.mark.parametrize("phi", [1e-2, 1e-4, 1e-7])
+    @pytest.mark.parametrize("n, k", [(2, 1), (5, 1), (4, 2), (5, 2)])
+    def test_full_rank_coefficient_is_attained_within_sqrt2(self, n, k, phi):
+        # x = (cos phi, sin phi) and its sign flip x~ = (-cos phi, sin phi),
+        # pinned by d = e2, in k orthogonal copies zero-padded to n rows:
+        # sigma_r = sin phi, ||d||_2 = 1, sin-theta is sin 2 phi per copy and
+        # measured 2 cos phi, so measured / xi = 1 / (sqrt2 (1 + sin phi)) in
+        # every norm, which tends to 1 / sqrt2; an eta scaled by 0.7 fails here
+        x, x_tilde, d = (np.zeros((n, k)) for _ in range(3))
+        for j in range(k):
+            x[2 * j : 2 * j + 2, j] = math.cos(phi), math.sin(phi)
+            x_tilde[2 * j : 2 * j + 2, j] = -math.cos(phi), math.sin(phi)
+            d[2 * j + 1, j] = 1.0
+        ratio = 1.0 / (SQRT2 * (1.0 + math.sin(phi)))
+        for rep in evaluate_instance(x, x_tilde, d, NORM_KINDS):
+            assert rep.regime == "full_rank" and rep.measured <= rep.xi + 1e-10, rep
+            assert abs(rep.measured / rep.xi - ratio) <= 1e-9, (rep, ratio)
 
     def test_zero_sin_theta_gives_zero_even_when_eta_is_inf(self):
         for kind in NORM_KINDS:
@@ -198,11 +212,11 @@ class TestCoefficientProperties:
         got_eta = eta(kind, r, 4, s, s_tilde, d)
         got_xi = xi(kind, r, 4, s, s_tilde, d, sin_t)
         assert type(got_eta) is float and type(got_xi) is float
-        assert _bits(got_eta) == _bits(expected_eta)
+        assert bits(got_eta) == bits(expected_eta)
         if math.isnan(expected_xi):  # a vacuous eta times a zero sine is 0
-            assert sin_t == 0.0 and got_eta == math.inf and _bits(got_xi) == _bits(sin_t)
+            assert sin_t == 0.0 and got_eta == math.inf and bits(got_xi) == bits(sin_t)
         else:
-            assert _bits(got_xi) == _bits(expected_xi)
+            assert bits(got_xi) == bits(expected_xi)
 
     def test_sharpened_is_xi_of_the_truncated_norm(self):
         # the reports of the criterion-02 mix: below full rank the sharpened
@@ -215,9 +229,9 @@ class TestCoefficientProperties:
                     assert rep.xi_sharpened is None
                     continue
                 deficient += 1
-                assert _bits(rep.sin_theta_truncated) == _bits(_gauge(top, rep.kind))
+                assert bits(rep.sin_theta_truncated) == bits(_gauge(top, rep.kind))
                 args = (rep.kind, r, rep.k, rep.sigma_r, rep.sigma_r_tilde, rep.d_norm)
-                assert _bits(rep.xi_sharpened) == _bits(xi(*args, rep.sin_theta_truncated))
+                assert bits(rep.xi_sharpened) == bits(xi(*args, rep.sin_theta_truncated))
         assert deficient
 
 

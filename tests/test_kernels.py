@@ -1,6 +1,4 @@
 import math
-import re
-import warnings
 
 import numpy as np
 import pytest
@@ -8,36 +6,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subspace_align import (
-    DimensionMismatch,
     ExperimentConfig,
     InvalidBasis,
     InvalidInput,
-    NumericalFailure,
     UnsupportedOrder,
     align,
-    align_rotation,
     canonical_angles,
     check_orthonormal,
-    default_delta_grid,
-    eta,
-    evaluate_instance,
     haar_orthogonal,
     hadamard,
     make_pair,
     matrix_norm,
-    optimal_representative,
     orthonormal_completion,
-    pinning_matrix,
     polar,
-    polar_factor_bound,
     random_orthonormal,
     singular_values,
     svd,
-    wedin_bound,
 )
 from subspace_align.kernels import _UNIT_ROUNDOFF, _gauge, _seed_order
 
-from support import haar_stack, row
+from support import PLANE, assert_error, error_cases, haar_stack, row
 
 
 class TestSvd:
@@ -379,178 +367,43 @@ class TestGenerators:
             check_orthonormal(np.ones((2, 3)))
 
 
-_SMALL_CONFIG = ExperimentConfig(n=8, k=2, deltas=(0.1,))
+@pytest.mark.parametrize("error", error_cases("lapack"))
+def test_lapack_failure_is_numerical_failure(error, monkeypatch):
+    # each call reaches the numpy.linalg routine it names, made to fail there
+    assert_error(error, monkeypatch)
 
 
-def _closest_member_call():
-    x = np.eye(4, 2)
-    _, aset = align(x, np.diag([1.0, 0.0])[[0, 1, 1, 1]])  # rank 1 of 2: freedom 1
-    return lambda: optimal_representative(aset, x)
+@pytest.mark.parametrize("error", error_cases("range"))
+def test_out_of_range_input_gets_its_typed_result_without_a_warning(error):
+    # a basis whose Gram matrix overflows, or a norm past the float range:
+    # an InvalidBasis naming the basis, or an inf, with no warning ahead of it
+    assert_error(error)
 
 
-def _pinned_pair_call():
-    d = pinning_matrix(8, 2)
-    x, _ = align(np.eye(8, 2), d)
-    return lambda: evaluate_instance(x, x, d, "trace")
+@pytest.mark.parametrize("error", error_cases("integer"))
+def test_non_integer_sizes_ranks_and_counts_rejected(error):
+    # a float or a bool where an integer belongs: none may be truncated
+    assert_error(error)
 
 
-#: Each entry sets up a call, before the numpy.linalg routine it names fails,
-#: that then reaches that routine.
-_LAPACK_CALLS = {
-    "canonical_angles": ("svd", lambda: lambda: canonical_angles(np.eye(4, 2), np.eye(4, 2))),
-    "optimal_representative": ("svd", _closest_member_call),
-    "align_rotation": ("svd", lambda: lambda: align_rotation(np.eye(4, 2), np.eye(4, 2))),
-    "evaluate_instance": ("eigvalsh", _pinned_pair_call),
-}
+@pytest.mark.parametrize("error", error_cases("raise"))
+def test_reachable_raises(error):
+    # raises that no other test reaches, with the exact class and message
+    assert_error(error)
 
 
-@pytest.mark.parametrize("case", list(_LAPACK_CALLS))
-def test_lapack_failure_is_numerical_failure(case, monkeypatch):
-    routine, setup = _LAPACK_CALLS[case]
-    call = setup()
-
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError(f"{routine} did not converge")
-
-    monkeypatch.setattr(np.linalg, routine, fail)
-    with pytest.raises(NumericalFailure, match=f"^numpy.linalg.{routine} failed: "):
-        call()
-
-
-_HUGE = np.eye(4, 2) * 1e200  # its Gram matrix overflows
-
-#: Each call on input past the float range must give its typed result, an
-#: InvalidBasis naming the basis or an inf norm, with no warning ahead of it.
-_OUT_OF_RANGE_CALLS = {
-    "check_orthonormal": lambda: check_orthonormal(_HUGE),
-    "align": lambda: align(_HUGE, np.eye(4, 2)),
-    "canonical_angles": lambda: canonical_angles(_HUGE, np.eye(4, 2)),
-    "canonical_angles-stack": lambda: canonical_angles(np.eye(4, 2), [np.eye(4, 2), _HUGE]),
-    "orthonormal_completion": lambda: orthonormal_completion(_HUGE),
-    "align_rotation": lambda: align_rotation(_HUGE, np.eye(4, 2)),
-    "matrix_norm-trace": lambda: matrix_norm(np.eye(4, 2) * 1.7e308, "trace"),
-}
-
-
-@pytest.mark.parametrize("case", list(_OUT_OF_RANGE_CALLS))
-def test_out_of_range_input_gets_its_typed_result_without_a_warning(case):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            result = _OUT_OF_RANGE_CALLS[case]()
-        except InvalidBasis as exc:
-            assert re.match(r"^(x|x_any|y) is not orthonormal: \|\|x\.T x - I\|\|_F = inf > ",
-                            str(exc)), exc
-        else:
-            assert case == "matrix_norm-trace" and result == math.inf
-
-
-#: Each call passes a float or a bool where an integer belongs, as the named
-#: argument; none may be truncated to an int.
-_NON_INTEGER_CALLS = {
-    "random_orthonormal": ("n", lambda: random_orthonormal(10.9, 3, None)),
-    "random_orthonormal-bool": ("k", lambda: random_orthonormal(10, True, None)),
-    "haar_orthogonal": ("size", lambda: haar_orthogonal(2.5, None)),
-    "haar_orthogonal-bool": ("size", lambda: haar_orthogonal(True, None)),
-    "hadamard-bool": ("n", lambda: hadamard(True)),
-    "hadamard-columns": ("columns", lambda: hadamard(8, 2.0)),
-    "hadamard-columns-bool": ("columns", lambda: hadamard(8, True)),
-    "pinning_matrix-n": ("n", lambda: pinning_matrix(8.7, 3)),
-    "pinning_matrix": ("zero_last", lambda: pinning_matrix(8, 3, zero_last=1.6)),
-    "pinning_matrix-bool": ("zero_last", lambda: pinning_matrix(8, 3, zero_last=True)),
-    "eta-r": ("r", lambda: eta("spectral", 2.9, 3, 0.5, 0.5, 1.0)),
-    "eta-k": ("k", lambda: eta("spectral", 2, 3.5, 0.5, 0.5, 1.0)),
-    "eta-bool": ("r", lambda: eta("spectral", True, 3, 0.5, 0.5, 1.0)),
-    "wedin_bound": ("r", lambda: wedin_bound(np.eye(3), np.eye(3), 3.0, "spectral")),
-    "ExperimentConfig-seed": ("seed", lambda: ExperimentConfig(seed=1.5)),
-    "ExperimentConfig-seed-bool": ("seed", lambda: ExperimentConfig(seed=True)),
-    "make_pair": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=1.5)),
-    "make_pair-bool": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=True)),
-    "default_delta_grid": ("points", lambda: default_delta_grid(points=3.0)),
-}
-
-
-@pytest.mark.parametrize("case", list(_NON_INTEGER_CALLS))
-def test_non_integer_sizes_ranks_and_counts_rejected(case):
-    name, call = _NON_INTEGER_CALLS[case]
-    with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
-        call()
-
-
-#: Each call reaches a raise that no other test reaches, with the exact class
-#: and the whole message it must give.
-_REACHABLE_RAISES = {
-    "svd-no-rows": (InvalidInput, "b must be at least 1x1, got shape (0, 3)",
-                    lambda: svd(np.zeros((0, 3)))),
-    "check_orthonormal-no-columns": (InvalidInput, "x must be at least 1x1, got shape (3, 0)",
-                                     lambda: check_orthonormal(np.zeros((3, 0)))),
-    "haar_orthogonal": (InvalidInput, "size must be nonnegative",
-                        lambda: haar_orthogonal(-1, np.random.default_rng(0))),
-    "random_orthonormal": (InvalidInput, "need 1 <= k <= n, got n=3, k=4",
-                           lambda: random_orthonormal(3, 4, np.random.default_rng(0))),
-    "wedin_bound": (InvalidInput, "rank r must be at least 1",
-                    lambda: wedin_bound(np.eye(3), np.eye(3), 0, "spectral")),
-    "polar_factor_bound": (InvalidInput, "both matrices are numerically zero",
-                           lambda: polar_factor_bound(np.zeros((3, 2)), np.zeros((3, 2)), "trace")),
-    "default_delta_grid": (InvalidInput, "need at least 2 grid points",
-                           lambda: default_delta_grid(1)),
-    "optimal_representative": (
-        DimensionMismatch, "basis shapes differ: (6, 3) vs (7, 3)",
-        lambda: optimal_representative(align(np.eye(6, 3), pinning_matrix(6, 3, 1))[1],
-                                       np.eye(7, 3)),
-    ),
-}
-
-
-@pytest.mark.parametrize("case", list(_REACHABLE_RAISES))
-def test_reachable_raises(case):
-    cls, message, call = _REACHABLE_RAISES[case]
-    with pytest.raises(cls) as info:
-        call()
-    assert type(info.value) is cls and str(info.value) == message
-
-
-#: Each call asks for a result of more entries than numpy can address, so it
-#: must be refused before anything is allocated.  Sizes that numpy can address
-#: but the machine cannot hold are not called: they would try to allocate.
-_UNADDRESSABLE_CALLS = {
-    "hadamard": lambda: hadamard(2**64),
-    "hadamard-columns": lambda: hadamard(2**62, 1),
-    "haar_orthogonal": lambda: haar_orthogonal(2**64, np.random.default_rng(0)),
-    "random_orthonormal": lambda: random_orthonormal(2**64, 1, np.random.default_rng(0)),
-    "random_orthonormal-stack": lambda: random_orthonormal(
-        2**57, 1, [np.random.default_rng(0)] * 8),  # addressable alone, not stacked
-    "pinning_matrix": lambda: pinning_matrix(2**64, 1),
-}
-
-
-@pytest.mark.parametrize("case", list(_UNADDRESSABLE_CALLS))
-def test_unaddressable_sizes_rejected(case):
-    with pytest.raises(InvalidInput, match=r"^a \d+(x\d+)+ array cannot be addressed$"):
-        _UNADDRESSABLE_CALLS[case]()
-
-
-_PLANE = np.eye(3)[:, :2]  # pinned by itself: the product is the identity
-
-#: every public function that takes `rtol` reads it by one scalar rule
-_RTOL_CALLS = {
-    "svd": lambda rtol: svd(_PLANE, rtol=rtol),
-    "polar": lambda rtol: polar(_PLANE, rtol=rtol),
-    "align": lambda rtol: align(_PLANE, _PLANE, rtol=rtol),
-    "polar_factor_bound": lambda rtol: polar_factor_bound(
-        _PLANE, _PLANE, "trace", rtol=rtol
-    ),
-    "evaluate_instance": lambda rtol: evaluate_instance(
-        _PLANE, _PLANE, _PLANE, "trace", rtol=rtol
-    ),
-}
+@pytest.mark.parametrize("error", error_cases("unaddressable"))
+def test_unaddressable_sizes_rejected(error):
+    # more entries than numpy can address, refused before any allocation;
+    # sizes numpy can address but the machine cannot hold are not called
+    assert_error(error)
 
 
 @pytest.mark.parametrize("rtol", ["abc", [1e-8], 1j], ids=["str", "list", "complex"])
-@pytest.mark.parametrize("case", list(_RTOL_CALLS))
-def test_non_scalar_rtol_rejected(case, rtol):
-    with pytest.raises(InvalidInput, match="^rtol must be a real scalar"):
-        _RTOL_CALLS[case](rtol)
+@pytest.mark.parametrize("error", error_cases("rtol"))
+def test_non_scalar_rtol_rejected(error, rtol):
+    # every function that takes rtol reads it by one scalar rule
+    assert_error(error, rtol)
 
 
 #: complex, ragged and text input: each public matrix entry point refuses it
@@ -558,44 +411,22 @@ def test_non_scalar_rtol_rejected(case, rtol):
 _NOT_REAL = {
     "complex": [[1j, 0.0], [0.0, 1.0], [0.0, 0.0]],
     "ragged": [[1.0, 0.0], [0.0], [0.0, 0.0]],
-    "ragged-stack": [_PLANE, np.eye(2)],
+    "ragged-stack": [PLANE, np.eye(2)],
     "text": "abc",
-}
-_MATRIX_CALLS = {
-    "check_orthonormal": ("x", check_orthonormal),
-    "svd": ("b", svd),
-    "singular_values": ("b", singular_values),
-    "matrix_norm": ("b", lambda a: matrix_norm(a, "trace")),
-    "align": ("x_any", lambda a: align(a, _PLANE)),
-    "AlignedBasisSet.member": ("w", lambda a: align(_PLANE, _PLANE)[1].member(a)),
-    "canonical_angles": ("y", lambda a: canonical_angles(_PLANE, a)),
-    "evaluate_instance": ("x_tilde", lambda a: evaluate_instance(_PLANE, a, _PLANE, "trace")),
 }
 
 
 @pytest.mark.parametrize("value", list(_NOT_REAL))
-@pytest.mark.parametrize("case", list(_MATRIX_CALLS))
-def test_non_real_matrices_rejected(case, value):
-    name, call = _MATRIX_CALLS[case]
-    with pytest.raises(InvalidInput, match=f"^{name} must be a real numeric array"):
-        call(_NOT_REAL[value])
+@pytest.mark.parametrize("error", error_cases("matrix"))
+def test_non_real_matrices_rejected(error, value):
+    assert_error(error, _NOT_REAL[value])
 
 
-#: Philox key words are unsigned 64-bit: a key or stream id outside that range
-#: must be rejected by name, not wrapped or raised as a bare OverflowError.
-_KEYS_OUT_OF_RANGE = {
-    "ExperimentConfig-seed-negative": ("seed", lambda: ExperimentConfig(seed=-1)),
-    "ExperimentConfig-seed-2**64": ("seed", lambda: ExperimentConfig(seed=2**64)),
-    "make_pair-index-negative": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=-1)),
-    "make_pair-index-2**63": ("index", lambda: make_pair(_SMALL_CONFIG, 0.1, index=2**63)),
-}
-
-
-@pytest.mark.parametrize("case", list(_KEYS_OUT_OF_RANGE))
-def test_philox_keys_out_of_range_rejected(case):
-    name, call = _KEYS_OUT_OF_RANGE[case]
-    with pytest.raises(InvalidInput, match=f"^{name} must "):
-        call()
+@pytest.mark.parametrize("error", error_cases("key"))
+def test_philox_keys_out_of_range_rejected(error):
+    # Philox key words are unsigned 64-bit: one outside is rejected by name,
+    # not wrapped or raised as a bare OverflowError
+    assert_error(error)
 
 
 def test_valid_philox_keys_keep_their_streams():
@@ -605,7 +436,7 @@ def test_valid_philox_keys_keep_their_streams():
     assert first_draw(np.uint64(5)).tobytes() == first_draw(5).tobytes()
     assert first_draw(2**64 - 1).tobytes() != first_draw(0).tobytes()
     for index in (np.int64(3), 2**63 - 1):
-        q1, q2 = make_pair(_SMALL_CONFIG, 0.1, index=index)[2:]
+        q1, q2 = make_pair(ExperimentConfig(n=8, k=2, deltas=(0.1,)), 0.1, index=index)[2:]
         key = [np.uint64(0), np.uint64(2 * int(index))]
         expected = haar_orthogonal(2, np.random.Generator(np.random.Philox(key=key)))
         assert np.array_equal(q1, expected)

@@ -348,20 +348,22 @@ def test_export_contract():
 
 
 def test_every_public_callable_has_a_scaling_row_or_an_exemption():
-    # Contract B: a new public function states how it scales with its input,
-    # or why it has nothing to state; a stale row or exemption fails too
-    from support import SCALING, SCALING_EXEMPT
+    # one CONTRACTS row per public callable and for AlignedBasisSet.member,
+    # with a Contract B law or the reason for none; a stale row fails, and so
+    # does a function that takes rtol with no rtol error case
+    from support import CONTRACTS
 
-    public = set()
+    public = {"AlignedBasisSet.member": subspace_align.AlignedBasisSet.member}
     for path in sorted(SRC.glob("[!_]*.py")):  # each module, not the package or __main__
         module = importlib.import_module(f"subspace_align.{path.stem}")
-        public |= {name for name in getattr(module, "__all__", ())
-                   if callable(getattr(module, name))}
-    assert not set(SCALING) & set(SCALING_EXEMPT)
-    assert all(isinstance(why, str) and why for why in SCALING_EXEMPT.values())
-    missing = public - set(SCALING) - set(SCALING_EXEMPT)
-    assert not missing, f"add a SCALING row or an exemption with a reason: {sorted(missing)}"
-    assert set(SCALING) | set(SCALING_EXEMPT) <= public
+        public |= {name: obj for name in getattr(module, "__all__", ())
+                   if callable(obj := getattr(module, name))}
+    assert sorted(CONTRACTS) == sorted(public), "add a row for each new callable, remove stale ones"
+    assert not [name for name, row in CONTRACTS.items() if row.scaling in (None, "")]
+    takes_rtol = {name for name, obj in public.items()
+                  if inspect.isfunction(obj) and "rtol" in inspect.signature(obj).parameters}
+    assert takes_rtol == {name for name, contract in CONTRACTS.items()
+                          if any(error.rule == "rtol" for error in contract.errors)}
 
 
 def test_figures_reach_every_traced_function(tmp_path, capsys):
